@@ -45,11 +45,15 @@ from .pdefilter import (
     FilterParams,
     ModeDecomposition,
     default_coefficients,
+    field_from_spectrum,
+    filter_gain,
+    forward_spectrum,
     frequency_response,
     highband_energy,
     lowpass_apply,
     lowpass_from_spectrum,
     mode_decompose,
+    spectral_energy,
 )
 from .surface import TriangleMesh, marching_cubes, mesh_metrics, write_obj, write_off
 from .volumetrics import (
@@ -88,6 +92,9 @@ __all__ = [
     "exp_pseudoscalar",
     "export_opendx",
     "export_raw",
+    "field_from_spectrum",
+    "filter_gain",
+    "forward_spectrum",
     "frequency_response",
     "geometric_product",
     "highband_energy",
@@ -108,6 +115,7 @@ __all__ = [
     "rasterize_piecewise_swapped",
     "run_pipeline",
     "serialize_pqr",
+    "spectral_energy",
     "spectral_gradient2_split",
     "spectral_gradient3",
     "spectral_laplacian3",

@@ -10,10 +10,15 @@ and metrics files contain no timings or other run-varying content, so two
 runs of one configuration produce byte-identical files regardless of
 thread count; only the manifest's timing lines differ.
 
-Sweeps over several propagation times reuse the forward spectrum of the
-initial field (it does not depend on t); results are bit-identical to
-independent single-time runs because the per-time arithmetic is the same
-operations on the same spectrum.
+The filter stage runs on the real FFT: one np.fft.rfftn of the initial
+field per run and one np.fft.irfftn per propagation time. For a real
+field that is exactly the scalar channel of the Clifford-Fourier
+transform, so no multivector is built. Sweeps over several propagation
+times reuse the one forward spectrum (it does not depend on t); results
+are bit-identical to independent single-time runs because the per-time
+arithmetic is the same operations on the same spectrum. Several peel-off
+passes apply their closed-form summed gain 1 - (1 - L)^K in one step,
+equal to summing the mode_decompose modes up to rounding.
 """
 
 from __future__ import annotations
@@ -26,16 +31,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import volumetrics
-from .cft import MultivectorField3, cft3_forward
 from .grids import GridSpec, ScalarField3
 from .molecule import Molecule, ParseError, parse_auto, parse_pdb, parse_pqr, parse_xyzr
 from .pdefilter import (
     DEFAULT_HALF_ORDER,
     FilterParams,
     default_coefficients,
-    highband_energy,
-    lowpass_from_spectrum,
-    mode_decompose,
+    field_from_spectrum,
+    filter_gain,
+    forward_spectrum,
+    spectral_energy,
 )
 from .surface import marching_cubes, mesh_metrics, write_obj, write_off
 
@@ -265,6 +270,7 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
             spacing=cfg.spacing,
             padding=cfg.padding,
             mem_cap_bytes=int(cfg.mem_cap_gib * 1024**3),
+            n_times=len(cfg.times),
         )
 
     with stage("rasterize"):
@@ -296,23 +302,19 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
     combos: list[dict] = []
 
     with stage("filter"):
-        # the forward spectrum is shared by every propagation time
-        spectrum = cft3_forward(MultivectorField3.from_scalar_field(initial))
+        # one forward transform serves every propagation time, and the
+        # peel-off passes fold into the closed-form gain 1 - (1 - L)^K; the
+        # smoothness indicator is read off the retained half spectrum
+        spectrum = forward_spectrum(initial)
+        del initial  # only its spectrum is needed from here on
         filtered: dict[float, ScalarField3] = {}
+        energies: dict[float, float] = {}
         for t in cfg.times:
             params = FilterParams(m=cfg.m, d=cfg.d, epsilon=cfg.epsilon, t=t)
-            if cfg.passes == 1:
-                out = lowpass_from_spectrum(spectrum, params)
-            else:
-                # several peel-off passes: the surface field is the sum of
-                # the extracted low-pass modes (the residue holds the
-                # remaining detail)
-                modes = mode_decompose(initial, cfg.passes, params).modes
-                total = modes[0].values.copy()
-                for mode in modes[1:]:
-                    total += mode.values
-                out = ScalarField3(grid, total)
-            filtered[t] = out
+            retained = spectrum * filter_gain(params, grid, cfg.passes)
+            filtered[t] = field_from_spectrum(retained, grid)
+            energies[t] = spectral_energy(retained, grid, ENERGY_W2_THRESHOLD)
+        del spectrum, retained  # release the transform buffers before extraction
 
     for t in cfg.times:
         f = filtered[t]
@@ -320,7 +322,7 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
         manifest += [
             f"{key}.field.min: {_fmt(f.min)}",
             f"{key}.field.max: {_fmt(f.max)}",
-            f"{key}.highband_energy: {_fmt(highband_energy(f, ENERGY_W2_THRESHOLD))}",
+            f"{key}.highband_energy: {_fmt(energies[t])}",
         ]
 
     if cfg.volume_out:
@@ -390,8 +392,8 @@ def sweep(config: RunConfig) -> list[dict]:
     """Execute over the config's time and isovalue lists.
 
     Returns one mapping per (t, isovalue) combination with the mesh, its
-    metrics, and any output paths. The forward transform of the initial
-    field is computed once for the whole sweep.
+    metrics, and any output paths. The real forward transform of the
+    initial field is computed once for the whole sweep.
     """
     return execute(config)[1]
 

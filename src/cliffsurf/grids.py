@@ -1,7 +1,8 @@
 """Uniform sampling grids, scalar fields, and their spectral counterparts.
 
 These types are shared between the volume-construction layer and the
-spectral operators, so they live in one dependency-free module.
+spectral operators, so they live in one dependency-free module; so does
+write_rows, the text-row formatter of the volume and mesh writers.
 
 Conventions fixed here once for the whole package:
 
@@ -131,6 +132,12 @@ class SpectralGrid:
     and the angular wavenumber w = 2*pi*k/(N*h). The w = 0 bin exists
     exactly once per axis; for even N the Nyquist bin sits at index N/2
     and is assigned the negative frequency.
+
+    half=True selects the real-FFT (np.fft.rfftn) layout instead: the
+    last axis keeps only its N//2 + 1 nonnegative bins (np.fft.rfftfreq,
+    even-N Nyquist at +N/2), the other axes stay full. The omitted bins
+    are the complex conjugates of kept ones, which every even symbol
+    (a function of w^2) treats identically.
     """
 
     dims: tuple[int, ...]
@@ -154,16 +161,18 @@ class SpectralGrid:
             np.rint(np.fft.fftfreq(n) * n).astype(np.int64) for n in self.dims
         ]
 
-    def w_axes(self, zero_nyquist: bool = False) -> list[np.ndarray]:
+    def w_axes(self, zero_nyquist: bool = False, half: bool = False) -> list[np.ndarray]:
         """Angular wavenumbers per axis.
 
         zero_nyquist suppresses the unpaired even-N Nyquist bin; odd
         (sign-sensitive) spectral symbols need that to keep real fields
-        real, even symbols keep the bin.
+        real, even symbols keep the bin. half: real-FFT last axis.
         """
         out = []
-        for n in self.dims:
-            w = 2.0 * np.pi * np.fft.fftfreq(n, d=self.spacing)
+        last = len(self.dims) - 1
+        for a, n in enumerate(self.dims):
+            freq = np.fft.rfftfreq if half and a == last else np.fft.fftfreq
+            w = 2.0 * np.pi * freq(n, d=self.spacing)
             if zero_nyquist and n % 2 == 0:
                 w = w.copy()
                 w[n // 2] = 0.0
@@ -174,7 +183,23 @@ class SpectralGrid:
         """Broadcastable (sparse) wavenumber component arrays."""
         return np.meshgrid(*self.w_axes(zero_nyquist), indexing="ij", sparse=True)
 
-    def w2(self) -> np.ndarray:
-        """Full |w|^2 array over the grid (Nyquist bins included: even symbol)."""
-        meshes = self.w_meshes(zero_nyquist=False)
+    def w2(self, half: bool = False) -> np.ndarray:
+        """|w|^2 over the full (or real-FFT half) spectrum, Nyquist bins included."""
+        meshes = np.meshgrid(*self.w_axes(half=half), indexing="ij", sparse=True)
         return reduce(np.add, (m * m for m in meshes))
+
+
+# rows formatted per write_rows chunk: a few MB of text at a time
+_ROWS_PER_WRITE = 1 << 16
+
+
+def write_rows(fh, row_format: str, rows: np.ndarray) -> None:
+    """Write every row of a 2D array through one printf-style row template.
+
+    Each chunk of rows is a single `%` on the template repeated once per
+    row, straight into the open text file, so the text is the same as
+    formatting value by value while only one chunk's strings are alive.
+    """
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        block = rows[start : start + _ROWS_PER_WRITE]
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))

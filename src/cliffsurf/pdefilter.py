@@ -32,8 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cft import MultivectorField3, cft3_forward, cft3_inverse
-from .grids import ScalarField3, SpectralGrid
+from .grids import GridSpec, ScalarField3, SpectralGrid
 
 # exp(-x) stays a normal double up to x ~ 708.4; past that the gain is
 # indistinguishable from zero, so clamp there and avoid underflow flags
@@ -128,32 +127,57 @@ def _require_finite(X: ScalarField3):
         raise ValueError("field contains NaN or Inf")
 
 
+def forward_spectrum(X: ScalarField3) -> np.ndarray:
+    """Unnormalized real-FFT half spectrum (np.fft.rfftn) of a finite field.
+
+    For a real field this is the scalar channel of the Clifford-Fourier
+    transform (cft3_forward of the field's scalar embedding) restricted to
+    the nonnegative half of the last axis; the other half is its complex
+    conjugate mirror and carries no extra information.
+    """
+    _require_finite(X)
+    return np.fft.rfftn(X.values)
+
+
+def filter_gain(params: FilterParams, grid: GridSpec, passes: int = 1) -> np.ndarray:
+    """Bin gain over the half spectrum of `passes` summed peel-off modes.
+
+    Pass k extracts the low pass of the k-th residue, L (1 - L)^(k-1) X,
+    because every pass applies the same linear gain L; the modes of K
+    passes therefore sum to (1 - (1 - L)^K) X in closed form.
+    """
+    if passes < 1:
+        raise ValueError(f"passes must be >= 1, got {passes}")
+    gain = frequency_response(params, SpectralGrid.from_grid(grid).w2(half=True))
+    if passes == 1:
+        return gain
+    return 1.0 - (1.0 - gain) ** passes
+
+
+def field_from_spectrum(spectrum: np.ndarray, grid: GridSpec) -> ScalarField3:
+    """Inverse real FFT of a half spectrum back onto the grid (1/N included)."""
+    return ScalarField3(grid, np.fft.irfftn(spectrum, s=grid.dims, axes=(0, 1, 2)))
+
+
 def lowpass_apply(X: ScalarField3, params: FilterParams) -> ScalarField3:
     """Filter a periodic scalar field: transform, scale every bin by L, invert.
 
-    The field enters the transform embedded in the scalar channel of a
-    multivector field. The mean (DC bin) is preserved exactly up to
-    rounding because L(0) = 1.
+    The mean (DC bin) is preserved exactly up to rounding because L(0) = 1.
     """
-    _require_finite(X)
-    spectrum = cft3_forward(MultivectorField3.from_scalar_field(X))
-    return lowpass_from_spectrum(spectrum, params)
+    return lowpass_from_spectrum(forward_spectrum(X), X.grid, params)
 
 
 def lowpass_from_spectrum(
-    spectrum: MultivectorField3, params: FilterParams
+    spectrum: np.ndarray, grid: GridSpec, params: FilterParams
 ) -> ScalarField3:
-    """Apply the bin gains to an already-computed forward spectrum.
+    """Apply the bin gains to an already-computed forward_spectrum.
 
     Sweeping many propagation times over one input only needs the forward
     transform once; this entry point is bit-identical to lowpass_apply on
     the original field because it performs the same operations on the
     same spectrum values.
     """
-    sgrid = SpectralGrid.from_grid(spectrum.grid)
-    gain = frequency_response(params, sgrid.w2())
-    filtered = MultivectorField3(spectrum.grid, spectrum.data * gain[..., None])
-    return cft3_inverse(filtered).scalar_part()
+    return field_from_spectrum(spectrum * filter_gain(params, grid), grid)
 
 
 @dataclass(frozen=True)
@@ -206,6 +230,30 @@ def mode_decompose(
     )
 
 
+def spectral_energy(spectrum: np.ndarray, grid: GridSpec, w2_threshold: float) -> float:
+    """Full-spectrum energy above a squared-wavenumber threshold, from a half spectrum.
+
+    Sum of |X_hat|^2 over the bins of the complete unnormalized DFT with
+    w^2 > w2_threshold, read off the real-FFT half spectrum: an interior
+    bin of the last axis stands for itself and its conjugate mirror and
+    counts twice; the k_z = 0 plane and, for even N_z, the Nyquist plane
+    are their own mirrors and count once.
+    """
+    if not w2_threshold > 0:
+        raise ValueError(f"w2_threshold must be positive, got {w2_threshold}")
+    nz = grid.dims[-1]
+    if spectrum.shape != grid.dims[:-1] + (nz // 2 + 1,):
+        raise ValueError(f"half spectrum shape {spectrum.shape} does not match grid {grid.dims}")
+    power = np.abs(spectrum)
+    power *= power
+    power[SpectralGrid.from_grid(grid).w2(half=True) <= w2_threshold] = 0.0
+    weight = np.full(power.shape[-1], 2.0)
+    weight[0] = 1.0
+    if nz % 2 == 0:
+        weight[-1] = 1.0
+    return float(power.sum(axis=(0, 1)) @ weight)
+
+
 def highband_energy(X: ScalarField3, w2_threshold: float) -> float:
     """Spectral energy above a squared-wavenumber threshold.
 
@@ -215,10 +263,4 @@ def highband_energy(X: ScalarField3, w2_threshold: float) -> float:
     Useful as a smoothness diagnostic: filtering with growing t drives
     it down monotonically.
     """
-    if not w2_threshold > 0:
-        raise ValueError(f"w2_threshold must be positive, got {w2_threshold}")
-    _require_finite(X)
-    sgrid = SpectralGrid.from_grid(X.grid)
-    spectrum = np.fft.fftn(X.values)
-    band = sgrid.w2() > w2_threshold
-    return float(np.sum(np.abs(spectrum[band]) ** 2))
+    return spectral_energy(forward_spectrum(X), X.grid, w2_threshold)

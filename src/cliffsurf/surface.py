@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ScalarField3
+from .grids import ScalarField3, write_rows
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_MASKS, TRI_TABLE
 
 # Faces as cyclic corner quadruples, for ambiguity detection.
@@ -290,10 +290,9 @@ def write_obj(mesh: TriangleMesh, path) -> None:
     """Write vertices then 1-based faces, coordinates with 6 decimals."""
     if mesh.n_triangles == 0:
         raise ValueError("refusing to write an empty mesh")
-    lines = [f"v {x:.6f} {y:.6f} {z:.6f}" for x, y, z in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        write_rows(fh, "v %.6f %.6f %.6f\n", mesh.vertices)
+        write_rows(fh, "f %d %d %d\n", mesh.triangles + 1)
 
 
 def write_off(mesh: TriangleMesh, path) -> None:
@@ -301,8 +300,7 @@ def write_off(mesh: TriangleMesh, path) -> None:
     if mesh.n_triangles == 0:
         raise ValueError("refusing to write an empty mesh")
     edges, _, _ = _unique_edges(mesh.triangles, mesh.n_vertices)
-    lines = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} {len(edges)}"]
-    lines += [f"{x:.6f} {y:.6f} {z:.6f}" for x, y, z in mesh.vertices]
-    lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_triangles} {len(edges)}\n")
+        write_rows(fh, "%.6f %.6f %.6f\n", mesh.vertices)
+        write_rows(fh, "3 %d %d %d\n", mesh.triangles)

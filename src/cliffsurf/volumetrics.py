@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField3, next_smooth
+from .grids import GridSpec, ScalarField3, next_smooth, write_rows
 from .molecule import Molecule
 
 DEFAULT_SPACING = 0.25
@@ -27,9 +27,24 @@ DEFAULT_BUMP_HEIGHT = 1.0
 DEFAULT_BUMP_DECAY = 3.0
 DEFAULT_MEM_CAP = 4 * 1024**3
 
-# rough pipeline peak: field + 8 blade channels + packed spectra + filtered
-# copies, all float64. Used only to refuse grids before allocating them.
-_BYTES_PER_VOXEL = 8 * 24
+# Traced (tracemalloc) peak of a whole one-time CLI run per grid voxel: the
+# float64 field, its real-FFT half spectrum and gain, the filtered field,
+# then marching-cubes scratch, which grows with the surface. Measured on
+# seeded globules: 33 B/voxel for 300 atoms (112^3, 135^3), 55 for 3000
+# atoms and two times (108^3); 72 keeps 30% over the largest. Every further
+# propagation time keeps one more 8 B/voxel filtered field alive until
+# extraction ends, budgeted at 10 with the same margin. A few MB do not
+# scale with the grid (a 37.8k-voxel run peaks at 77 B/voxel). Used only to
+# refuse grids before allocating them.
+_BYTES_PER_VOXEL = 72
+_BYTES_PER_VOXEL_PER_EXTRA_TIME = 10
+
+
+def bytes_per_voxel(n_times: int = 1) -> int:
+    """Estimated peak bytes per voxel of a run over n_times propagation times."""
+    if n_times < 1:
+        raise ValueError(f"n_times must be >= 1, got {n_times}")
+    return _BYTES_PER_VOXEL + _BYTES_PER_VOXEL_PER_EXTRA_TIME * (n_times - 1)
 
 
 def make_grid(
@@ -37,6 +52,7 @@ def make_grid(
     spacing: float = DEFAULT_SPACING,
     padding: float = DEFAULT_PADDING,
     mem_cap_bytes: int | None = DEFAULT_MEM_CAP,
+    n_times: int = 1,
 ) -> GridSpec:
     """Uniform grid covering the molecule's sphere box plus padding.
 
@@ -44,7 +60,9 @@ def make_grid(
     rounding grows the box symmetrically about its center (the origin is
     recentered, never clipped). Periodic wraparound across the padded
     faces is what the padding is for; 5 Angstrom keeps it far below
-    isovalue scale for the default filter strengths.
+    isovalue scale for the default filter strengths. The memory cap is
+    checked against bytes_per_voxel(n_times), n_times being the number of
+    propagation times the grid's run filters.
     """
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
@@ -60,10 +78,10 @@ def make_grid(
         n = int(np.ceil(span / spacing - 1e-9)) + 1
         dims.append(next_smooth(max(n, 2)))
     dims = tuple(dims)
-    n_voxels = int(np.prod(dims))
-    if mem_cap_bytes is not None and n_voxels * _BYTES_PER_VOXEL > mem_cap_bytes:
+    need = int(np.prod(dims)) * bytes_per_voxel(n_times)
+    if mem_cap_bytes is not None and need > mem_cap_bytes:
         raise ValueError(
-            f"grid {dims} needs about {n_voxels * _BYTES_PER_VOXEL / 1024**3:.1f} GiB, "
+            f"grid {dims} needs about {need / 1024**3:.1f} GiB, "
             f"over the {mem_cap_bytes / 1024**3:.1f} GiB memory cap"
         )
     origin = tuple(center[a] - (dims[a] - 1) * spacing / 2.0 for a in range(3))
@@ -154,7 +172,7 @@ def export_opendx(field: ScalarField3, path) -> None:
     nx, ny, nz = field.grid.dims
     h = field.grid.spacing
     ox, oy, oz = field.grid.origin
-    lines = [
+    header = [
         f"object 1 class gridpositions counts {nx} {ny} {nz}",
         f"origin {ox:.6e} {oy:.6e} {oz:.6e}",
         f"delta {h:.6e} 0.000000e+00 0.000000e+00",
@@ -163,19 +181,21 @@ def export_opendx(field: ScalarField3, path) -> None:
         f"object 2 class gridconnections counts {nx} {ny} {nz}",
         f"object 3 class array type double rank 0 items {nx * ny * nz} data follows",
     ]
-    flat = field.values.ravel(order="C")  # C order: z fastest
-    for start in range(0, flat.size, 3):
-        chunk = flat[start : start + 3]
-        lines.append(" ".join(f"{v:.6e}" for v in chunk))
-    lines += [
+    trailer = [
         'attribute "dep" string "positions"',
         'object "regular positions regular connections" class field',
         'component "positions" value 1',
         'component "connections" value 2',
         'component "data" value 3',
     ]
+    flat = field.values.ravel(order="C")  # C order: z fastest
+    full = flat.size - flat.size % 3
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        write_rows(fh, "%.6e %.6e %.6e\n", flat[:full].reshape(-1, 3))
+        if full < flat.size:  # one or two values on the last data line
+            fh.write(" ".join(f"{v:.6e}" for v in flat[full:]) + "\n")
+        fh.write("\n".join(trailer) + "\n")
 
 
 def export_raw(field: ScalarField3, path) -> None:

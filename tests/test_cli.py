@@ -6,12 +6,15 @@ documented stage map (0 ok, 2 input, 3 config, 4 compute, 5 output).
 """
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cliffsurf import cli
 from cliffsurf.cli import (
+    ENERGY_W2_THRESHOLD,
     EXIT_COMPUTE,
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -27,6 +30,10 @@ from cliffsurf.cli import (
     run_pipeline,
     sweep,
 )
+from cliffsurf.grids import SpectralGrid
+from cliffsurf.molecule import parse_xyzr
+from cliffsurf.pdefilter import FilterParams, default_coefficients, mode_decompose
+from cliffsurf.volumetrics import bytes_per_voxel, make_grid, rasterize_piecewise
 
 from conftest import read_dx, read_obj, read_off, read_raw
 
@@ -595,3 +602,100 @@ def test_main_module_entry_point(three_atom_file):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error[stage=input]: ")
+
+
+# ---------------------------------------------------------------------------
+# real-FFT filter stage
+
+
+def _cli_initial_field(path, spacing):
+    mol = parse_xyzr(Path(path).read_text(), path)
+    return rasterize_piecewise(mol, make_grid(mol, spacing=spacing))
+
+
+@pytest.mark.parametrize("passes", [2, 3])
+def test_cli_passes_field_is_sum_of_peeled_modes(three_atom_file, tmp_path, capsys, passes):
+    vol = str(tmp_path / "v.raw")
+    code, _, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5", "--time", "20",
+         "--epsilon", "0.05", "--passes", str(passes), "--volume-out", vol],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    _, _, _, got = read_raw(vol)
+    params = FilterParams(m=6, d=default_coefficients(6), epsilon=0.05, t=20.0)
+    modes = mode_decompose(_cli_initial_field(three_atom_file, 0.5), passes, params).modes
+    want = sum(mode.values for mode in modes)
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_cli_highband_energy_is_full_fft_band_energy(three_atom_file, tmp_path, capsys):
+    vol = str(tmp_path / "v.raw")
+    code, out, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5", "--time", "10",
+         "--volume-out", vol],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    dims, _, spacing, values = read_raw(vol)
+    band = SpectralGrid(dims=dims, spacing=spacing).w2() > ENERGY_W2_THRESHOLD
+    want = float(np.sum(np.abs(np.fft.fftn(values)[band]) ** 2))
+    got = float(manifest_dict(out)["run[t=10].highband_energy"])
+    assert want > 0 and abs(got - want) <= 1e-12 * want
+
+
+def test_filter_stage_fft_count(three_atom_file, monkeypatch):
+    # one forward real transform per run, one inverse per time, and no
+    # complex transform at all, whatever the number of peel-off passes
+    calls: dict[str, int] = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn",
+                 "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    combos = sweep(
+        RunConfig(three_atom_file, spacing=0.5, times=(50.0, 100.0), passes=3)
+    )
+    assert len(combos) == 2
+    assert calls == {"rfftn": 1, "irfftn": 2}
+
+
+def test_energy_failure_is_tagged_filter(three_atom_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("energy exploded")
+
+    monkeypatch.setattr(cli, "spectral_energy", broken)
+    code, _, err = run_cli(["--input", three_atom_file, "--spacing", "0.5"], capsys)
+    assert code == EXIT_COMPUTE
+    assert err.startswith("error[stage=filter]: ")
+    assert "energy exploded" in err
+
+
+@pytest.mark.parametrize("times", [(100.0,), (25.0, 50.0, 100.0, 200.0, 400.0, 800.0)])
+def test_traced_peak_within_memory_estimate(three_atom_file, tmp_path, times):
+    # the grid memory cap must not promise less memory than a run takes:
+    # the full pipeline with every writer, traced end to end, for one
+    # propagation time and for a sweep that keeps six filtered fields
+    cfg = RunConfig(
+        three_atom_file,
+        spacing=0.25,
+        times=times,
+        mesh_out=str(tmp_path / "m.obj"),
+        volume_out=str(tmp_path / "v.dx"),
+        metrics_out=str(tmp_path / "r.txt"),
+    )
+    tracemalloc.start()
+    try:
+        combos = sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c["metrics"].boundary_edge_count == 0 for c in combos)
+    n_voxels = make_grid(parse_xyzr(Path(three_atom_file).read_text()), spacing=0.25).n_voxels
+    assert peak <= n_voxels * bytes_per_voxel(len(times))

@@ -6,14 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffsurf.cft import MultivectorField3, cft3_forward, cft3_inverse
 from cliffsurf.grids import GridSpec, ScalarField3, SpectralGrid
 from cliffsurf.pdefilter import (
     FilterParams,
     default_coefficients,
+    field_from_spectrum,
+    filter_gain,
+    forward_spectrum,
     frequency_response,
     highband_energy,
     lowpass_apply,
+    lowpass_from_spectrum,
     mode_decompose,
+    spectral_energy,
 )
 from conftest import heat_rk4, response_rk4
 
@@ -171,6 +177,93 @@ def test_highband_energy_validation(rng):
     field = _smooth_random_field(rng)
     with pytest.raises(ValueError):
         highband_energy(field, 0.0)
+
+
+def _random_field(rng, dims, spacing=0.5):
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=spacing, dims=dims)
+    return ScalarField3(grid, rng.standard_normal(dims))
+
+
+def _cft3_lowpass(X, params):
+    # the Clifford-Fourier round trip: scalar embedding, full-spectrum gain
+    spec = cft3_forward(MultivectorField3.from_scalar_field(X))
+    gain = frequency_response(params, SpectralGrid.from_grid(X.grid).w2())
+    filtered = MultivectorField3(X.grid, spec.data * gain[..., None])
+    return cft3_inverse(filtered).scalar_part().values
+
+
+_ODD_EVEN_DIMS = [(8, 6, 10), (7, 9, 11), (6, 5, 9), (9, 8, 4)]
+
+
+@pytest.mark.parametrize("dims", _ODD_EVEN_DIMS)
+@pytest.mark.parametrize("eps", [0.0, 0.3])
+def test_rfft_lowpass_matches_cft3_round_trip(rng, dims, eps):
+    X = _random_field(rng, dims)
+    # gains spread over (0, 1] on this band rather than flushing to zero
+    params = FilterParams(m=3, d=(0.1, 0.0, 1e-5), epsilon=eps, t=0.7)
+    got = lowpass_apply(X, params).values
+    assert np.abs(got - _cft3_lowpass(X, params)).max() <= 1e-12
+
+
+def test_lowpass_from_shared_spectrum_is_bit_identical(rng):
+    X = _random_field(rng, (7, 6, 9))
+    spectrum = forward_spectrum(X)
+    for t in (0.1, 0.7):
+        params = FilterParams(m=3, d=(0.1, 0.0, 1e-5), epsilon=0.2, t=t)
+        got = lowpass_from_spectrum(spectrum, X.grid, params).values
+        assert np.array_equal(got, lowpass_apply(X, params).values)
+
+
+def test_half_spectrum_w2_is_the_rfft_slice_of_the_full_one():
+    sg = SpectralGrid(dims=(6, 5, 8), spacing=0.3)
+    half = sg.w2(half=True)
+    assert half.shape == (6, 5, 5)
+    # nonnegative z bins coincide; the even-N Nyquist differs only in sign
+    assert np.array_equal(half, sg.w2()[:, :, :5])
+    assert SpectralGrid(dims=(4, 7), spacing=1.0).w2(half=True).shape == (4, 4)
+
+
+@pytest.mark.parametrize("dims", _ODD_EVEN_DIMS)
+@pytest.mark.parametrize("passes", [2, 3, 5])
+def test_closed_form_passes_match_summed_modes(rng, dims, passes):
+    X = _random_field(rng, dims)
+    params = FilterParams(m=3, d=(0.1, 0.0, 1e-5), epsilon=0.2, t=0.7)
+    modes = mode_decompose(X, passes, params).modes
+    want = sum(mode.values for mode in modes)
+    # the CLI's filter stage: one forward spectrum times the summed gain
+    retained = forward_spectrum(X) * filter_gain(params, X.grid, passes)
+    got = field_from_spectrum(retained, X.grid).values
+    assert np.abs(got - want).max() <= 1e-12
+
+
+def test_filter_gain_rejects_zero_passes():
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=(4, 4, 4))
+    with pytest.raises(ValueError, match="passes"):
+        filter_gain(FilterParams.single_term(t=1.0), grid, 0)
+
+
+def test_single_pass_gain_is_the_frequency_response():
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=(6, 7, 9))
+    params = FilterParams.single_term(t=0.01)
+    w2 = SpectralGrid.from_grid(grid).w2(half=True)
+    assert np.array_equal(filter_gain(params, grid), frequency_response(params, w2))
+
+
+@pytest.mark.parametrize("dims", _ODD_EVEN_DIMS)
+@pytest.mark.parametrize("thr", [0.5, 4.0, 30.0])
+def test_spectral_energy_matches_full_fft_band_sum(rng, dims, thr):
+    X = _random_field(rng, dims)
+    band = SpectralGrid.from_grid(X.grid).w2() > thr
+    want = float(np.sum(np.abs(np.fft.fftn(X.values)[band]) ** 2))
+    got = spectral_energy(np.fft.rfftn(X.values), X.grid, thr)
+    assert abs(got - want) <= 1e-12 * want
+    assert abs(highband_energy(X, thr) - want) <= 1e-12 * want
+
+
+def test_spectral_energy_rejects_mismatched_spectrum(rng):
+    X = _random_field(rng, (6, 6, 6))
+    with pytest.raises(ValueError, match="does not match"):
+        spectral_energy(np.fft.fftn(X.values), X.grid, 1.0)
 
 
 def test_rejects_nonfinite_field():

@@ -4,6 +4,7 @@ geometry metrics, mesh file formats."""
 import numpy as np
 import pytest
 
+from cliffsurf import grids
 from cliffsurf.grids import GridSpec, ScalarField3
 from cliffsurf.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_MASKS, TRI_TABLE
 from cliffsurf.surface import (
@@ -332,6 +333,28 @@ def test_off_round_trip_header_counts(tmp_path):
     assert np.array_equal(faces, mesh.triangles)
     # header edge count is the true unique-edge count: E = V + F - chi
     assert ne == mesh.n_vertices + mesh.n_triangles - m.euler_characteristic
+
+
+def test_mesh_writers_chunked_match_per_value_formatter(tmp_path, rng, monkeypatch):
+    monkeypatch.setattr(grids, "_ROWS_PER_WRITE", 3)  # many chunk boundaries
+    verts = rng.standard_normal((11, 3)) * 10.0 ** rng.integers(-300, 300, size=(11, 3))
+    verts[0] = (-0.0, 5e-324, 1e300)
+    verts[1] = (-2.5e-310, 0.0, -1e-7)
+    tris = rng.permutation(11 * 3 * 3).reshape(-1, 3) % 11
+    tris = tris[(tris[:, 0] != tris[:, 1]) | (tris[:, 1] != tris[:, 2])]
+    mesh = TriangleMesh(verts, tris)
+    edges = len({tuple(sorted(e)) for a, b, c in tris.tolist() for e in ((a, b), (b, c), (c, a))})
+
+    obj = [f"v {x:.6f} {y:.6f} {z:.6f}" for x, y, z in mesh.vertices]
+    obj += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
+    write_obj(mesh, tmp_path / "m.obj")
+    assert (tmp_path / "m.obj").read_text() == "\n".join(obj) + "\n"
+
+    off = ["OFF", f"{mesh.n_vertices} {mesh.n_triangles} {edges}"]
+    off += [f"{x:.6f} {y:.6f} {z:.6f}" for x, y, z in mesh.vertices]
+    off += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    write_off(mesh, tmp_path / "m.off")
+    assert (tmp_path / "m.off").read_text() == "\n".join(off) + "\n"
 
 
 def test_writers_refuse_empty(tmp_path):

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from cliffsurf import grids
 from cliffsurf.grids import GridSpec, ScalarField3
 from cliffsurf.molecule import Atom, Molecule
 from cliffsurf.volumetrics import (
+    bytes_per_voxel,
     export_opendx,
     export_raw,
     make_grid,
@@ -66,6 +68,18 @@ def test_make_grid_memory_cap(three_atoms):
         make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=10 * 1024**2)
     grid = make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=None)
     assert grid.dims == (56, 70, 70)
+
+
+def test_memory_cap_counts_every_propagation_time(three_atoms):
+    # each further time keeps one more filtered float64 field alive
+    assert bytes_per_voxel(6) - bytes_per_voxel(1) >= 5 * 8
+    n_voxels = make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=None).n_voxels
+    cap = n_voxels * bytes_per_voxel(1)
+    assert make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=cap).n_voxels == n_voxels
+    with pytest.raises(ValueError, match="memory cap"):
+        make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=cap, n_times=2)
+    with pytest.raises(ValueError, match="n_times"):
+        bytes_per_voxel(0)
 
 
 def test_make_grid_validation(three_atoms):
@@ -187,6 +201,46 @@ def test_opendx_z_varies_fastest(tmp_path):
     first_data = text[7].split()
     # values[0,0,0], [0,0,1], [0,1,0] in file order
     assert [float(v) for v in first_data] == [0.0, 1.0, 2.0]
+
+
+def _per_value_dx(field):
+    # the value-by-value formatter that the chunked writer replaced
+    nx, ny, nz = field.grid.dims
+    h = field.grid.spacing
+    ox, oy, oz = field.grid.origin
+    lines = [
+        f"object 1 class gridpositions counts {nx} {ny} {nz}",
+        f"origin {ox:.6e} {oy:.6e} {oz:.6e}",
+        f"delta {h:.6e} 0.000000e+00 0.000000e+00",
+        f"delta 0.000000e+00 {h:.6e} 0.000000e+00",
+        f"delta 0.000000e+00 0.000000e+00 {h:.6e}",
+        f"object 2 class gridconnections counts {nx} {ny} {nz}",
+        f"object 3 class array type double rank 0 items {nx * ny * nz} data follows",
+    ]
+    flat = field.values.ravel(order="C")
+    for start in range(0, flat.size, 3):
+        lines.append(" ".join(f"{v:.6e}" for v in flat[start : start + 3]))
+    lines += [
+        'attribute "dep" string "positions"',
+        'object "regular positions regular connections" class field',
+        'component "positions" value 1',
+        'component "connections" value 2',
+        'component "data" value 3',
+    ]
+    return "\n".join(lines) + "\n"
+
+
+# voxel counts 8, 27, 30, 385: remainders 2, 0, 0, 1 on the three-per-line layout
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 3, 5), (5, 7, 11)])
+def test_opendx_chunked_matches_per_value_formatter(tmp_path, rng, monkeypatch, dims):
+    monkeypatch.setattr(grids, "_ROWS_PER_WRITE", 4)  # many chunk boundaries
+    values = rng.standard_normal(dims) * 10.0 ** rng.integers(-300, 300, size=dims)
+    flat = values.reshape(-1)
+    flat[:5] = [-0.0, 5e-324, 1e300, -2.5e-310, 0.0]
+    field = ScalarField3(GridSpec((-1.5, 0.25, 3.0), 0.35, dims), values)
+    path = tmp_path / "v.dx"
+    export_opendx(field, path)
+    assert path.read_text() == _per_value_dx(field)
 
 
 def test_raw_round_trip_bit_exact(tmp_path, rng):
