@@ -19,11 +19,15 @@ are bit-identical to independent single-time runs because the per-time
 arithmetic is the same operations on the same spectrum. Several peel-off
 passes apply their closed-form summed gain 1 - (1 - L)^K in one step,
 equal to summing the mode_decompose modes up to rounding.
+Each time is filtered, written and extracted before the next, so at most
+one filtered field is alive; only the returned meshes accumulate.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -145,6 +149,10 @@ class RunConfig:
                 )
             if self.init_kind == "gaussian" and not iso > 0:
                 raise ValueError(f"isovalue must be positive, got {iso}")
+        # output names and manifest keys print values with %g
+        for name, values in (("time", self.times), ("isovalue", self.isovalues)):
+            if len({f"{v:g}" for v in values}) < len(values):
+                raise ValueError(f"{name}s must differ in their %g form, got {_fmt(values)}")
         if self.volume_format not in (None, "dx", "raw"):
             raise ValueError(f"volume format must be dx or raw, got {self.volume_format}")
         if not self.mem_cap_gib > 0:
@@ -156,15 +164,13 @@ class RunConfig:
 def _combo_path(base: str, t: float | None, iso: float | None, multi: bool) -> str:
     if not multi:
         return base
-    stem, dot, ext = base.rpartition(".")
-    if not dot:
-        stem, ext = base, ""
+    stem, ext = os.path.splitext(base)  # a dot in a directory is not an extension
     suffix = ""
     if t is not None:
         suffix += f"_t{t:g}"
     if iso is not None:
         suffix += f"_iso{iso:g}"
-    return stem + suffix + (dot + ext if dot else "")
+    return stem + suffix + ext
 
 
 def _fmt(value) -> str:
@@ -199,6 +205,11 @@ def _write_mesh(mesh, path: str):
         write_obj(mesh, path)
 
 
+def _write_text(text: str, path: str):
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
+
+
 _METRIC_FIELDS = (
     "component_count",
     "euler_characteristic",
@@ -220,6 +231,14 @@ def _metrics_text(t: float, iso: float, mesh, metrics) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_output(write, obj, path: str, *args):
+    """write(obj, path, *args), an OSError becoming a tagged output failure."""
+    try:
+        write(obj, path, *args)
+    except OSError as exc:
+        raise StageError("output", f"cannot write {path}: {exc}") from exc
+
+
 def execute(config: RunConfig) -> tuple[str, list[dict]]:
     """Run the pipeline; returns (manifest text, one mapping per t/iso combo).
 
@@ -233,19 +252,17 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
     manifest: list[str] = []
     timings: list[tuple[str, float]] = []
 
+    @contextlib.contextmanager
     def stage(name):
-        class _Timer:
-            def __enter__(self):
-                self.start = time.perf_counter()
-                return self
-
-            def __exit__(self, exc_type, exc, tb):
-                timings.append((name, time.perf_counter() - self.start))
-                if exc is not None and not isinstance(exc, StageError):
-                    raise StageError(name, str(exc)) from exc
-                return False
-
-        return _Timer()
+        start = time.perf_counter()
+        try:
+            yield
+        except StageError:
+            raise
+        except Exception as exc:
+            raise StageError(name, str(exc)) from exc
+        finally:
+            timings.append((name, time.perf_counter() - start))
 
     with stage("input"):
         try:
@@ -270,7 +287,6 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
             spacing=cfg.spacing,
             padding=cfg.padding,
             mem_cap_bytes=int(cfg.mem_cap_gib * 1024**3),
-            n_times=len(cfg.times),
         )
 
     with stage("rasterize"):
@@ -302,51 +318,42 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
     combos: list[dict] = []
 
     with stage("filter"):
-        # one forward transform serves every propagation time, and the
-        # peel-off passes fold into the closed-form gain 1 - (1 - L)^K; the
-        # smoothness indicator is read off the retained half spectrum
+        # one forward transform serves every propagation time
         spectrum = forward_spectrum(initial)
         del initial  # only its spectrum is needed from here on
-        filtered: dict[float, ScalarField3] = {}
-        energies: dict[float, float] = {}
-        for t in cfg.times:
+
+    # one time at a time: at most one filtered field next to the spectrum
+    for i, t in enumerate(cfg.times):
+        with stage("filter"):
+            # the peel-off passes fold into the closed-form gain 1 - (1 - L)^K;
+            # the smoothness indicator is read off the retained half spectrum
             params = FilterParams(m=cfg.m, d=cfg.d, epsilon=cfg.epsilon, t=t)
             retained = spectrum * filter_gain(params, grid, cfg.passes)
-            filtered[t] = field_from_spectrum(retained, grid)
-            energies[t] = spectral_energy(retained, grid, ENERGY_W2_THRESHOLD)
-        del spectrum, retained  # release the transform buffers before extraction
+            if i == len(cfg.times) - 1:
+                del spectrum  # keep it out of the last extraction's peak
+            f = field_from_spectrum(retained, grid)
+            energy = spectral_energy(retained, grid, ENERGY_W2_THRESHOLD)
+            del retained
 
-    for t in cfg.times:
-        f = filtered[t]
         key = f"run[t={t:g}]"
         manifest += [
             f"{key}.field.min: {_fmt(f.min)}",
             f"{key}.field.max: {_fmt(f.max)}",
-            f"{key}.highband_energy: {_fmt(energies[t])}",
+            f"{key}.highband_energy: {_fmt(energy)}",
         ]
 
-    if cfg.volume_out:
-        with stage("output"):
-            for t in cfg.times:
+        if cfg.volume_out:
+            with stage("output"):
                 path = _combo_path(cfg.volume_out, t, None, len(cfg.times) > 1)
-                try:
-                    _write_volume(filtered[t], path, cfg.volume_format)
-                except OSError as exc:
-                    raise StageError("output", f"cannot write {path}: {exc}") from exc
-                manifest.append(f"run[t={t:g}].volume_file: {path}")
+                _write_output(_write_volume, f, path, cfg.volume_format)
+                manifest.append(f"{key}.volume_file: {path}")
 
-    for t in cfg.times:
         for iso in cfg.isovalues:
             key = f"run[t={t:g},iso={iso:g}]"
             with stage("extract"):
-                mesh = marching_cubes(filtered[t], iso)
+                mesh = marching_cubes(f, iso)
                 metrics = mesh_metrics(mesh)
-            combo = {
-                "t": t,
-                "isovalue": iso,
-                "mesh": mesh,
-                "metrics": metrics,
-            }
+            combo = {"t": t, "isovalue": iso, "mesh": mesh, "metrics": metrics}
             manifest += [
                 f"{key}.mesh.vertices: {mesh.n_vertices}",
                 f"{key}.mesh.triangles: {mesh.n_triangles}",
@@ -358,23 +365,17 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
             if cfg.mesh_out:
                 with stage("output"):
                     path = _combo_path(cfg.mesh_out, t, iso, multi)
-                    try:
-                        _write_mesh(mesh, path)
-                    except OSError as exc:
-                        raise StageError("output", f"cannot write {path}: {exc}") from exc
+                    _write_output(_write_mesh, mesh, path)
                     combo["mesh_file"] = path
                     manifest.append(f"{key}.mesh_file: {path}")
             if cfg.metrics_out:
                 with stage("output"):
                     path = _combo_path(cfg.metrics_out, t, iso, multi)
-                    try:
-                        with open(path, "w", newline="\n") as fh:
-                            fh.write(_metrics_text(t, iso, mesh, metrics))
-                    except OSError as exc:
-                        raise StageError("output", f"cannot write {path}: {exc}") from exc
+                    _write_output(_write_text, _metrics_text(t, iso, mesh, metrics), path)
                     combo["metrics_file"] = path
                     manifest.append(f"{key}.metrics_file: {path}")
             combos.append(combo)
+        del f
 
     agg: dict[str, float] = {}
     for name, dt in timings:

@@ -82,6 +82,10 @@ class ScalarField3:
     The constructor checks shape and dtype only; operations that require
     finite data (filtering, export, meshing) validate that themselves so
     a deliberately poisoned field can exercise their error paths.
+
+    values is a read-only view of a float64 input, not a snapshot (other
+    dtypes are converted once): writing to the caller's array afterwards
+    changes the field. The package's producers hand over fresh arrays.
     """
 
     grid: GridSpec
@@ -93,7 +97,7 @@ class ScalarField3:
             raise ValueError(
                 f"values shape {v.shape} does not match grid dims {self.grid.dims}"
             )
-        v = v.copy()
+        v = v.view()  # own flags: the caller's array stays writeable
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

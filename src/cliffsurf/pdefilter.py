@@ -194,7 +194,7 @@ class ModeDecomposition:
     params: tuple[FilterParams, ...]
 
     def reconstruct(self) -> ScalarField3:
-        total = self.final_residue.values.copy()
+        total = self.final_residue.values
         for mode in self.modes:
             total = total + mode.values
         return ScalarField3(self.final_residue.grid, total)

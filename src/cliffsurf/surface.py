@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ScalarField3, write_rows
-from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_MASKS, TRI_TABLE
+from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
 # Faces as cyclic corner quadruples, for ambiguity detection.
 _FACES = np.array(
@@ -57,30 +57,27 @@ def _ambiguous_faces_per_case() -> list[tuple[int, ...]]:
 
 _AMBIG_FACES = _ambiguous_faces_per_case()
 
-# The case tables wind triangles clockwise when seen from the higher-value
-# side; reversing them points the normals toward increasing field values,
-# which is the orientation contract of this module (verified by the sphere
-# orientation test: distance fields get positive enclosed volume).
-_REVERSE_WINDING = True
-
 
 @dataclass(frozen=True, eq=False)
 class TriangleMesh:
-    """Vertex positions (V, 3) and triangle vertex indices (T, 3)."""
+    """Vertex positions (V, 3) and triangle vertex indices (T, 3).
+
+    Both are read-only views of float64/int64 inputs, not snapshots:
+    writing to the caller's arrays afterwards changes the mesh.
+    """
 
     vertices: np.ndarray
     triangles: np.ndarray
     normals: np.ndarray | None = None
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        # views with their own flags: the caller's arrays stay writeable
+        v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3).view()
+        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3).view()
         if t.size and (t.min() < 0 or t.max() >= len(v)):
             raise ValueError("triangle indices out of vertex range")
         if t.size and np.any((t[:, 0] == t[:, 1]) & (t[:, 1] == t[:, 2])):
             raise ValueError("degenerate triangle with three identical vertices")
-        v = v.copy()
-        t = t.copy()
         v.setflags(write=False)
         t.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -187,12 +184,14 @@ def marching_cubes(field: ScalarField3, isovalue: float) -> TriangleMesh:
                 positions.append(pos)
                 vertex_of_edge[key] = vid
             cell_vertex[e] = vid
+        # The case tables wind triangles clockwise when seen from the
+        # higher-value side; emitting them reversed points the normals toward
+        # increasing field values, which is the orientation contract of this
+        # module (verified by the sphere orientation test: distance fields get
+        # positive enclosed volume). A complementary case is already reversed.
         for s in range(0, int((row >= 0).sum()), 3):
             a, b, c3 = (cell_vertex[int(row[s + o])] for o in range(3))
-            if flip != _REVERSE_WINDING:  # exactly one reversal requested
-                tri_rows.append((a, c3, b))
-            else:
-                tri_rows.append((a, b, c3))
+            tri_rows.append((a, b, c3) if flip else (a, c3, b))
 
     if not tri_rows:
         raise ValueError(

@@ -27,24 +27,16 @@ DEFAULT_BUMP_HEIGHT = 1.0
 DEFAULT_BUMP_DECAY = 3.0
 DEFAULT_MEM_CAP = 4 * 1024**3
 
-# Traced (tracemalloc) peak of a whole one-time CLI run per grid voxel: the
-# float64 field, its real-FFT half spectrum and gain, the filtered field,
-# then marching-cubes scratch, which grows with the surface. Measured on
-# seeded globules: 33 B/voxel for 300 atoms (112^3, 135^3), 55 for 3000
-# atoms and two times (108^3); 72 keeps 30% over the largest. Every further
-# propagation time keeps one more 8 B/voxel filtered field alive until
-# extraction ends, budgeted at 10 with the same margin. A few MB do not
-# scale with the grid (a 37.8k-voxel run peaks at 77 B/voxel). Used only to
-# refuse grids before allocating them.
+# Traced (tracemalloc) peak of a whole CLI run per grid voxel. Times run one
+# at a time, so at most the real-FFT half spectrum (8 B/voxel, freed once the
+# last time is filtered) and one filtered field (8) sit next to the filter's
+# buffers or marching-cubes scratch, which grows with the surface. Seeded
+# globules: 31-32 B/voxel for 300 atoms (112^3, 135^3), 51 for 3000 atoms and
+# two times (108^3); 72 keeps 40% over that. A sweep's returned meshes add a
+# few B/voxel per (t, isovalue) pair (three-atom fixture at h = 0.25: 46, 54,
+# 62, 71 with 1, 2, 6, 12 times), and a few MB do not scale with the grid (a
+# 37.8k-voxel run peaks at 77). Used only to refuse grids before allocating.
 _BYTES_PER_VOXEL = 72
-_BYTES_PER_VOXEL_PER_EXTRA_TIME = 10
-
-
-def bytes_per_voxel(n_times: int = 1) -> int:
-    """Estimated peak bytes per voxel of a run over n_times propagation times."""
-    if n_times < 1:
-        raise ValueError(f"n_times must be >= 1, got {n_times}")
-    return _BYTES_PER_VOXEL + _BYTES_PER_VOXEL_PER_EXTRA_TIME * (n_times - 1)
 
 
 def make_grid(
@@ -52,7 +44,6 @@ def make_grid(
     spacing: float = DEFAULT_SPACING,
     padding: float = DEFAULT_PADDING,
     mem_cap_bytes: int | None = DEFAULT_MEM_CAP,
-    n_times: int = 1,
 ) -> GridSpec:
     """Uniform grid covering the molecule's sphere box plus padding.
 
@@ -61,8 +52,8 @@ def make_grid(
     recentered, never clipped). Periodic wraparound across the padded
     faces is what the padding is for; 5 Angstrom keeps it far below
     isovalue scale for the default filter strengths. The memory cap is
-    checked against bytes_per_voxel(n_times), n_times being the number of
-    propagation times the grid's run filters.
+    checked against the estimated peak of a whole run, _BYTES_PER_VOXEL
+    per voxel.
     """
     if not spacing > 0:
         raise ValueError(f"spacing must be positive, got {spacing}")
@@ -78,7 +69,7 @@ def make_grid(
         n = int(np.ceil(span / spacing - 1e-9)) + 1
         dims.append(next_smooth(max(n, 2)))
     dims = tuple(dims)
-    need = int(np.prod(dims)) * bytes_per_voxel(n_times)
+    need = int(np.prod(dims)) * _BYTES_PER_VOXEL
     if mem_cap_bytes is not None and need > mem_cap_bytes:
         raise ValueError(
             f"grid {dims} needs about {need / 1024**3:.1f} GiB, "

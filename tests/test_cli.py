@@ -33,7 +33,7 @@ from cliffsurf.cli import (
 from cliffsurf.grids import SpectralGrid
 from cliffsurf.molecule import parse_xyzr
 from cliffsurf.pdefilter import FilterParams, default_coefficients, mode_decompose
-from cliffsurf.volumetrics import bytes_per_voxel, make_grid, rasterize_piecewise
+from cliffsurf.volumetrics import _BYTES_PER_VOXEL, make_grid, rasterize_piecewise
 
 from conftest import read_dx, read_obj, read_off, read_raw
 
@@ -360,6 +360,52 @@ def test_combo_path_suffixes():
     assert _combo_path("m.obj", 10000.0, 0.5, multi=True) == "m_t10000_iso0.5.obj"
     assert _combo_path("v.dx", 100.0, None, multi=True) == "v_t100.dx"
     assert _combo_path("noext", 2.5, 0.4, multi=True) == "noext_t2.5_iso0.4"
+    # a dot in a directory name is not an extension
+    assert _combo_path("out.d/mesh", 100.0, 0.9, multi=True) == "out.d/mesh_t100_iso0.9"
+    assert _combo_path("x.obj", 300.0, 0.6, multi=True) == "x_t300_iso0.6.obj"
+
+
+def test_sweep_into_dotted_directory(three_atom_file, tmp_path, capsys):
+    out_dir = tmp_path / "run.d"
+    out_dir.mkdir()
+    code, out, err = run_cli(
+        [
+            "--input", three_atom_file,
+            "--spacing", "0.5",
+            "--time", "100",
+            "--time", "200",
+            "--mesh-out", str(out_dir / "mesh"),
+            "--volume-out", str(out_dir / "vol"),
+        ],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "mesh_t100_iso0.9", "mesh_t200_iso0.9", "vol_t100", "vol_t200",
+    ]
+    assert manifest_dict(out)["run[t=200,iso=0.9].mesh_file"] == str(out_dir / "mesh_t200_iso0.9")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--time", "100", "--time", "100.0000001"],
+        ["--time", "100", "--time", "100"],
+        ["--isovalue", "0.9", "--isovalue", "0.9"],
+        ["--isovalue", "0.8", "--isovalue", "0.80000001"],
+    ],
+)
+def test_values_printing_alike_exit_3(three_atom_file, tmp_path, capsys, flags):
+    # output names and manifest keys print times and isovalues with %g, so
+    # two values printing alike would overwrite each other's files
+    mesh_out = tmp_path / "m.obj"
+    code, out, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5", "--mesh-out", str(mesh_out), *flags],
+        capsys,
+    )
+    assert code == EXIT_CONFIG
+    assert err.startswith("error[stage=config]: ") and "%g" in err
+    assert out == "" and not list(tmp_path.glob("m*.obj"))
 
 
 def test_resolved_isovalue_defaults():
@@ -681,7 +727,8 @@ def test_energy_failure_is_tagged_filter(three_atom_file, monkeypatch, capsys):
 def test_traced_peak_within_memory_estimate(three_atom_file, tmp_path, times):
     # the grid memory cap must not promise less memory than a run takes:
     # the full pipeline with every writer, traced end to end, for one
-    # propagation time and for a sweep that keeps six filtered fields
+    # propagation time and for a six-time sweep, which streams its times
+    # and so must fit the same flat per-voxel estimate
     cfg = RunConfig(
         three_atom_file,
         spacing=0.25,
@@ -698,4 +745,4 @@ def test_traced_peak_within_memory_estimate(three_atom_file, tmp_path, times):
         tracemalloc.stop()
     assert all(c["metrics"].boundary_edge_count == 0 for c in combos)
     n_voxels = make_grid(parse_xyzr(Path(three_atom_file).read_text()), spacing=0.25).n_voxels
-    assert peak <= n_voxels * bytes_per_voxel(len(times))
+    assert peak <= n_voxels * _BYTES_PER_VOXEL

@@ -290,6 +290,24 @@ def test_mesh_validation():
         mesh.vertices[0, 0] = 9.0
 
 
+def test_field_and_mesh_alias_their_input_read_only():
+    # no defensive copy: the containers hold read-only views of float64
+    # (and int64 index) inputs, and the caller's own arrays stay writeable
+    values = np.arange(27, dtype=np.float64).reshape(3, 3, 3)
+    field = ScalarField3(GridSpec((0.0, 0.0, 0.0), 1.0, (3, 3, 3)), values)
+    verts = np.eye(3)
+    tris = np.array([(0, 1, 2)], dtype=np.int64)
+    mesh = TriangleMesh(verts, tris)
+    for held, given in ((field.values, values), (mesh.vertices, verts), (mesh.triangles, tris)):
+        assert np.shares_memory(held, given)
+        assert not held.flags.writeable
+        assert given.flags.writeable
+    values[0, 0, 0] = -1.0  # the field aliases, it does not snapshot
+    assert field.values[0, 0, 0] == -1.0
+    with pytest.raises(ValueError):
+        field.values[0, 0, 0] = 9.0
+
+
 # ---------------------------------------------------------------------------
 # file formats
 

@@ -7,7 +7,6 @@ from cliffsurf import grids
 from cliffsurf.grids import GridSpec, ScalarField3
 from cliffsurf.molecule import Atom, Molecule
 from cliffsurf.volumetrics import (
-    bytes_per_voxel,
     export_opendx,
     export_raw,
     make_grid,
@@ -68,18 +67,6 @@ def test_make_grid_memory_cap(three_atoms):
         make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=10 * 1024**2)
     grid = make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=None)
     assert grid.dims == (56, 70, 70)
-
-
-def test_memory_cap_counts_every_propagation_time(three_atoms):
-    # each further time keeps one more filtered float64 field alive
-    assert bytes_per_voxel(6) - bytes_per_voxel(1) >= 5 * 8
-    n_voxels = make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=None).n_voxels
-    cap = n_voxels * bytes_per_voxel(1)
-    assert make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=cap).n_voxels == n_voxels
-    with pytest.raises(ValueError, match="memory cap"):
-        make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=cap, n_times=2)
-    with pytest.raises(ValueError, match="n_times"):
-        bytes_per_voxel(0)
 
 
 def test_make_grid_validation(three_atoms):
