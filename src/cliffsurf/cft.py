@@ -46,6 +46,10 @@ class MultivectorField3:
     data has shape grid.dims + (8,), blade order as in the ga module.
     The same type carries spatial samples and spectra; a spectrum is just
     the multivector whose channel pairs hold the complex bin values.
+
+    data is a read-only view of a float64 input, not a snapshot (other
+    dtypes are converted once): writing to the caller's array afterwards
+    changes the field.
     """
 
     grid: GridSpec
@@ -58,7 +62,7 @@ class MultivectorField3:
                 f"dimension mismatch between grid and data: "
                 f"data shape {d.shape}, grid dims {self.grid.dims}"
             )
-        d = d.copy()
+        d = d.view()  # own flags: the caller's array stays writeable
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
 
@@ -74,7 +78,10 @@ class MultivectorField3:
 
 @dataclass(frozen=True, eq=False)
 class MultivectorField2:
-    """Per-pixel Multivector2 coefficients, data shape grid.dims + (4,)."""
+    """Per-pixel Multivector2 coefficients, data shape grid.dims + (4,).
+
+    Like MultivectorField3, data is a read-only view of its input.
+    """
 
     grid: GridSpec2
     data: np.ndarray
@@ -86,7 +93,7 @@ class MultivectorField2:
                 f"dimension mismatch between grid and data: "
                 f"data shape {d.shape}, grid dims {self.grid.dims}"
             )
-        d = d.copy()
+        d = d.view()  # own flags: the caller's array stays writeable
         d.setflags(write=False)
         object.__setattr__(self, "data", d)
 
@@ -158,7 +165,7 @@ def _i3_w_symbol(sgrid: SpectralGrid) -> np.ndarray:
     zeroed: the symbol is odd in w and an unpaired bin would otherwise
     leak imaginary parts into real fields.
     """
-    wx, wy, wz = sgrid.w_meshes(zero_nyquist=True)
+    wx, wy, wz = sgrid.w_meshes()
     shape = tuple(sgrid.dims)
     wvec = np.zeros(shape + (8,))
     wvec[..., 1] = wx
@@ -199,7 +206,7 @@ def spectral_laplacian3(field: MultivectorField3, order_j: int = 1) -> Multivect
 
 
 def _i2_w_symbol(sgrid: SpectralGrid) -> np.ndarray:
-    wx, wy = sgrid.w_meshes(zero_nyquist=True)
+    wx, wy = sgrid.w_meshes()
     shape = tuple(sgrid.dims)
     wvec = np.zeros(shape + (4,))
     wvec[..., 1] = wx

@@ -30,7 +30,7 @@ import contextlib
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,7 +105,6 @@ class RunConfig:
     volume_format: str | None = None  # dx | raw | None: by extension
     metrics_out: str | None = None
     mem_cap_gib: float = volumetrics.DEFAULT_MEM_CAP / 1024**3
-    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def resolved(self) -> "RunConfig":
         """Fill derived defaults and validate cross-field consistency."""
@@ -126,14 +125,14 @@ class RunConfig:
             raise ValueError(f"format must be one of {FORMATS}, got {self.input_format!r}")
         if self.init_kind not in INIT_KINDS:
             raise ValueError(f"init must be one of {INIT_KINDS}, got {self.init_kind!r}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if self.padding < 0:
-            raise ValueError(f"padding must be nonnegative, got {self.padding}")
-        if not self.s > 0:
-            raise ValueError(f"s must be positive, got {self.s}")
-        if not self.r_e > 0:
-            raise ValueError(f"re must be positive, got {self.r_e}")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        if not 0 <= self.padding < np.inf:
+            raise ValueError(f"padding must be nonnegative and finite, got {self.padding}")
+        if not 0 < self.s < np.inf:
+            raise ValueError(f"s must be positive and finite, got {self.s}")
+        if not 0 < self.r_e < np.inf:
+            raise ValueError(f"re must be positive and finite, got {self.r_e}")
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
         if not self.times or any(not (t > 0 and np.isfinite(t)) for t in self.times):
@@ -155,8 +154,8 @@ class RunConfig:
                 raise ValueError(f"{name}s must differ in their %g form, got {_fmt(values)}")
         if self.volume_format not in (None, "dx", "raw"):
             raise ValueError(f"volume format must be dx or raw, got {self.volume_format}")
-        if not self.mem_cap_gib > 0:
-            raise ValueError(f"mem-cap must be positive, got {self.mem_cap_gib}")
+        if not 0 < self.mem_cap_gib < np.inf:
+            raise ValueError(f"mem-cap must be positive and finite, got {self.mem_cap_gib}")
         # constructing one parameter set validates m, d, epsilon jointly
         FilterParams(m=self.m, d=self.d, epsilon=self.epsilon, t=self.times[0])
 
@@ -414,40 +413,34 @@ def _parse_dcoeff(entries: list[str], m: int) -> tuple[float, ...]:
     return tuple(d)
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with open(path, "r") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise ValueError(f"{path} line {line_no}: expected key=value")
-            out[key.strip()] = value.strip()
-    return out
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to the config exit code
         raise StageError("config", message)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one option table, for flags and config files alike.
+
+    Each dest is the RunConfig field it sets; only order and dcoeff are
+    translated, into m and d.
+    """
     p = _Parser(
         prog="cliffsurf",
         description=(
             "Generate smooth molecular isosurfaces by spectral high-order "
             "PDE filtering of atom-derived scalar fields."
         ),
+        allow_abbrev=False,  # a prefix is neither a flag nor a config key
     )
-    p.add_argument("--input", help="structure file (PQR, PDB, or XYZR)")
-    p.add_argument("--format", choices=FORMATS, help="input format (default auto)")
-    p.add_argument("--init", choices=INIT_KINDS, help="initial field kind")
+    p.add_argument("--input", dest="input_path", help="structure file (PQR, PDB, or XYZR)")
+    p.add_argument(
+        "--format", dest="input_format", choices=FORMATS, help="input format (default auto)"
+    )
+    p.add_argument("--init", dest="init_kind", choices=INIT_KINDS, help="initial field kind")
     p.add_argument("--spacing", type=float, help="grid spacing in Angstrom")
     p.add_argument("--padding", type=float, help="box padding in Angstrom")
     p.add_argument("--s", type=float, help="bump height for the smooth initial field")
-    p.add_argument("--re", type=float, help="bump decay length in Angstrom")
+    p.add_argument("--re", dest="r_e", type=float, help="bump decay length in Angstrom")
     p.add_argument("--order", type=int, help="PDE order 2m (even, default 12)")
     p.add_argument(
         "--dcoeff",
@@ -458,6 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, help="fidelity weight")
     p.add_argument(
         "--time",
+        dest="times",
         action="append",
         type=float,
         metavar="T",
@@ -465,6 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--isovalue",
+        dest="isovalues",
         action="append",
         type=float,
         metavar="V",
@@ -477,113 +472,79 @@ def build_parser() -> argparse.ArgumentParser:
         "--volume-format", choices=("dx", "raw"), help="volume format (default by extension)"
     )
     p.add_argument("--metrics-out", help="metrics report output path")
-    p.add_argument("--mem-cap", type=float, help="grid memory cap in GiB")
+    p.add_argument("--mem-cap", dest="mem_cap_gib", type=float, help="grid memory cap in GiB")
     p.add_argument("--config", help="flat key=value config file")
     return p
 
 
-_CONFIG_KEYS = {
-    "input": str,
-    "format": str,
-    "init": str,
-    "spacing": float,
-    "padding": float,
-    "s": float,
-    "re": float,
-    "order": int,
-    "dcoeff": None,  # comma-separated j:value entries
-    "epsilon": float,
-    "time": None,  # comma-separated floats
-    "isovalue": None,
-    "passes": int,
-    "mesh-out": str,
-    "volume-out": str,
-    "volume-format": str,
-    "metrics-out": str,
-    "mem-cap": float,
-}
+# config keys holding comma-separated lists, one flag token per item
+_LIST_KEYS = ("time", "isovalue", "dcoeff")
+
+
+def _config_file_values(path: str) -> dict[str, object]:
+    """A config file's key=value lines, parsed as the flags --key=value.
+
+    A later line for a key replaces an earlier one. Returns the values the
+    file gives, keyed like the parser's namespace.
+    """
+    try:
+        with open(path, "r") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StageError("config", f"cannot read {path}: {exc}") from exc
+    raw: dict[str, str] = {}
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise StageError("config", f"{path} line {line_no}: expected key=value")
+        raw[key.strip()] = value.strip()
+    tokens = []
+    for key, value in raw.items():
+        if key in ("help", "config"):  # flags, but not run settings
+            raise StageError("config", f"unknown config key {key!r}")
+        items = value.split(",") if key in _LIST_KEYS else [value]
+        # one --key=value token per item, so a value may begin with '-'
+        tokens += [f"--{key}={item.strip()}" for item in items]
+    try:
+        args, unknown = build_parser().parse_known_args(tokens)
+    except StageError as exc:
+        raise StageError("config", f"bad value in {path}: {exc}") from None
+    if unknown:
+        key = unknown[0][2:].partition("=")[0]
+        raise StageError("config", f"unknown config key {key!r}")
+    return {k: v for k, v in vars(args).items() if v is not None}
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     """Merge CLI flags over config-file values over built-in defaults."""
-    file_vals: dict[str, object] = {}
-    if args.config:
-        try:
-            raw = _load_config_file(args.config)
-        except OSError as exc:
-            raise StageError("config", f"cannot read {args.config}: {exc}") from exc
-        except ValueError as exc:
-            raise StageError("config", str(exc)) from exc
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
-                raise StageError("config", f"unknown config key {key!r}")
-            caster = _CONFIG_KEYS[key]
-            try:
-                if key in ("time", "isovalue"):
-                    file_vals[key] = tuple(float(v) for v in value.split(","))
-                elif key == "dcoeff":
-                    file_vals[key] = [v.strip() for v in value.split(",")]
-                else:
-                    file_vals[key] = caster(value)
-            except ValueError:
-                raise StageError("config", f"bad value for {key!r}: {value!r}") from None
-
-    def pick(flag: str, file_key: str | None = None):
-        v = getattr(args, flag)
-        if v is not None:
-            return v
-        return file_vals.get(file_key or flag.replace("_", "-"))
-
-    input_path = pick("input")
-    if input_path is None:
+    values = _config_file_values(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if v is not None)
+    values.pop("config", None)
+    if "input_path" not in values:
         raise StageError("config", "--input is required")
 
-    order = pick("order")
+    m = DEFAULT_HALF_ORDER
+    order = values.pop("order", None)
     if order is not None:
         if order % 2 != 0 or order < 2:
             raise StageError("config", f"--order must be a positive even integer, got {order}")
         m = order // 2
-    else:
-        m = DEFAULT_HALF_ORDER
 
-    dcoeff_entries = pick("dcoeff")
+    d = None
+    dcoeff_entries = values.pop("dcoeff", None)
     if dcoeff_entries is not None:
         try:
-            d = _parse_dcoeff(list(dcoeff_entries), m)
+            d = _parse_dcoeff(dcoeff_entries, m)
         except ValueError as exc:
             raise StageError("config", str(exc)) from exc
-    else:
-        d = None
 
-    times = pick("time")
-    isovalues = pick("isovalue")
-
-    kwargs = dict(
-        input_path=input_path,
-        input_format=pick("format") or "auto",
-        init_kind=pick("init") or "piecewise",
-        m=m,
-        d=d,
-        times=tuple(times) if times else (100.0,),
-        isovalues=tuple(isovalues) if isovalues else None,
-    )
-    for attr, flag in (
-        ("spacing", "spacing"),
-        ("padding", "padding"),
-        ("s", "s"),
-        ("r_e", "re"),
-        ("epsilon", "epsilon"),
-        ("passes", "passes"),
-        ("mesh_out", "mesh_out"),
-        ("volume_out", "volume_out"),
-        ("volume_format", "volume_format"),
-        ("metrics_out", "metrics_out"),
-        ("mem_cap_gib", "mem_cap"),
-    ):
-        v = pick(flag)
-        if v is not None:
-            kwargs[attr] = v
-    return RunConfig(**kwargs)
+    for key in ("times", "isovalues"):
+        if key in values:
+            values[key] = tuple(values[key])
+    return RunConfig(m=m, d=d, **values)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -159,12 +159,6 @@ class SpectralGrid:
     def from_grid(cls, grid) -> "SpectralGrid":
         return cls(dims=grid.dims, spacing=grid.spacing)
 
-    def k_axes(self) -> list[np.ndarray]:
-        """Signed integer bin indices per axis, FFT layout."""
-        return [
-            np.rint(np.fft.fftfreq(n) * n).astype(np.int64) for n in self.dims
-        ]
-
     def w_axes(self, zero_nyquist: bool = False, half: bool = False) -> list[np.ndarray]:
         """Angular wavenumbers per axis.
 
@@ -183,9 +177,9 @@ class SpectralGrid:
             out.append(w)
         return out
 
-    def w_meshes(self, zero_nyquist: bool = False):
-        """Broadcastable (sparse) wavenumber component arrays."""
-        return np.meshgrid(*self.w_axes(zero_nyquist), indexing="ij", sparse=True)
+    def w_meshes(self):
+        """Broadcastable (sparse) wavenumber components, Nyquist bins zeroed."""
+        return np.meshgrid(*self.w_axes(zero_nyquist=True), indexing="ij", sparse=True)
 
     def w2(self, half: bool = False) -> np.ndarray:
         """|w|^2 over the full (or real-FFT half) spectrum, Nyquist bins included."""

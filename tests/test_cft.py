@@ -1,6 +1,8 @@
 """Transforms against direct-sum DFT oracles; spectral derivatives against
 analytic results and finite differences."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,34 @@ def test_scalar_field_embedding(rng, three_atoms):
     assert np.array_equal(mv.data[..., 0], vals)
     assert np.all(mv.data[..., 1:] == 0.0)
     assert np.array_equal(mv.scalar_part().values, vals)
+
+
+def test_multivector_fields_alias_their_input_read_only():
+    # no defensive copy, as in ScalarField3: a float64 input is held as a
+    # read-only view and the caller's own array stays writeable
+    given3, given2 = np.zeros((2, 2, 2, 8)), np.zeros((2, 2, 4))
+    fields = (
+        MultivectorField3(_grid3((2, 2, 2)), given3),
+        MultivectorField2(GridSpec2(dims=(2, 2)), given2),
+    )
+    for field, given in zip(fields, (given3, given2)):
+        assert np.shares_memory(field.data, given)
+        assert not field.data.flags.writeable and given.flags.writeable
+        given.flat[-1] = 1.0  # the field aliases, it does not snapshot
+        assert field.data.flat[-1] == 1.0
+        with pytest.raises(ValueError):
+            field.data.flat[0] = 9.0
+
+
+def test_scalar_embedding_allocates_one_multivector_array():
+    scalar = ScalarField3(_grid3((16, 16, 16)), np.ones((16, 16, 16)))
+    tracemalloc.start()
+    try:
+        mv = MultivectorField3.from_scalar_field(scalar)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * mv.data.nbytes  # a copy would double it
 
 
 def test_field_grid_shape_mismatch_rejected(rng):

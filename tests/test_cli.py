@@ -321,9 +321,52 @@ def test_config_file_input_key(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path):
     cfg_file = tmp_path / "run.cfg"
-    cfg_file.write_text("spacng=0.5\n")
-    with pytest.raises(StageError, match="unknown config key"):
-        parse_config(["--input", "x.xyzr", "--config", str(cfg_file)])
+    # a misspelling, a prefix, and the flags that are not run settings
+    for line in ("spacng=0.5", "spac=0.5", "help=1", "config=other.cfg"):
+        cfg_file.write_text(line + "\n")
+        with pytest.raises(StageError, match="unknown config key"):
+            parse_config(["--input", "x.xyzr", "--config", str(cfg_file)])
+
+
+# a legal non-default value for each option, by RunConfig field (or dest)
+_OPTION_VALUES = {
+    "input_path": "y.xyzr",
+    "input_format": "pdb",
+    "init_kind": "gaussian",
+    "order": "8",
+    "dcoeff": "2:0.5",
+    "passes": "3",
+    "mesh_out": "m.obj",
+    "volume_out": "v.dx",
+    "volume_format": "raw",
+    "metrics_out": "r.txt",
+}
+_LONG_OPTIONS = [
+    (action.option_strings[-1], action.dest)
+    for action in build_parser()._actions
+    if action.option_strings[-1] not in ("--help", "--config")
+]
+
+
+@pytest.mark.parametrize("flag, dest", _LONG_OPTIONS, ids=[f for f, _ in _LONG_OPTIONS])
+def test_every_flag_is_a_config_key(tmp_path, flag, dest):
+    # one option table: each long flag without its dashes is a config key
+    # that lands on the same RunConfig field as the flag
+    value = _OPTION_VALUES.get(dest, "0.5")
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{flag[2:]}={value}\n")
+    given = [] if dest == "input_path" else ["--input", "x.xyzr"]
+    from_file = parse_config([*given, "--config", str(cfg_file)])
+    from_flag = parse_config([*given, flag, value])
+    assert from_file == from_flag
+    assert from_file != parse_config(["--input", "x.xyzr"])
+
+
+def test_config_value_may_begin_with_dash(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("mesh-out = -m.obj\n")
+    cfg = parse_config(["--input", "x.xyzr", "--config", str(cfg_file)])
+    assert cfg.mesh_out == "-m.obj"
 
 
 def test_malformed_config_line_rejected(tmp_path):
@@ -352,6 +395,27 @@ def test_nonpositive_passes_exits_3(three_atom_file, capsys):
     code, _, err = run_cli(["--input", three_atom_file, "--passes", "0"], capsys)
     assert code == EXIT_CONFIG
     assert "passes" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--spacing", "inf"],
+        ["--padding", "inf"],
+        ["--padding", "nan"],
+        ["--mem-cap", "inf"],
+        ["--init", "gaussian", "--s", "inf"],
+        ["--init", "gaussian", "--re", "inf"],
+    ],
+    ids=lambda flags: " ".join(flags[-2:]),
+)
+def test_nonfinite_setting_exits_3(three_atom_file, capsys, flags):
+    # caught as a configuration error, not later as a grid, filter or
+    # extract failure
+    code, out, err = run_cli(["--input", three_atom_file, *flags], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error[stage=config]: ") and "finite" in err
+    assert out == ""
 
 
 def test_combo_path_suffixes():
