@@ -19,24 +19,28 @@ are bit-identical to independent single-time runs because the per-time
 arithmetic is the same operations on the same spectrum. Several peel-off
 passes apply their closed-form summed gain 1 - (1 - L)^K in one step,
 equal to summing the mode_decompose modes up to rounding.
-Each time is filtered, written and extracted before the next, so at most
-one filtered field is alive; only the returned meshes accumulate.
+Each time is filtered, written and extracted before the next, and each
+surface is written before the next is extracted, so at most one filtered
+field and one mesh are alive; only sweep(), which returns its meshes,
+holds them all.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import volumetrics
 from .grids import GridSpec, ScalarField3
-from .molecule import Molecule, ParseError, parse_auto, parse_pdb, parse_pqr, parse_xyzr
+from .molecule import Molecule, parse_auto, parse_pdb, parse_pqr, parse_xyzr
 from .pdefilter import (
     DEFAULT_HALF_ORDER,
     FilterParams,
@@ -152,12 +156,33 @@ class RunConfig:
         for name, values in (("time", self.times), ("isovalue", self.isovalues)):
             if len({f"{v:g}" for v in values}) < len(values):
                 raise ValueError(f"{name}s must differ in their %g form, got {_fmt(values)}")
+        # no output may overwrite the input or another output
+        paths = [self._output_path(self.volume_out, t) for t in self.times if self.volume_out]
+        paths += [
+            self._output_path(base, t, iso)
+            for base in (self.mesh_out, self.metrics_out)
+            if base
+            for t in self.times
+            for iso in self.isovalues
+        ]
+        seen = {os.path.realpath(self.input_path)}
+        for path in paths:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"output {path} would overwrite the input or another output")
+            seen.add(real)
         if self.volume_format not in (None, "dx", "raw"):
             raise ValueError(f"volume format must be dx or raw, got {self.volume_format}")
         if not 0 < self.mem_cap_gib < np.inf:
             raise ValueError(f"mem-cap must be positive and finite, got {self.mem_cap_gib}")
         # constructing one parameter set validates m, d, epsilon jointly
         FilterParams(m=self.m, d=self.d, epsilon=self.epsilon, t=self.times[0])
+
+    def _output_path(self, base: str, t: float, iso: float | None = None) -> str:
+        """The file written from base at time t (and isovalue iso for a surface)."""
+        if iso is None:  # a volume: one per time
+            return _combo_path(base, t, None, len(self.times) > 1)
+        return _combo_path(base, t, iso, len(self.times) > 1 or len(self.isovalues) > 1)
 
 
 def _combo_path(base: str, t: float | None, iso: float | None, multi: bool) -> str:
@@ -173,8 +198,8 @@ def _combo_path(base: str, t: float | None, iso: float | None, multi: bool) -> s
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))  # numpy 2 reprs its scalars as np.float64(...)
     if isinstance(value, (tuple, list, np.ndarray)):
         return " ".join(_fmt(v) for v in value)
     return str(value)
@@ -190,7 +215,7 @@ def _rasterize(cfg: RunConfig, mol: Molecule, grid: GridSpec) -> ScalarField3:
 
 def _write_volume(field: ScalarField3, path: str, fmt: str | None):
     if fmt is None:
-        fmt = "raw" if path.endswith(".raw") else "dx"
+        fmt = "raw" if path.lower().endswith(".raw") else "dx"
     if fmt == "raw":
         volumetrics.export_raw(field, path)
     else:
@@ -198,7 +223,7 @@ def _write_volume(field: ScalarField3, path: str, fmt: str | None):
 
 
 def _write_mesh(mesh, path: str):
-    if path.endswith(".off"):
+    if path.lower().endswith(".off"):
         write_off(mesh, path)
     else:
         write_obj(mesh, path)
@@ -219,17 +244,6 @@ _METRIC_FIELDS = (
 )
 
 
-def _metrics_text(t: float, iso: float, mesh, metrics) -> str:
-    lines = [
-        f"t: {_fmt(t)}",
-        f"isovalue: {_fmt(iso)}",
-        f"vertices: {mesh.n_vertices}",
-        f"triangles: {mesh.n_triangles}",
-    ]
-    lines += [f"{name}: {_fmt(getattr(metrics, name))}" for name in _METRIC_FIELDS]
-    return "\n".join(lines) + "\n"
-
-
 def _write_output(write, obj, path: str, *args):
     """write(obj, path, *args), an OSError becoming a tagged output failure."""
     try:
@@ -238,17 +252,17 @@ def _write_output(write, obj, path: str, *args):
         raise StageError("output", f"cannot write {path}: {exc}") from exc
 
 
-def execute(config: RunConfig) -> tuple[str, list[dict]]:
-    """Run the pipeline; returns (manifest text, one mapping per t/iso combo).
+def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
+    """Run the pipeline, appending the manifest lines to manifest.
 
-    Raises StageError; callers decide between exceptions and exit codes.
+    Yields one mapping per (t, isovalue) combo right after its files are
+    written, and holds no mesh of its own across a yield.
     """
     try:
         cfg = config.resolved()
     except ValueError as exc:
         raise StageError("config", str(exc)) from exc
 
-    manifest: list[str] = []
     timings: list[tuple[str, float]] = []
 
     @contextlib.contextmanager
@@ -275,10 +289,7 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
             "xyzr": parse_xyzr,
             "auto": parse_auto,
         }[cfg.input_format]
-        try:
-            mol = parser(text, cfg.input_path)
-        except ParseError as exc:
-            raise StageError("input", str(exc)) from exc
+        mol = parser(text, cfg.input_path)
 
     with stage("grid"):
         grid = volumetrics.make_grid(
@@ -313,9 +324,6 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
     for w in mol.source.warnings:
         manifest.append(f"input.warning: {w}")
 
-    multi = len(cfg.times) > 1 or len(cfg.isovalues) > 1
-    combos: list[dict] = []
-
     with stage("filter"):
         # one forward transform serves every propagation time
         spectrum = forward_spectrum(initial)
@@ -343,7 +351,7 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
 
         if cfg.volume_out:
             with stage("output"):
-                path = _combo_path(cfg.volume_out, t, None, len(cfg.times) > 1)
+                path = cfg._output_path(cfg.volume_out, t)
                 _write_output(_write_volume, f, path, cfg.volume_format)
                 manifest.append(f"{key}.volume_file: {path}")
 
@@ -353,49 +361,58 @@ def execute(config: RunConfig) -> tuple[str, list[dict]]:
                 mesh = marching_cubes(f, iso)
                 metrics = mesh_metrics(mesh)
             combo = {"t": t, "isovalue": iso, "mesh": mesh, "metrics": metrics}
-            manifest += [
-                f"{key}.mesh.vertices: {mesh.n_vertices}",
-                f"{key}.mesh.triangles: {mesh.n_triangles}",
-            ]
-            manifest += [
-                f"{key}.mesh.{name}: {_fmt(getattr(metrics, name))}"
-                for name in _METRIC_FIELDS
-            ]
+            # one list renders both the manifest's mesh block and the report
+            values = [("vertices", mesh.n_vertices), ("triangles", mesh.n_triangles)]
+            values += [(name, getattr(metrics, name)) for name in _METRIC_FIELDS]
+            manifest += [f"{key}.mesh.{name}: {_fmt(v)}" for name, v in values]
             if cfg.mesh_out:
                 with stage("output"):
-                    path = _combo_path(cfg.mesh_out, t, iso, multi)
+                    path = cfg._output_path(cfg.mesh_out, t, iso)
                     _write_output(_write_mesh, mesh, path)
                     combo["mesh_file"] = path
                     manifest.append(f"{key}.mesh_file: {path}")
             if cfg.metrics_out:
                 with stage("output"):
-                    path = _combo_path(cfg.metrics_out, t, iso, multi)
-                    _write_output(_write_text, _metrics_text(t, iso, mesh, metrics), path)
+                    path = cfg._output_path(cfg.metrics_out, t, iso)
+                    lines = [("t", t), ("isovalue", iso), *values]
+                    report = "".join(f"{name}: {_fmt(v)}\n" for name, v in lines)
+                    _write_output(_write_text, report, path)
                     combo["metrics_file"] = path
                     manifest.append(f"{key}.metrics_file: {path}")
-            combos.append(combo)
+            yield combo
+            del combo, mesh, metrics  # else it lives through the next extraction
         del f
 
     agg: dict[str, float] = {}
     for name, dt in timings:
         agg[name] = agg.get(name, 0.0) + dt
     manifest += [f"timing.{name}_s: {dt:.3f}" for name, dt in agg.items()]
-    return "\n".join(manifest) + "\n", combos
+
+
+def execute(config: RunConfig) -> str:
+    """Run the pipeline and return the manifest text, keeping no mesh.
+
+    Raises StageError; callers decide between exceptions and exit codes.
+    """
+    manifest: list[str] = []
+    collections.deque(_surfaces(config, manifest), maxlen=0)  # holds no item
+    return "\n".join(manifest) + "\n"
 
 
 def run_pipeline(config: RunConfig) -> str:
     """Execute the full pipeline and return the manifest text."""
-    return execute(config)[0]
+    return execute(config)
 
 
 def sweep(config: RunConfig) -> list[dict]:
     """Execute over the config's time and isovalue lists.
 
     Returns one mapping per (t, isovalue) combination with the mesh, its
-    metrics, and any output paths. The real forward transform of the
-    initial field is computed once for the whole sweep.
+    metrics, and any output paths, so every mesh stays alive. The real
+    forward transform of the initial field is computed once for the whole
+    sweep.
     """
-    return execute(config)[1]
+    return list(_surfaces(config, []))
 
 
 def _parse_dcoeff(entries: list[str], m: int) -> tuple[float, ...]:

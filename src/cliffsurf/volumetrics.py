@@ -32,10 +32,12 @@ DEFAULT_MEM_CAP = 4 * 1024**3
 # last time is filtered) and one filtered field (8) sit next to the filter's
 # buffers or marching-cubes scratch, which grows with the surface. Seeded
 # globules: 31-32 B/voxel for 300 atoms (112^3, 135^3), 51 for 3000 atoms and
-# two times (108^3); 72 keeps 40% over that. A sweep's returned meshes add a
-# few B/voxel per (t, isovalue) pair (three-atom fixture at h = 0.25: 46, 54,
-# 62, 71 with 1, 2, 6, 12 times), and a few MB do not scale with the grid (a
-# 37.8k-voxel run peaks at 77). Used only to refuse grids before allocating.
+# two times (108^3); 72 keeps 40% over that. A CLI run holds one mesh at a
+# time, so its peak stops growing with the (t, isovalue) pairs (three-atom
+# fixture at h = 0.25, every writer: 46, 54, 54, 54 with 1, 2, 6, 12 times);
+# only sweep(), which returns its meshes, adds a few B/voxel per pair (46,
+# 54, 61, 71). A few MB do not scale with the grid (a 37.8k-voxel run peaks
+# at 77). Used only to refuse grids before allocating.
 _BYTES_PER_VOXEL = 72
 
 
@@ -200,4 +202,6 @@ def export_raw(field: ScalarField3, path) -> None:
         fh.write(np.asarray(field.grid.dims, dtype="<i8").tobytes())
         fh.write(np.asarray(field.grid.origin, dtype="<f8").tobytes())
         fh.write(np.float64(field.grid.spacing).astype("<f8").tobytes())
-        fh.write(field.values.astype("<f8").ravel(order="C").tobytes())
+        # a view of the values when they are already little-endian float64
+        # and C-ordered; a copy only where the dtype or layout needs one
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8").data)

@@ -5,8 +5,10 @@ the whole module stays fast; the exit-code contract is asserted against the
 documented stage map (0 ok, 2 input, 3 config, 4 compute, 5 output).
 """
 
+import gc
 import os
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -472,6 +474,32 @@ def test_values_printing_alike_exit_3(three_atom_file, tmp_path, capsys, flags):
     assert out == "" and not list(tmp_path.glob("m*.obj"))
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--mesh-out", "x.txt", "--metrics-out", "x.txt"],
+        ["--mesh-out", "sub/../x.txt", "--volume-out", "x.txt"],
+        ["--metrics-out", "three.xyzr"],
+        ["--volume-out", "link.dx"],
+        ["--isovalue", "0.8", "--isovalue", "0.9", "--mesh-out", "m.obj",
+         "--volume-out", "m_t100_iso0.8.obj"],
+    ],
+)
+def test_outputs_sharing_a_path_exit_3(three_atom_file, tmp_path, monkeypatch, capsys, flags):
+    # two outputs on one file (symlinks and .. resolved), or an output on
+    # the input, would silently overwrite each other; nothing is written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    os.symlink(three_atom_file, "link.dx")
+    text = Path(three_atom_file).read_text()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(["--input", "three.xyzr", "--spacing", "0.5", *flags], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error[stage=config]: ") and "overwrite" in err
+    assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
+    assert Path(three_atom_file).read_text() == text
+
+
 def test_resolved_isovalue_defaults():
     assert RunConfig("x").resolved().isovalues == (0.9,)
     assert RunConfig("x", init_kind="gaussian").resolved().isovalues == (0.8,)
@@ -618,6 +646,41 @@ def test_volume_format_by_extension_and_flag(three_atom_file, tmp_path, capsys):
     )
 
 
+def test_output_extensions_match_in_any_case(three_atom_file, tmp_path, capsys):
+    mesh, vol = tmp_path / "s.OFF", tmp_path / "v.RAW"
+    code, out, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5",
+         "--mesh-out", str(mesh), "--volume-out", str(vol)],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    verts, _, _ = read_off(str(mesh))
+    assert str(len(verts)) == manifest_dict(out)["run[t=100,iso=0.9].mesh.vertices"]
+    dims, _, spacing, values = read_raw(str(vol))
+    assert spacing == 0.5 and values.shape == dims
+
+
+def test_numpy_scalar_settings_print_as_floats(three_atom_file, tmp_path):
+    # numpy 2 reprs np.float64(0.5) as "np.float64(0.5)"; outputs must not
+    # depend on whether a setting arrived as a numpy or a Python float
+    def run(spacing, times):
+        cfg = RunConfig(
+            three_atom_file, spacing=spacing, times=times, metrics_out=str(tmp_path / "r.txt")
+        )
+        manifest = [ln for ln in run_pipeline(cfg).splitlines() if not ln.startswith("timing.")]
+        reports = {}
+        for path in sorted(tmp_path.glob("r_*.txt")):
+            reports[path.name] = path.read_bytes()
+            path.unlink()
+        return manifest, reports
+
+    plain = run(0.5, (50.0, 100.0))
+    numpy = run(np.float64(0.5), (np.float64(50.0), np.float64(100.0)))
+    assert len(plain[1]) == 2
+    assert numpy == plain
+    assert "grid.spacing: 0.5" in plain[0]
+
+
 def test_format_flag_overrides_extension(tmp_path, capsys):
     # charge-and-radius records stored under a misleading extension still
     # parse when the format is forced; auto detection would trust the name
@@ -666,6 +729,34 @@ def test_run_pipeline_returns_manifest_text(three_atom_file):
     m = manifest_dict(text)
     assert m["input.atoms"] == "3"
     assert "run[t=100,iso=0.9].mesh.vertices" in m
+
+
+def test_run_pipeline_keeps_no_mesh_alive(three_atom_file, tmp_path, monkeypatch):
+    # the CLI path streams its surfaces: by the time a mesh is extracted,
+    # every mesh extracted before it has been written and released
+    extract = cli.marching_cubes
+    meshes, alive = [], []
+
+    def recording(field, iso):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in meshes))
+        mesh = extract(field, iso)
+        meshes.append(weakref.ref(mesh))
+        return mesh
+
+    monkeypatch.setattr(cli, "marching_cubes", recording)
+    run_pipeline(
+        RunConfig(
+            three_atom_file,
+            spacing=0.5,
+            times=(50.0, 100.0),
+            isovalues=(0.8, 0.9),
+            mesh_out=str(tmp_path / "m.obj"),
+        )
+    )
+    gc.collect()
+    assert alive == [0, 0, 0, 0]
+    assert all(ref() is None for ref in meshes)
 
 
 def test_sweep_returns_one_entry_per_combo(three_atom_file):

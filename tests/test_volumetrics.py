@@ -1,5 +1,7 @@
 """Grid sizing, rasterization correctness, volume export formats."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,35 @@ def test_raw_round_trip_bit_exact(tmp_path, rng):
     assert origin == grid.origin
     assert spacing == 0.3
     assert np.array_equal(values, field.values)
+
+
+def test_raw_bytes_are_little_endian_c_order(tmp_path):
+    # odd dims, signed zero, denormals and huge values, held in C or Fortran
+    # order: the header, then the values as "<f8" with z fastest
+    values = np.random.default_rng(5).standard_normal((3, 5, 7))
+    values.reshape(-1)[:5] = [-0.0, 5e-324, 1e300, -2.5e-310, 0.0]
+    grid = GridSpec(origin=(-1.5, 0.25, 3.0), spacing=0.35, dims=(3, 5, 7))
+    header = (
+        np.asarray(grid.dims, dtype="<i8").tobytes()
+        + np.asarray(grid.origin, dtype="<f8").tobytes()
+        + np.float64(grid.spacing).astype("<f8").tobytes()
+    )
+    for layout in (values, np.asfortranarray(values)):
+        path = tmp_path / "v.raw"
+        export_raw(ScalarField3(grid, layout), path)
+        assert path.read_bytes() == header + values.astype("<f8").ravel(order="C").tobytes()
+
+
+def test_raw_export_copies_no_field(tmp_path):
+    values = np.random.default_rng(6).standard_normal((64, 64, 64))
+    field = ScalarField3(GridSpec((0.0, 0.0, 0.0), 0.5, values.shape), values)
+    tracemalloc.start()
+    try:
+        export_raw(field, tmp_path / "v.raw")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * values.nbytes
 
 
 def test_export_rejects_nonfinite(tmp_path):
