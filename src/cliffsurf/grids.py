@@ -110,7 +110,9 @@ class ScalarField3:
         return float(self.values.max())
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.values)))
+        # no per-voxel mask: a NaN reaches both extremes, an infinity is one
+        v = self.values
+        return bool(np.isfinite(v.min()) and np.isfinite(v.max()))
 
 
 def _smooth_enough(n: int, primes=(2, 3, 5, 7)) -> bool:

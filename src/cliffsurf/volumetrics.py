@@ -30,14 +30,17 @@ DEFAULT_MEM_CAP = 4 * 1024**3
 # Traced (tracemalloc) peak of a whole CLI run per grid voxel. Times run one
 # at a time, so at most the real-FFT half spectrum (8 B/voxel, freed once the
 # last time is filtered) and one filtered field (8) sit next to the filter's
-# buffers or marching-cubes scratch, which grows with the surface. Seeded
-# globules: 31-32 B/voxel for 300 atoms (112^3, 135^3), 51 for 3000 atoms and
-# two times (108^3); 72 keeps 40% over that. A CLI run holds one mesh at a
-# time, so its peak stops growing with the (t, isovalue) pairs (three-atom
-# fixture at h = 0.25, every writer: 46, 54, 54, 54 with 1, 2, 6, 12 times);
-# only sweep(), which returns its meshes, adds a few B/voxel per pair (46,
-# 54, 61, 71). A few MB do not scale with the grid (a 37.8k-voxel run peaks
-# at 77). Used only to refuse grids before allocating.
+# buffers or the surface stage's scratch. Extraction needs a few B per cell
+# (sign mask, uint8 case index) plus arrays per triangle corner; the peak of
+# the surface stage is mesh_metrics, whose arrays grow with the triangles.
+# Seeded globules (bench seed 0): 29 B/voxel for 300 atoms at 135^3, 32 at
+# 112^3 (the gaussian rasterizer's peak), 50 for 3000 atoms and two times
+# (108^3); 72 keeps 44% over that. A CLI run holds one mesh at a time, so its peak
+# stops growing with the (t, isovalue) pairs (three-atom fixture at h = 0.25,
+# every writer: 46, 54, 54, 54 with 1, 2, 6, 12 times); only sweep(), which
+# returns its meshes, adds a few B/voxel per pair (46, 54, 60, 70). A few MB
+# do not scale with the grid (the fixture at h = 0.5, 37.8k voxels, two
+# times, peaks at 69). Used only to refuse grids before allocating.
 _BYTES_PER_VOXEL = 72
 
 

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths under test: the
 geometric product is checked against 2x2 matrix representations, the
 transforms against direct-sum DFTs built from explicit kernel matrices,
-and the filter against finite-difference time stepping.
+the filter against finite-difference time stepping, and marching cubes
+against its former per-cell loop.
 """
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 
 from cliffsurf.ga import BLADE_NAMES_2, BLADE_NAMES_3
 from cliffsurf.grids import GridSpec
+from cliffsurf.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from cliffsurf.molecule import parse_xyzr
+from cliffsurf.surface import TriangleMesh
 
 # ---------------------------------------------------------------------------
 # geometric product oracle: blades as 2x2 matrices
@@ -224,6 +227,139 @@ def read_raw(path):
         spacing = np.fromfile(fh, dtype="<f8", count=1)[0]
         values = np.fromfile(fh, dtype="<f8").reshape(tuple(dims))
     return tuple(dims), tuple(origin), spacing, values
+
+
+# ---------------------------------------------------------------------------
+# marching-cubes oracle: the per-cell loop
+
+# Faces as cyclic corner quadruples, for ambiguity detection.
+_FACES = np.array(
+    [
+        (0, 1, 2, 3),  # z-
+        (4, 5, 6, 7),  # z+
+        (0, 1, 5, 4),  # y-
+        (3, 2, 6, 7),  # y+
+        (0, 3, 7, 4),  # x-
+        (1, 2, 6, 5),  # x+
+    ],
+    dtype=np.int64,
+)
+
+
+def _ambiguous_faces_per_case() -> list[tuple[int, ...]]:
+    # A face is ambiguous when its below-corners occupy exactly one diagonal.
+    out = []
+    for case in range(256):
+        below = [(case >> c) & 1 for c in range(8)]
+        faces = []
+        for f, (a, b, c, d) in enumerate(_FACES):
+            if below[a] == below[c] and below[b] == below[d] and below[a] != below[b]:
+                faces.append(f)
+        out.append(tuple(faces))
+    return out
+
+
+_AMBIG_FACES = _ambiguous_faces_per_case()
+
+
+def marching_cubes_loop(field, isovalue):
+    """Per-cell marching cubes with a dict weld: the oracle of the array code.
+
+    The package's extraction loop before surface.marching_cubes became
+    array code, verbatim but for its name and this docstring: one Python
+    iteration per active cell, vertices welded through a dict keyed by the
+    sorted pair of flat grid indices. It pins the ambiguous-face majority
+    rule, the emission order and the vertex numbering.
+    """
+    iso = float(isovalue)
+    if not np.isfinite(iso):
+        raise ValueError(f"isovalue must be finite, got {isovalue}")
+    values = field.values
+    if not field.is_finite():
+        raise ValueError("field contains NaN or Inf")
+    vmin, vmax = values.min(), values.max()
+    if not (vmin < iso < vmax):
+        raise ValueError(
+            f"isovalue {iso} outside the open field range ({vmin}, {vmax}); "
+            "the surface would be empty"
+        )
+    eq = values == iso
+    if eq.any():
+        nudge = 4.0 * np.spacing(max(abs(iso), 1.0))
+        values = np.where(eq, iso + nudge, values)
+
+    below = values < iso
+    nx, ny, nz = field.grid.dims
+    case = np.zeros((nx - 1, ny - 1, nz - 1), dtype=np.int64)
+    for bit, (dx, dy, dz) in enumerate(CORNER_OFFSETS):
+        case |= (
+            below[dx : dx + nx - 1, dy : dy + ny - 1, dz : dz + nz - 1].astype(np.int64)
+            << bit
+        )
+    active = np.argwhere((case != 0) & (case != 255))
+
+    origin = np.asarray(field.grid.origin)
+    h = field.grid.spacing
+    strides = np.array([ny * nz, nz, 1], dtype=np.int64)
+
+    vertex_of_edge: dict[tuple[int, int], int] = {}
+    positions: list[np.ndarray] = []
+    tri_rows: list[tuple[int, int, int]] = []
+    flat_values = values.ravel()
+
+    for i, j, k in active:
+        c = int(case[i, j, k])
+        corner_ijk = np.array((i, j, k)) + CORNER_OFFSETS
+        use = c
+        flip = False
+        ambig = _AMBIG_FACES[c]
+        if ambig:
+            corner_vals = values[
+                corner_ijk[:, 0], corner_ijk[:, 1], corner_ijk[:, 2]
+            ]
+            below_centers = sum(
+                1 for f in ambig if corner_vals[_FACES[f]].mean() < iso
+            )
+            if below_centers * 2 > len(ambig):
+                use = 255 - c
+                flip = True
+        row = TRI_TABLE[use]
+        corner_flat = corner_ijk @ strides
+        cell_vertex: dict[int, int] = {}
+        for e in row[row >= 0]:
+            e = int(e)
+            if e in cell_vertex:
+                continue
+            ca, cb = EDGE_CORNERS[e]
+            pa, pb = int(corner_flat[ca]), int(corner_flat[cb])
+            key = (pa, pb) if pa < pb else (pb, pa)
+            vid = vertex_of_edge.get(key)
+            if vid is None:
+                fa, fb = flat_values[pa], flat_values[pb]
+                t = (iso - fa) / (fb - fa)
+                pos = origin + h * (
+                    corner_ijk[ca] + t * (corner_ijk[cb] - corner_ijk[ca])
+                )
+                vid = len(positions)
+                positions.append(pos)
+                vertex_of_edge[key] = vid
+            cell_vertex[e] = vid
+        # The case tables wind triangles clockwise when seen from the
+        # higher-value side; emitting them reversed points the normals toward
+        # increasing field values, which is the orientation contract of this
+        # module (verified by the sphere orientation test: distance fields get
+        # positive enclosed volume). A complementary case is already reversed.
+        for s in range(0, int((row >= 0).sum()), 3):
+            a, b, c3 = (cell_vertex[int(row[s + o])] for o in range(3))
+            tri_rows.append((a, b, c3) if flip else (a, c3, b))
+
+    if not tri_rows:
+        raise ValueError(
+            f"isovalue {iso} crosses no cell; the surface would be empty"
+        )
+    return TriangleMesh(
+        vertices=np.array(positions), triangles=np.array(tri_rows, dtype=np.int64)
+    )
 
 
 # ---------------------------------------------------------------------------

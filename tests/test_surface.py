@@ -3,10 +3,14 @@ geometry metrics, mesh file formats."""
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
+import conftest
 from cliffsurf import grids
 from cliffsurf.grids import GridSpec, ScalarField3
 from cliffsurf.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_MASKS, TRI_TABLE
+from cliffsurf.pdefilter import FilterParams, lowpass_apply
 from cliffsurf.surface import (
     TriangleMesh,
     marching_cubes,
@@ -14,7 +18,8 @@ from cliffsurf.surface import (
     write_obj,
     write_off,
 )
-from conftest import read_obj, read_off, sphere_distance_field
+from cliffsurf.volumetrics import make_grid, rasterize_piecewise
+from conftest import marching_cubes_loop, read_obj, read_off, sphere_distance_field
 
 GOLDEN = __file__.rsplit("/", 1)[0] + "/golden"
 
@@ -210,6 +215,77 @@ def test_overlapping_spheres_remain_genus_zero():
 
 
 # ---------------------------------------------------------------------------
+# the array extractor against the per-cell loop it replaced
+
+
+def _assert_matches_loop(field, iso):
+    got = marching_cubes(field, iso)
+    want = marching_cubes_loop(field, iso)
+    assert np.array_equal(got.vertices, want.vertices)
+    assert np.array_equal(got.triangles, want.triangles)
+    return got
+
+
+def test_single_cells_match_loop_oracle():
+    for case in range(1, 255):
+        _assert_matches_loop(_single_cell_field(case), 0.5)
+
+
+def _noise_fields():
+    # white noise is full of ambiguous faces; every other field is rounded
+    # to one decimal so that samples equal the isovalue and get nudged
+    rng = np.random.default_rng(4096)
+    for n in range(200):
+        dims = tuple(int(d) for d in rng.integers(3, 10, size=3))
+        grid = GridSpec(origin=tuple(rng.uniform(-2.0, 2.0, 3)), spacing=0.3, dims=dims)
+        values = rng.standard_normal(dims)
+        iso = float(rng.uniform(-0.5, 0.5))
+        if n % 2:
+            values = np.round(values, 1)
+            iso = round(iso, 1)
+        yield ScalarField3(grid, values), iso
+
+
+def test_noise_fields_match_loop_oracle():
+    nudged = 0
+    for field, iso in _noise_fields():
+        _assert_matches_loop(field, iso)
+        nudged += bool((field.values == iso).any())
+    assert nudged >= 50
+
+
+def test_noise_fields_exercise_the_majority_rule(monkeypatch):
+    # with the ambiguous-face vote switched off in the oracle, some noise
+    # fields must mesh differently: the comparison above pins the rule
+    monkeypatch.setattr(conftest, "_AMBIG_FACES", [()] * 256)
+    changed = 0
+    for field, iso in _noise_fields():
+        plain = marching_cubes_loop(field, iso)
+        got = marching_cubes(field, iso)
+        changed += not np.array_equal(plain.triangles, got.triangles)
+    assert changed >= 50
+
+
+def test_ambiguous_majority_takes_the_complement():
+    # corners 0 and 2 below, on the diagonal of the z- face, whose center
+    # mean lies below too: the cell meshes as case 250, one joined sheet
+    values = _single_cell_field(0b101).values * 7.0 - 6.5  # -10 below, 4 above
+    field = ScalarField3(GridSpec((0.0, 0.0, 0.0), 1.0, (2, 2, 2)), values)
+    mesh = _assert_matches_loop(field, 0.5)
+    assert mesh.n_triangles == _table_triangle_count(250) == 4
+    assert mesh_metrics(mesh).component_count == 1
+
+
+def test_three_atom_fixture_matches_loop_oracle(three_atoms):
+    grid = make_grid(three_atoms, spacing=0.25, padding=5.0)
+    init = rasterize_piecewise(three_atoms, grid)
+    d = (0.0,) * 5 + (1.0,)
+    field = lowpass_apply(init, FilterParams(m=6, d=d, epsilon=0.0, t=1e2))
+    for iso in (0.8, 0.9):
+        _assert_matches_loop(field, iso)
+
+
+# ---------------------------------------------------------------------------
 # metrics on hand-built meshes
 
 _CUBE_VERTICES = [
@@ -277,6 +353,45 @@ def test_metrics_two_components():
     assert m.component_count == 2
     assert m.euler_characteristic == 2  # 6 - 6 + 2
     assert m.boundary_edge_count == 6
+
+
+def test_unreferenced_vertex_is_its_own_component():
+    verts = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (9.0, 9.0, 9.0)])
+    m = mesh_metrics(TriangleMesh(verts, [(0, 1, 2)]))
+    assert m.component_count == 2
+    assert m.euler_characteristic == 2  # 4 - 3 + 1
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_long_strip_is_one_component(shuffle):
+    # a 10k-triangle ribbon: the chain is 5k vertices long, the worst
+    # case for label propagation without pointer jumping
+    n = 5001
+    x = np.arange(n, dtype=float)
+    verts = np.concatenate([np.stack([x, 0 * x, 0 * x], 1), np.stack([x, 0 * x + 1, 0 * x], 1)])
+    i = np.arange(n - 1)
+    tris = np.concatenate([np.stack([i, i + 1, n + i], 1), np.stack([i + 1, n + i + 1, n + i], 1)])
+    if shuffle:
+        perm = np.random.default_rng(11).permutation(2 * n)
+        verts[perm] = verts.copy()
+        tris = perm[tris]
+    m = mesh_metrics(TriangleMesh(verts, tris))
+    assert len(tris) >= 10_000
+    assert m.component_count == 1
+    assert m.euler_characteristic == 1  # a disk
+    assert m.boundary_edge_count == 2 * n
+
+
+def test_components_match_scipy(rng):
+    for _ in range(30):
+        V = int(rng.integers(3, 300))
+        F = int(rng.integers(1, V + 1))
+        tris = np.array([rng.choice(V, 3, replace=False) for _ in range(F)])
+        verts = rng.standard_normal((V, 3))
+        pairs = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+        graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(V, V))
+        want, _ = connected_components(graph, directed=False)
+        assert mesh_metrics(TriangleMesh(verts, tris)).component_count == want
 
 
 def test_mesh_validation():

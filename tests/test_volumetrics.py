@@ -8,6 +8,8 @@ import pytest
 from cliffsurf import grids
 from cliffsurf.grids import GridSpec, ScalarField3
 from cliffsurf.molecule import Atom, Molecule
+from cliffsurf.pdefilter import FilterParams, mode_decompose
+from cliffsurf.surface import marching_cubes
 from cliffsurf.volumetrics import (
     export_opendx,
     export_raw,
@@ -282,3 +284,35 @@ def test_export_rejects_nonfinite(tmp_path):
         export_opendx(field, tmp_path / "x.dx")
     with pytest.raises(ValueError, match="refusing to export"):
         export_raw(field, tmp_path / "x.raw")
+
+
+def test_is_finite_builds_no_mask():
+    values = np.zeros((100, 100, 100))
+    field = ScalarField3(GridSpec((0.0, 0.0, 0.0), 0.5, values.shape), values)
+    tracemalloc.start()
+    try:
+        assert field.is_finite()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.size // 10  # an np.isfinite mask is 1 B per voxel
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_one_nonfinite_sample_is_rejected_everywhere(tmp_path, bad):
+    # a single interior sample: neither the first nor the last in memory,
+    # and the field's finite samples straddle the isovalue
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(5, 5, 5))
+    values = np.linspace(0.0, 1.0, 125).reshape(5, 5, 5)
+    values[2, 3, 1] = bad
+    field = ScalarField3(grid, values)
+    assert not field.is_finite()
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        marching_cubes(field, 0.5)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        export_opendx(field, tmp_path / "x.dx")
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        export_raw(field, tmp_path / "x.raw")
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        mode_decompose(field, 2, FilterParams.single_term(t=1.0))
+    assert not any(tmp_path.iterdir())
