@@ -129,10 +129,7 @@ class RunConfig:
             raise ValueError(f"format must be one of {FORMATS}, got {self.input_format!r}")
         if self.init_kind not in INIT_KINDS:
             raise ValueError(f"init must be one of {INIT_KINDS}, got {self.init_kind!r}")
-        if not 0 < self.spacing < np.inf:
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
-        if not 0 <= self.padding < np.inf:
-            raise ValueError(f"padding must be nonnegative and finite, got {self.padding}")
+        volumetrics.check_grid_settings(self.spacing, self.padding)
         if not 0 < self.s < np.inf:
             raise ValueError(f"s must be positive and finite, got {self.s}")
         if not 0 < self.r_e < np.inf:

@@ -8,6 +8,14 @@ Two initial fields drive the smoothing pipeline:
   s * exp(-(|r - c|^2 - r_atom^2) / r_e^2), equal to s exactly on each
   isolated sphere surface and decaying with distance beyond it.
 
+The piecewise rasterizer touches each atom's bounding window only. The
+bumps reach every voxel, so the gaussian rasterizer splits the grid into
+cubes of voxels and takes each cube's maximum over only the atoms that
+can win somewhere in it: rounded lower and upper bounds of each atom's
+power distance over the cube discard the rest. The bounds are sums of
+the same rounded terms as the per-voxel values, so the pruned field is
+bit-identical to taking every atom over every voxel.
+
 Fields are sampled at voxel centers. A molecule mirror-symmetric about a
 grid-aligned plane lands on a symmetric grid here (the box is discretized
 symmetrically about its center), so the sampled field inherits the
@@ -33,15 +41,27 @@ DEFAULT_MEM_CAP = 4 * 1024**3
 # buffers or the surface stage's scratch. Extraction needs a few B per cell
 # (sign mask, uint8 case index) plus arrays per triangle corner; the peak of
 # the surface stage is mesh_metrics, whose arrays grow with the triangles.
-# Seeded globules (bench seed 0): 29 B/voxel for 300 atoms at 135^3, 32 at
-# 112^3 (the gaussian rasterizer's peak), 50 for 3000 atoms and two times
-# (108^3); 72 keeps 44% over that. A CLI run holds one mesh at a time, so its peak
-# stops growing with the (t, isovalue) pairs (three-atom fixture at h = 0.25,
-# every writer: 46, 54, 54, 54 with 1, 2, 6, 12 times); only sweep(), which
-# returns its meshes, adds a few B/voxel per pair (46, 54, 60, 70). A few MB
-# do not scale with the grid (the fixture at h = 0.5, 37.8k voxels, two
-# times, peaks at 69). Used only to refuse grids before allocating.
+# Seeded globules (bench seed 0): 29 B/voxel for 300 atoms at 135^3, 29 at
+# 112^3 with gaussian init (the filter's peak; the gaussian rasterizer's is
+# 9), 50 for 3000 atoms and two times (108^3); 72 keeps 44% over that. A
+# CLI run holds one mesh at a time, so its peak stops growing with the
+# (t, isovalue) pairs (three-atom fixture at h = 0.25, every writer: 46,
+# 54, 54, 54 with 1, 2, 6, 12 times); only sweep(), which returns its
+# meshes, adds a few B/voxel per pair (46, 54, 60, 70). A few MB do not
+# scale with the grid (the fixture at h = 0.5, 37.8k voxels, two times,
+# peaks at 69). Used only to refuse grids before allocating.
 _BYTES_PER_VOXEL = 72
+
+# edge, in voxels, of the cubes rasterize_gaussian prunes atoms over
+_BLOCK = 8
+
+
+def check_grid_settings(spacing: float, padding: float) -> None:
+    """Raise ValueError unless spacing is positive and padding nonnegative, both finite."""
+    if not 0 < spacing < np.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    if not 0 <= padding < np.inf:
+        raise ValueError(f"padding must be nonnegative and finite, got {padding}")
 
 
 def make_grid(
@@ -60,10 +80,7 @@ def make_grid(
     checked against the estimated peak of a whole run, _BYTES_PER_VOXEL
     per voxel.
     """
-    if not spacing > 0:
-        raise ValueError(f"spacing must be positive, got {spacing}")
-    if padding < 0:
-        raise ValueError(f"padding must be nonnegative, got {padding}")
+    check_grid_settings(spacing, padding)
     lo, hi = mol.bounding_box()
     lo = lo - padding
     hi = hi + padding
@@ -112,9 +129,8 @@ def rasterize_piecewise(mol: Molecule, grid: GridSpec) -> ScalarField3:
             + dz[None, None, :] ** 2
         )
         inside = d2 <= r * r
-        block = values[sl[0], sl[1], sl[2]]
+        block = values[sl[0], sl[1], sl[2]]  # a view: writes reach values
         block[inside] = 0.0
-        values[sl[0], sl[1], sl[2]] = block
     return ScalarField3(grid, values)
 
 
@@ -136,20 +152,69 @@ def rasterize_gaussian(
         max_b exp(-(d_b^2 - r_b^2)/r_e^2) = exp(-min_b(d_b^2 - r_b^2)/r_e^2),
     exact because exp is monotone. One exp over the grid instead of one
     per atom, and the max cannot lose precision to summation order.
-    Every atom contributes over the whole grid (the bumps have unbounded
-    support), so cost is O(atoms * grid).
+
+    The bumps have unbounded support, but each voxel takes its min over
+    only the atoms that can win somewhere in its cube of _BLOCK^3 voxels.
+    A voxel's power distance is ((dx^2 + dy^2) + dz^2) - r^2, each dx^2
+    the rounded square of one axis offset. Summing the least (greatest)
+    per-axis squares over the block in that same order rounds to a lower
+    (upper) bound lb_b (ub_b) of every voxel's value in the block, since
+    rounded addition and subtraction are monotone. An atom with
+    lb_b > min ub loses at every voxel of the block to the atom with the
+    least ub; the rest are the candidates. Each candidate's value is
+    computed with the same expression, and a min is exact in any order,
+    so the field is bit-identical to a min over every atom; ties keep
+    every tied atom. The cost is the atoms times the blocks for the
+    bounds plus the candidates times the voxels: on seeded globules
+    18 candidates per block on average for 300 atoms at 112^3 (13 at
+    135^3) and 66 for 3000 atoms at 108^3. Besides the field, memory
+    is six arrays of atoms x blocks per axis (no atoms x voxels array),
+    so the traced peak is 8.5 B/voxel for 300 atoms at 112^3 and 11.3
+    for 3000 atoms at 108^3.
     """
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
     if not r_e > 0:
         raise ValueError(f"r_e must be positive, got {r_e}")
-    X, Y, Z = grid.meshes(sparse=True)
-    power = np.full(grid.dims, np.inf)
-    for atom in mol.atoms:
-        c, r = atom.center, atom.radius
-        d2 = (X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2
-        np.minimum(power, d2 - r * r, out=power)
-    return ScalarField3(grid, s * np.exp(-power / (r_e * r_e)))
+    axes, centers = grid.axes(), mol.centers.T
+    r2 = mol.radii * mol.radii
+    spans = [[slice(lo, lo + _BLOCK) for lo in range(0, n, _BLOCK)] for n in grid.dims]
+
+    def sq(a, span, atoms=slice(None)):
+        # squared axis-a offsets of the atoms from the voxel centres in span
+        return (axes[a][span] - centers[a][atoms, None]) ** 2
+
+    # least and greatest squared offset of each atom over each block's
+    # span of voxel centres, per axis, shape (atoms, blocks)
+    near = [np.empty((len(r2), len(sp))) for sp in spans]
+    far = [np.empty((len(r2), len(sp))) for sp in spans]
+    for a in range(3):
+        for col, span in enumerate(spans[a]):
+            d2 = sq(a, span)
+            d2.min(axis=1, out=near[a][:, col])
+            d2.max(axis=1, out=far[a][:, col])
+    power = np.empty(grid.dims)  # the blocks tile it: each voxel is set once
+    for bi, i in enumerate(spans[0]):
+        for bj, j in enumerate(spans[1]):
+            # bounds of the row of blocks (bi, bj, :), shape (atoms, blocks)
+            nxy = (near[0][:, bi] + near[1][:, bj])[:, None]
+            fxy = (far[0][:, bi] + far[1][:, bj])[:, None]
+            lb = (nxy + near[2]) - r2[:, None]
+            ub = (fxy + far[2]) - r2[:, None]
+            wins = lb <= ub.min(axis=0)
+            for bk, k in enumerate(spans[2]):
+                b = np.flatnonzero(wins[:, bk])
+                value = (
+                    sq(0, i, b)[:, :, None, None] + sq(1, j, b)[:, None, :, None]
+                ) + sq(2, k, b)[:, None, None, :]
+                value -= r2[b, None, None, None]
+                np.minimum.reduce(value, axis=0, out=power[i, j, k])
+    # s * exp(-power / r_e^2), operation for operation, in place
+    np.negative(power, out=power)
+    power /= r_e * r_e
+    np.exp(power, out=power)
+    power *= s
+    return ScalarField3(grid, power)
 
 
 def _require_exportable(field: ScalarField3):

@@ -3,15 +3,16 @@
 The oracles here deliberately avoid the code paths under test: the
 geometric product is checked against 2x2 matrix representations, the
 transforms against direct-sum DFTs built from explicit kernel matrices,
-the filter against finite-difference time stepping, and marching cubes
-against its former per-cell loop.
+the filter against finite-difference time stepping, marching cubes
+against its former per-cell loop, and the gaussian rasterizer against
+its former loop over every atom.
 """
 
 import numpy as np
 import pytest
 
 from cliffsurf.ga import BLADE_NAMES_2, BLADE_NAMES_3
-from cliffsurf.grids import GridSpec
+from cliffsurf.grids import GridSpec, ScalarField3
 from cliffsurf.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from cliffsurf.molecule import parse_xyzr
 from cliffsurf.surface import TriangleMesh
@@ -363,6 +364,31 @@ def marching_cubes_loop(field, isovalue):
 
 
 # ---------------------------------------------------------------------------
+# gaussian rasterization oracle: every atom over the whole grid
+
+
+def rasterize_gaussian_all_atoms(mol, grid, s=1.0, r_e=3.0):
+    """Smooth-bump field with every atom taken over every voxel.
+
+    The package's gaussian rasterizer before it pruned atoms per voxel
+    block, verbatim but for its name and this docstring: cost atoms x
+    voxels, three full-grid temporaries per atom. It pins the field bit
+    for bit.
+    """
+    if not s > 0:
+        raise ValueError(f"s must be positive, got {s}")
+    if not r_e > 0:
+        raise ValueError(f"r_e must be positive, got {r_e}")
+    X, Y, Z = grid.meshes(sparse=True)
+    power = np.full(grid.dims, np.inf)
+    for atom in mol.atoms:
+        c, r = atom.center, atom.radius
+        d2 = (X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2
+        np.minimum(power, d2 - r * r, out=power)
+    return ScalarField3(grid, s * np.exp(-power / (r_e * r_e)))
+
+
+# ---------------------------------------------------------------------------
 # fixtures
 
 THREE_ATOM_XYZR = "0.0 0.0 1.8 1.8\n0.0 0.0 -1.8 1.8\n0.0 3.12 0.0 1.8\n"
@@ -392,6 +418,4 @@ def sphere_distance_field(radius, spacing, pad=1.2):
     origin = (-spacing * (n - 1) / 2.0,) * 3
     grid = GridSpec(origin=origin, spacing=spacing, dims=(n, n, n))
     x, y, z = grid.meshes()
-    from cliffsurf.grids import ScalarField3
-
     return ScalarField3(grid, np.sqrt(x * x + y * y + z * z))

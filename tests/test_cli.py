@@ -403,6 +403,7 @@ def test_nonpositive_passes_exits_3(three_atom_file, capsys):
     "flags",
     [
         ["--spacing", "inf"],
+        ["--spacing", "nan"],
         ["--padding", "inf"],
         ["--padding", "nan"],
         ["--mem-cap", "inf"],

@@ -18,7 +18,7 @@ from cliffsurf.volumetrics import (
     rasterize_piecewise,
     rasterize_piecewise_swapped,
 )
-from conftest import read_dx, read_raw
+from conftest import rasterize_gaussian_all_atoms, read_dx, read_raw
 
 GOLDEN = __file__.rsplit("/", 1)[0] + "/golden"
 
@@ -78,6 +78,15 @@ def test_make_grid_validation(three_atoms):
         make_grid(three_atoms, spacing=0.0)
     with pytest.raises(ValueError):
         make_grid(three_atoms, padding=-1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_make_grid_rejects_nonfinite_settings(three_atoms, bad):
+    # the same named error as the CLI's, not a failed int() of a NaN or inf
+    with pytest.raises(ValueError, match="spacing must be positive and finite"):
+        make_grid(three_atoms, spacing=bad)
+    with pytest.raises(ValueError, match="padding must be nonnegative and finite"):
+        make_grid(three_atoms, padding=bad)
 
 
 def test_piecewise_inside_outside():
@@ -157,6 +166,97 @@ def test_gaussian_validation(three_atoms):
         rasterize_gaussian(three_atoms, grid, s=0.0)
     with pytest.raises(ValueError):
         rasterize_gaussian(three_atoms, grid, r_e=-1.0)
+
+
+def _globule(rng, atoms=300, ball=9.9, radius=1.7, separation=2.0):
+    """Seeded G300-like globule: equal spheres packed in a ball by rejection.
+
+    The bench's G300 keeps centres 2.2 A apart, close to the jamming limit
+    of this sampler, which takes seconds to get there; 2.0 A takes a tenth
+    of a second.
+    """
+    centres = np.zeros((0, 3))
+    while len(centres) < atoms:
+        p = rng.uniform(-ball, ball, 3)
+        if p @ p <= ball * ball and np.all(np.sum((centres - p) ** 2, axis=1) >= separation**2):
+            centres = np.vstack([centres, p])
+    return Molecule(tuple(Atom(center=tuple(c), radius=radius) for c in centres))
+
+
+def _mixed_radii(rng, atoms, lo, hi):
+    """Random centres in the box [lo, hi]^3 with radii from 0.5 to 3."""
+    centres = rng.uniform(lo, hi, (atoms, 3))
+    radii = rng.uniform(0.5, 3.0, atoms)
+    return Molecule(tuple(Atom(center=tuple(c), radius=r) for c, r in zip(centres, radii)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gaussian_matches_all_atom_oracle_mixed_radii(seed):
+    # a 3 A atom beside 0.5 A ones wins voxels far from its centre
+    rng = np.random.default_rng(seed)
+    mol = _mixed_radii(rng, int(rng.integers(2, 60)), -6.0, 6.0)
+    grid = make_grid(mol, spacing=float(rng.uniform(0.3, 0.7)), padding=2.0)
+    s, r_e = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 4.0))
+    got = rasterize_gaussian(mol, grid, s=s, r_e=r_e).values
+    assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid, s=s, r_e=r_e).values)
+
+
+@pytest.mark.parametrize(
+    "dims", [(2, 7, 17), (17, 17, 17), (7, 2, 9), (17, 9, 2), (8, 16, 24), (25, 3, 11)]
+)
+def test_gaussian_matches_all_atom_oracle_on_odd_dims(dims):
+    # dims off the block edge leave partial blocks (17 leaves a block one
+    # voxel wide); some atoms lie outside the grid, some far from it
+    rng = np.random.default_rng(sum(dims))
+    grid = GridSpec(origin=(-2.0, -3.0, -1.5), spacing=0.5, dims=dims)
+    mol = _mixed_radii(rng, 40, -8.0, 12.0)
+    got = rasterize_gaussian(mol, grid).values
+    assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
+
+
+@pytest.mark.parametrize("dims", [(17, 17, 17), (9, 12, 17)])
+def test_gaussian_matches_all_atom_oracle_with_exact_ties(dims):
+    # coincident centres: equal radii tie everywhere, unequal ones never;
+    # an atom placed on a voxel centre ties with its twin there too
+    rng = np.random.default_rng(7)
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=dims)
+    base = rng.uniform(-1.0, 9.0, (12, 3))
+    base[0] = (2.0, 4.0, 8.0)  # a voxel centre in the last z block, one voxel wide
+    atoms = [Atom(center=tuple(c), radius=1.2) for c in base]
+    atoms += [Atom(center=tuple(c), radius=1.2) for c in base[:6]]
+    atoms += [Atom(center=tuple(c), radius=1.9) for c in base[6:]]
+    mol = Molecule(tuple(atoms))
+    got = rasterize_gaussian(mol, grid).values
+    assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
+
+
+@pytest.mark.parametrize("center", [(0.3, -0.2, 0.1), (40.0, -25.0, 3.0)])
+def test_gaussian_matches_all_atom_oracle_one_atom(center):
+    grid = GridSpec(origin=(-4.0, -4.0, -4.0), spacing=0.4, dims=(21, 20, 19))
+    mol = Molecule((Atom(center=center, radius=1.6),))
+    got = rasterize_gaussian(mol, grid).values
+    assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
+
+
+def test_gaussian_matches_all_atom_oracle_on_globule():
+    mol = _globule(np.random.default_rng(11))
+    grid = make_grid(mol, spacing=0.3)
+    assert grid.dims == (112, 112, 112)
+    got = rasterize_gaussian(mol, grid).values
+    assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
+
+
+def test_gaussian_peak_memory_per_voxel():
+    # the field itself is 8 B per voxel; the per-atom loop peaked at 32
+    mol = _globule(np.random.default_rng(12))
+    grid = GridSpec(origin=(-15.0, -15.0, -15.0), spacing=0.3, dims=(100, 100, 100))
+    tracemalloc.start()
+    try:
+        rasterize_gaussian(mol, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * grid.n_voxels
 
 
 def _ramp_field():
