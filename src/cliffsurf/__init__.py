@@ -19,7 +19,7 @@ from .cft import (
     spectral_laplacian3,
     unpack_channels,
 )
-from .cli import RunConfig, run_pipeline, sweep
+from .cli import RunConfig, execute, sweep
 from .ga import (
     Multivector2,
     Multivector3,
@@ -51,7 +51,6 @@ from .pdefilter import (
     frequency_response,
     highband_energy,
     lowpass_apply,
-    lowpass_from_spectrum,
     mode_decompose,
     spectral_energy,
 )
@@ -89,6 +88,7 @@ __all__ = [
     "cft3_inverse",
     "commutes_with_pseudoscalar",
     "default_coefficients",
+    "execute",
     "exp_pseudoscalar",
     "export_opendx",
     "export_raw",
@@ -99,7 +99,6 @@ __all__ = [
     "geometric_product",
     "highband_energy",
     "lowpass_apply",
-    "lowpass_from_spectrum",
     "make_grid",
     "marching_cubes",
     "mesh_metrics",
@@ -113,7 +112,6 @@ __all__ = [
     "rasterize_gaussian",
     "rasterize_piecewise",
     "rasterize_piecewise_swapped",
-    "run_pipeline",
     "serialize_pqr",
     "spectral_energy",
     "spectral_gradient2_split",

@@ -34,7 +34,7 @@ import os
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -231,16 +231,6 @@ def _write_text(text: str, path: str):
         fh.write(text)
 
 
-_METRIC_FIELDS = (
-    "component_count",
-    "euler_characteristic",
-    "boundary_edge_count",
-    "area",
-    "enclosed_volume",
-    "min_dihedral",
-)
-
-
 def _write_output(write, obj, path: str, *args):
     """write(obj, path, *args), an OSError becoming a tagged output failure."""
     try:
@@ -360,7 +350,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             combo = {"t": t, "isovalue": iso, "mesh": mesh, "metrics": metrics}
             # one list renders both the manifest's mesh block and the report
             values = [("vertices", mesh.n_vertices), ("triangles", mesh.n_triangles)]
-            values += [(name, getattr(metrics, name)) for name in _METRIC_FIELDS]
+            values += asdict(metrics).items()
             manifest += [f"{key}.mesh.{name}: {_fmt(v)}" for name, v in values]
             if cfg.mesh_out:
                 with stage("output"):
@@ -394,11 +384,6 @@ def execute(config: RunConfig) -> str:
     manifest: list[str] = []
     collections.deque(_surfaces(config, manifest), maxlen=0)  # holds no item
     return "\n".join(manifest) + "\n"
-
-
-def run_pipeline(config: RunConfig) -> str:
-    """Execute the full pipeline and return the manifest text."""
-    return execute(config)
 
 
 def sweep(config: RunConfig) -> list[dict]:
@@ -565,7 +550,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = config_from_args(args)
-        manifest = run_pipeline(config)
+        manifest = execute(config)
     except StageError as exc:
         print(exc.tagged(), file=sys.stderr)
         return exc.exit_code

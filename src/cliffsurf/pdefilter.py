@@ -164,20 +164,7 @@ def lowpass_apply(X: ScalarField3, params: FilterParams) -> ScalarField3:
 
     The mean (DC bin) is preserved exactly up to rounding because L(0) = 1.
     """
-    return lowpass_from_spectrum(forward_spectrum(X), X.grid, params)
-
-
-def lowpass_from_spectrum(
-    spectrum: np.ndarray, grid: GridSpec, params: FilterParams
-) -> ScalarField3:
-    """Apply the bin gains to an already-computed forward_spectrum.
-
-    Sweeping many propagation times over one input only needs the forward
-    transform once; this entry point is bit-identical to lowpass_apply on
-    the original field because it performs the same operations on the
-    same spectrum values.
-    """
-    return field_from_spectrum(spectrum * filter_gain(params, grid), grid)
+    return field_from_spectrum(forward_spectrum(X) * filter_gain(params, X.grid), X.grid)
 
 
 @dataclass(frozen=True)

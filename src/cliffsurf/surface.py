@@ -71,7 +71,6 @@ class TriangleMesh:
 
     vertices: np.ndarray
     triangles: np.ndarray
-    normals: np.ndarray | None = None
 
     def __post_init__(self):
         # views with their own flags: the caller's arrays stay writeable
@@ -212,16 +211,22 @@ def marching_cubes(field: ScalarField3, isovalue: float) -> TriangleMesh:
     return TriangleMesh(vertices=positions, triangles=triangles)
 
 
-def _unique_edges(triangles: np.ndarray, n_vertices: int):
-    pairs = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
-    )
-    pairs = np.sort(pairs, axis=1)
-    codes = pairs[:, 0] * np.int64(n_vertices) + pairs[:, 1]
-    uniq, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
-    lo = (uniq // n_vertices).astype(np.int64)
-    hi = (uniq % n_vertices).astype(np.int64)
-    return np.stack([lo, hi], axis=1), inverse, counts
+def _edge_runs(triangles: np.ndarray, n_vertices: int):
+    """The 3F triangle sides grouped by undirected edge, with one sort.
+
+    Slot s is side s // F of face s % F (sides (0, 1), (1, 2), (2, 0)),
+    coded lo * V + hi by its sorted vertex pair. A stable argsort of the
+    codes puts each edge's slots side by side, in slot order. Returns that
+    order, the start of each edge's run in it, and each edge's code, the
+    edges in increasing code order.
+    """
+    a = triangles.T  # side k of face f runs from a[k, f] to b[k, f]
+    b = np.roll(a, -1, axis=0)
+    codes = (np.minimum(a, b) * np.int64(n_vertices) + np.maximum(a, b)).ravel()
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    return order, starts, codes[starts]
 
 
 def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:
@@ -233,21 +238,23 @@ def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:
     signed tetrahedron sum, meaningful for closed meshes: positive when
     normals point outward. min_dihedral is the smallest angle between
     neighboring faces across interior edges, in degrees, where 180 means
-    flat; it is NaN when no edge has exactly two faces.
+    flat; it is NaN when no edge has exactly two faces, or when every such
+    edge has a zero-area face.
     """
     V = mesh.n_vertices
     F = mesh.n_triangles
     if F == 0:
         raise ValueError("empty mesh")
-    edges, edge_of, counts = _unique_edges(mesh.triangles, V)
-    E = len(edges)
+    order, starts, codes = _edge_runs(mesh.triangles, V)
+    E = len(starts)
+    counts = np.diff(starts, append=3 * F)
 
     # Components by label propagation: hook the larger root of every edge
     # that still joins two trees onto the smaller one, then jump pointers
     # until each vertex points at its root. In each round every tree with
     # a smaller-rooted neighbour hooks, so the rounds are few.
     label = np.arange(V)
-    a, b = edges[:, 0], edges[:, 1]
+    a, b = np.divmod(codes, V)
     while True:
         la, lb = label[a], label[b]
         split = la != lb
@@ -270,17 +277,13 @@ def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:
 
     boundary = int((counts == 1).sum())
 
-    # pair up the faces across every 2-face edge for the dihedral scan
-    face_ids = np.tile(np.arange(F), 3)
-    order = np.argsort(edge_of, kind="stable")
-    sorted_edges = edge_of[order]
-    sorted_faces = face_ids[order]
-    starts = np.searchsorted(sorted_edges, np.arange(E))
+    # the two faces across every 2-face edge, for the dihedral scan: the
+    # first two slots of its run, slot s being a side of face s % F
     min_dihedral = np.nan
-    two_face = np.flatnonzero(counts == 2)
+    two_face = starts[counts == 2]
     if two_face.size:
-        f1 = sorted_faces[starts[two_face]]
-        f2 = sorted_faces[starts[two_face] + 1]
+        f1 = order[two_face] % F
+        f2 = order[two_face + 1] % F
         n1, n2 = cross[f1], cross[f2]
         norms = cross_norm[f1] * cross_norm[f2]
         ok = norms > 0
@@ -312,8 +315,8 @@ def write_off(mesh: TriangleMesh, path) -> None:
     """Write the OFF layout: header, counts, vertices, 0-based face rows."""
     if mesh.n_triangles == 0:
         raise ValueError("refusing to write an empty mesh")
-    edges, _, _ = _unique_edges(mesh.triangles, mesh.n_vertices)
+    _, starts, _ = _edge_runs(mesh.triangles, mesh.n_vertices)
     with open(path, "w", newline="\n") as fh:
-        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_triangles} {len(edges)}\n")
+        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_triangles} {len(starts)}\n")
         write_rows(fh, "%.6f %.6f %.6f\n", mesh.vertices)
         write_rows(fh, "3 %d %d %d\n", mesh.triangles)

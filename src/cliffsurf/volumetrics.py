@@ -40,10 +40,11 @@ DEFAULT_MEM_CAP = 4 * 1024**3
 # last time is filtered) and one filtered field (8) sit next to the filter's
 # buffers or the surface stage's scratch. Extraction needs a few B per cell
 # (sign mask, uint8 case index) plus arrays per triangle corner; the peak of
-# the surface stage is mesh_metrics, whose arrays grow with the triangles.
+# the surface stage is mesh_metrics' dihedral scan, about 390 B per triangle.
 # Seeded globules (bench seed 0): 29 B/voxel for 300 atoms at 135^3, 29 at
-# 112^3 with gaussian init (the filter's peak; the gaussian rasterizer's is
-# 9), 50 for 3000 atoms and two times (108^3); 72 keeps 44% over that. A
+# 112^3 with gaussian init (both the filter's peak; the surface stage's is
+# 25 and 23, the gaussian rasterizer's 9), 43 for 3000 atoms and two times
+# (108^3, set by mesh_metrics); 72 keeps 67% over that. A
 # CLI run holds one mesh at a time, so its peak stops growing with the
 # (t, isovalue) pairs (three-atom fixture at h = 0.25, every writer: 46,
 # 54, 54, 54 with 1, 2, 6, 12 times); only sweep(), which returns its

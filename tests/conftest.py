@@ -4,8 +4,9 @@ The oracles here deliberately avoid the code paths under test: the
 geometric product is checked against 2x2 matrix representations, the
 transforms against direct-sum DFTs built from explicit kernel matrices,
 the filter against finite-difference time stepping, marching cubes
-against its former per-cell loop, and the gaussian rasterizer against
-its former loop over every atom.
+against its former per-cell loop, the mesh metrics' edge table against
+a dict of edges, and the gaussian rasterizer against its former loop
+over every atom.
 """
 
 import numpy as np
@@ -361,6 +362,27 @@ def marching_cubes_loop(field, isovalue):
     return TriangleMesh(
         vertices=np.array(positions), triangles=np.array(tri_rows, dtype=np.int64)
     )
+
+
+# ---------------------------------------------------------------------------
+# mesh edge oracle: a dict from undirected edge to the faces using it
+
+
+def edge_faces(triangles):
+    """Map each sorted vertex pair to the faces that use it, in slot order.
+
+    Slot s is side s // F of face s % F, the sides being (0, 1), (1, 2)
+    and (2, 0); a face lists once per side it has on the edge. The number
+    of keys is E, the one-face edges are the boundary, and the two-face
+    edges are the pairs the dihedral scan compares.
+    """
+    rows = [tuple(int(v) for v in row) for row in triangles]
+    faces = {}
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        for f, row in enumerate(rows):
+            a, b = row[i], row[j]
+            faces.setdefault((min(a, b), max(a, b)), []).append(f)
+    return faces
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ from cliffsurf.cli import (
     _parse_dcoeff,
     build_parser,
     config_from_args,
+    execute,
     main,
-    run_pipeline,
     sweep,
 )
 from cliffsurf.grids import SpectralGrid
@@ -668,7 +668,7 @@ def test_numpy_scalar_settings_print_as_floats(three_atom_file, tmp_path):
         cfg = RunConfig(
             three_atom_file, spacing=spacing, times=times, metrics_out=str(tmp_path / "r.txt")
         )
-        manifest = [ln for ln in run_pipeline(cfg).splitlines() if not ln.startswith("timing.")]
+        manifest = [ln for ln in execute(cfg).splitlines() if not ln.startswith("timing.")]
         reports = {}
         for path in sorted(tmp_path.glob("r_*.txt")):
             reports[path.name] = path.read_bytes()
@@ -725,14 +725,14 @@ def test_multiple_passes_change_the_surface(three_atom_file):
     assert not np.isclose(v1, v3, rtol=1e-6)  # extra peel-off passes matter
 
 
-def test_run_pipeline_returns_manifest_text(three_atom_file):
-    text = run_pipeline(RunConfig(three_atom_file, spacing=0.5))
+def test_execute_returns_manifest_text(three_atom_file):
+    text = execute(RunConfig(three_atom_file, spacing=0.5))
     m = manifest_dict(text)
     assert m["input.atoms"] == "3"
     assert "run[t=100,iso=0.9].mesh.vertices" in m
 
 
-def test_run_pipeline_keeps_no_mesh_alive(three_atom_file, tmp_path, monkeypatch):
+def test_execute_keeps_no_mesh_alive(three_atom_file, tmp_path, monkeypatch):
     # the CLI path streams its surfaces: by the time a mesh is extracted,
     # every mesh extracted before it has been written and released
     extract = cli.marching_cubes
@@ -746,7 +746,7 @@ def test_run_pipeline_keeps_no_mesh_alive(three_atom_file, tmp_path, monkeypatch
         return mesh
 
     monkeypatch.setattr(cli, "marching_cubes", recording)
-    run_pipeline(
+    execute(
         RunConfig(
             three_atom_file,
             spacing=0.5,
@@ -776,7 +776,7 @@ def test_sweep_returns_one_entry_per_combo(three_atom_file):
 
 
 def test_smoothness_indicator_decreases_with_time(three_atom_file):
-    text = run_pipeline(
+    text = execute(
         RunConfig(three_atom_file, spacing=0.5, times=(10.0, 100.0, 1000.0))
     )
     m = manifest_dict(text)

@@ -17,7 +17,6 @@ from cliffsurf.pdefilter import (
     frequency_response,
     highband_energy,
     lowpass_apply,
-    lowpass_from_spectrum,
     mode_decompose,
     spectral_energy,
 )
@@ -203,15 +202,6 @@ def test_rfft_lowpass_matches_cft3_round_trip(rng, dims, eps):
     params = FilterParams(m=3, d=(0.1, 0.0, 1e-5), epsilon=eps, t=0.7)
     got = lowpass_apply(X, params).values
     assert np.abs(got - _cft3_lowpass(X, params)).max() <= 1e-12
-
-
-def test_lowpass_from_shared_spectrum_is_bit_identical(rng):
-    X = _random_field(rng, (7, 6, 9))
-    spectrum = forward_spectrum(X)
-    for t in (0.1, 0.7):
-        params = FilterParams(m=3, d=(0.1, 0.0, 1e-5), epsilon=0.2, t=t)
-        got = lowpass_from_spectrum(spectrum, X.grid, params).values
-        assert np.array_equal(got, lowpass_apply(X, params).values)
 
 
 def test_half_spectrum_w2_is_the_rfft_slice_of_the_full_one():

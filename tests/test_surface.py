@@ -276,11 +276,15 @@ def test_ambiguous_majority_takes_the_complement():
     assert mesh_metrics(mesh).component_count == 1
 
 
-def test_three_atom_fixture_matches_loop_oracle(three_atoms):
+def _three_atom_field(three_atoms):
     grid = make_grid(three_atoms, spacing=0.25, padding=5.0)
     init = rasterize_piecewise(three_atoms, grid)
     d = (0.0,) * 5 + (1.0,)
-    field = lowpass_apply(init, FilterParams(m=6, d=d, epsilon=0.0, t=1e2))
+    return lowpass_apply(init, FilterParams(m=6, d=d, epsilon=0.0, t=1e2))
+
+
+def test_three_atom_fixture_matches_loop_oracle(three_atoms):
+    field = _three_atom_field(three_atoms)
     for iso in (0.8, 0.9):
         _assert_matches_loop(field, iso)
 
@@ -394,6 +398,95 @@ def test_components_match_scipy(rng):
         assert mesh_metrics(TriangleMesh(verts, tris)).component_count == want
 
 
+# ---------------------------------------------------------------------------
+# metrics against the edge oracle
+
+
+def _edge_oracle_metrics(mesh):
+    """(components, Euler characteristic, boundary edges, min dihedral) of
+    mesh, its edges taken from the dict oracle.
+
+    Components come from scipy over the oracle's edges; the dihedral scan
+    repeats mesh_metrics' arithmetic on the oracle's two-face pairs, so
+    every value must match exactly.
+    """
+    faces = conftest.edge_faces(mesh.triangles)
+    V, F = mesh.n_vertices, mesh.n_triangles
+    edges = np.array(list(faces), dtype=np.int64)
+    graph = coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(V, V))
+    components, _ = connected_components(graph, directed=False)
+    boundary = sum(len(f) == 1 for f in faces.values())
+    pairs = np.array([f for f in faces.values() if len(f) == 2], dtype=np.int64)
+    pairs = pairs.reshape(-1, 2)
+    p = mesh.vertices[mesh.triangles]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    norm = np.linalg.norm(cross, axis=1)
+    norms = norm[pairs[:, 0]] * norm[pairs[:, 1]]
+    ok = norms > 0
+    min_dihedral = np.nan
+    if ok.any():
+        n1, n2 = cross[pairs[ok, 0]], cross[pairs[ok, 1]]
+        cosang = np.einsum("ij,ij->i", n1, n2) / norms[ok]
+        ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+        min_dihedral = float((180.0 - ang).min())
+    return components, V - len(faces) + F, boundary, min_dihedral
+
+
+def _assert_metrics_match_edge_oracle(mesh):
+    m = mesh_metrics(mesh)
+    want = _edge_oracle_metrics(mesh)
+    got = (m.component_count, m.euler_characteristic, m.boundary_edge_count, m.min_dihedral)
+    assert got[:3] == want[:3]
+    assert got[3] == want[3] or (np.isnan(got[3]) and np.isnan(want[3]))
+    return m
+
+
+def _random_mesh(rng, lattice):
+    """Random triangles over few vertices: boundary and 3+-face edges, two
+    equal corners, unreferenced vertices; on a lattice, zero-area faces."""
+    V = int(rng.integers(4, 30))
+    F = int(rng.integers(1, 60))
+    used = V - int(rng.integers(0, 3))  # the last vertices may be unreferenced
+    tris = rng.integers(0, used, size=(F, 3))
+    same = (tris[:, 0] == tris[:, 1]) & (tris[:, 1] == tris[:, 2])
+    tris[same, 2] = (tris[same, 2] + 1) % used
+    if lattice:
+        verts = rng.integers(-1, 2, size=(V, 3)).astype(float)
+    else:
+        verts = rng.standard_normal((V, 3))
+    return TriangleMesh(verts, tris)
+
+
+def test_random_meshes_match_edge_oracle(rng):
+    seen = dict.fromkeys(
+        ("boundary", "3+ faces", "two equal corners", "unreferenced", "zero area",
+         "nan with 2-face edges", "finite dihedral"),
+        0,
+    )
+    for i in range(200):
+        mesh = _random_mesh(rng, lattice=i % 2 == 0)
+        m = _assert_metrics_match_edge_oracle(mesh)
+        t = mesh.triangles
+        faces = conftest.edge_faces(t)
+        p = mesh.vertices[t]
+        area = np.linalg.norm(np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
+        seen["boundary"] += m.boundary_edge_count > 0
+        seen["3+ faces"] += any(len(f) >= 3 for f in faces.values())
+        seen["two equal corners"] += bool(np.any(t == np.roll(t, 1, axis=1)))
+        seen["unreferenced"] += len(np.unique(t)) < mesh.n_vertices
+        seen["zero area"] += bool(np.any(area == 0))
+        two_face = any(len(f) == 2 for f in faces.values())
+        seen["nan with 2-face edges"] += two_face and bool(np.isnan(m.min_dihedral))
+        seen["finite dihedral"] += bool(np.isfinite(m.min_dihedral))
+    # every case the edge table must handle came up several times
+    assert min(seen.values()) >= 5, seen
+
+
+def test_three_atom_fixture_metrics_match_edge_oracle(three_atoms):
+    m = _assert_metrics_match_edge_oracle(marching_cubes(_three_atom_field(three_atoms), 0.9))
+    assert m.boundary_edge_count == 0 and m.euler_characteristic == 2
+
+
 def test_mesh_validation():
     verts = np.zeros((3, 3))
     with pytest.raises(ValueError, match="indices out of"):
@@ -456,9 +549,34 @@ def test_obj_round_trip(tmp_path):
     assert np.array_equal(faces, mesh.triangles)
 
 
-def test_off_round_trip_header_counts(tmp_path):
-    mesh = marching_cubes(sphere_distance_field(1.0, 0.5), 1.0)
+def _sphere():
+    return marching_cubes(sphere_distance_field(1.0, 0.5), 1.0)
+
+
+def _open_sphere():
+    mesh = _sphere()
+    return TriangleMesh(mesh.vertices, mesh.triangles[10:])
+
+
+def _nonmanifold_mesh():
+    # three triangles on edge (0, 1), one with two equal corners on (1, 2)
+    verts = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, 1)], float)
+    return TriangleMesh(verts, [(0, 1, 2), (1, 0, 3), (0, 1, 4), (1, 2, 2)])
+
+
+@pytest.mark.parametrize(
+    "make_mesh, boundary",
+    [
+        (_sphere, False),
+        (_open_sphere, True),
+        (_nonmanifold_mesh, True),
+    ],
+    ids=["closed", "open", "nonmanifold"],
+)
+def test_off_round_trip_header_counts(tmp_path, make_mesh, boundary):
+    mesh = make_mesh()
     m = mesh_metrics(mesh)
+    assert (m.boundary_edge_count > 0) == boundary
     path = tmp_path / "sphere.off"
     write_off(mesh, path)
     verts, faces, ne = read_off(path)
@@ -466,6 +584,7 @@ def test_off_round_trip_header_counts(tmp_path):
     assert np.array_equal(faces, mesh.triangles)
     # header edge count is the true unique-edge count: E = V + F - chi
     assert ne == mesh.n_vertices + mesh.n_triangles - m.euler_characteristic
+    assert ne == len(conftest.edge_faces(mesh.triangles))
 
 
 def test_mesh_writers_chunked_match_per_value_formatter(tmp_path, rng, monkeypatch):
