@@ -269,11 +269,14 @@ def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:
             label = up
     components = int(np.count_nonzero(label == np.arange(V)))
 
-    tri_pts = mesh.vertices[mesh.triangles]
-    cross = np.cross(tri_pts[:, 1] - tri_pts[:, 0], tri_pts[:, 2] - tri_pts[:, 0])
+    # corners gathered one at a time, so no (F, 3, 3) array is alive
+    verts, tris = mesh.vertices, mesh.triangles
+    p0 = verts[tris[:, 0]]
+    cross = np.cross(verts[tris[:, 1]] - p0, verts[tris[:, 2]] - p0)
     cross_norm = np.linalg.norm(cross, axis=1)
     area = float(cross_norm.sum() / 2.0)
-    volume = float(np.einsum("ij,ij->i", tri_pts[:, 0], cross).sum() / 6.0)
+    volume = float(np.einsum("ij,ij->i", p0, cross).sum() / 6.0)
+    del p0
 
     boundary = int((counts == 1).sum())
 
@@ -284,11 +287,11 @@ def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:
     if two_face.size:
         f1 = order[two_face] % F
         f2 = order[two_face + 1] % F
-        n1, n2 = cross[f1], cross[f2]
         norms = cross_norm[f1] * cross_norm[f2]
         ok = norms > 0
         if ok.any():
-            cosang = np.einsum("ij,ij->i", n1[ok], n2[ok]) / norms[ok]
+            f1, f2, norms = f1[ok], f2[ok], norms[ok]
+            cosang = np.einsum("ij,ij->i", cross[f1], cross[f2]) / norms
             ang = np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
             min_dihedral = float((180.0 - ang).min())
 

@@ -40,17 +40,17 @@ DEFAULT_MEM_CAP = 4 * 1024**3
 # last time is filtered) and one filtered field (8) sit next to the filter's
 # buffers or the surface stage's scratch. Extraction needs a few B per cell
 # (sign mask, uint8 case index) plus arrays per triangle corner; the peak of
-# the surface stage is mesh_metrics' dihedral scan, about 390 B per triangle.
+# the surface stage is mesh_metrics' dihedral scan, about 240 B per triangle.
 # Seeded globules (bench seed 0): 29 B/voxel for 300 atoms at 135^3, 29 at
 # 112^3 with gaussian init (both the filter's peak; the surface stage's is
-# 25 and 23, the gaussian rasterizer's 9), 43 for 3000 atoms and two times
-# (108^3, set by mesh_metrics); 72 keeps 67% over that. A
-# CLI run holds one mesh at a time, so its peak stops growing with the
-# (t, isovalue) pairs (three-atom fixture at h = 0.25, every writer: 46,
-# 54, 54, 54 with 1, 2, 6, 12 times); only sweep(), which returns its
-# meshes, adds a few B/voxel per pair (46, 54, 60, 70). A few MB do not
+# 19 and 18, the OpenDX export's 13, the gaussian rasterizer's 9), 34 for
+# 3000 atoms and two times (108^3, set by mesh_metrics); 72 is about twice
+# that. A CLI run holds one mesh at a time, so its peak stops growing with the
+# (t, isovalue) pairs (three-atom fixture at h = 0.25, every writer: 38,
+# 46, 46, 46 with 1, 2, 6, 12 times); only sweep(), which returns its
+# meshes, adds a few B/voxel per pair (37, 46, 52, 60). A few MB do not
 # scale with the grid (the fixture at h = 0.5, 37.8k voxels, two times,
-# peaks at 69). Used only to refuse grids before allocating.
+# peaks at 58). Used only to refuse grids before allocating.
 _BYTES_PER_VOXEL = 72
 
 # edge, in voxels, of the cubes rasterize_gaussian prunes atoms over
@@ -256,7 +256,8 @@ def export_opendx(field: ScalarField3, path) -> None:
         fh.write("\n".join(header) + "\n")
         write_rows(fh, "%.6e %.6e %.6e\n", flat[:full].reshape(-1, 3))
         if full < flat.size:  # one or two values on the last data line
-            fh.write(" ".join(f"{v:.6e}" for v in flat[full:]) + "\n")
+            last = flat[full:]
+            write_rows(fh, " ".join(["%.6e"] * last.size) + "\n", last[None])
         fh.write("\n".join(trailer) + "\n")
 
 

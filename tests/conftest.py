@@ -5,13 +5,14 @@ geometric product is checked against 2x2 matrix representations, the
 transforms against direct-sum DFTs built from explicit kernel matrices,
 the filter against finite-difference time stepping, marching cubes
 against its former per-cell loop, the mesh metrics' edge table against
-a dict of edges, and the gaussian rasterizer against its former loop
-over every atom.
+a dict of edges, the gaussian rasterizer against its former loop over
+every atom, and the array text formatter against Python's `%`.
 """
 
 import numpy as np
 import pytest
 
+from cliffsurf import grids
 from cliffsurf.ga import BLADE_NAMES_2, BLADE_NAMES_3
 from cliffsurf.grids import GridSpec, ScalarField3
 from cliffsurf.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
@@ -408,6 +409,23 @@ def rasterize_gaussian_all_atoms(mol, grid, s=1.0, r_e=3.0):
         d2 = (X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2
         np.minimum(power, d2 - r * r, out=power)
     return ScalarField3(grid, s * np.exp(-power / (r_e * r_e)))
+
+
+# ---------------------------------------------------------------------------
+# text-row oracle: one Python `%` per chunk of rows
+
+
+def write_rows_percent(fh, row_format, rows):
+    """Write every row of a 2D array through one printf-style row template.
+
+    The package's write_rows before it formatted arrays, verbatim but for
+    its name and this docstring: Python's `%` on the template repeated
+    once per row of the chunk. Python rounds %.6e and %.6f correctly, as
+    C printf does, so this pins the text byte for byte.
+    """
+    for start in range(0, len(rows), grids._ROWS_PER_WRITE):
+        block = rows[start : start + grids._ROWS_PER_WRITE]
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,135 @@
+"""The array text formatter (grids.write_rows) against Python's `%`."""
+
+import io
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import conftest
+from cliffsurf import grids
+
+FLOAT_TEMPLATES = [
+    "%.6e %.6e %.6e\n",  # OpenDX data lines
+    "%.6e\n",  # the short last OpenDX line
+    "%.6e %.6e\n",
+    "v %.6f %.6f %.6f\n",  # OBJ vertices
+    "%.6f %.6f %.6f\n",  # OFF vertices
+]
+INT_TEMPLATES = ["f %d %d %d\n", "3 %d %d %d\n"]  # OBJ and OFF faces
+
+
+def _ulps(x, n):
+    """x stepped n floats away (toward +inf when n > 0)."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.inf if n > 0 else -np.inf)
+    return float(x)
+
+
+signs = st.sampled_from([1.0, -1.0])
+steps = st.integers(-3, 3)
+# a 7-significant-digit rounding half (%.6e), from the decimal text itself
+e_halves = st.builds(
+    lambda n, e, k, sign: sign * _ulps(float(f"{n}5e{e}"), k),
+    st.integers(10**6, 10**7 - 1),
+    st.integers(-330, 300),
+    steps,
+    signs,
+)
+# a 6-decimal rounding half (%.6f), below 2^53 / 1e6 and past it
+f_halves = st.builds(
+    lambda n, frac, k, sign: sign * _ulps(float(f"{n}.{frac:06d}5"), k),
+    st.integers(0, 10**11),
+    st.integers(0, 10**6 - 1),
+    steps,
+    signs,
+)
+powers_of_ten = st.builds(
+    lambda p, k, sign: sign * _ulps(float(f"1e{p}"), k), st.integers(-320, 308), steps, signs
+)
+three_digit_exponents = st.builds(
+    lambda x, sign: sign * x,
+    st.floats(1e100, 1e308) | st.floats(5e-324, 1e-100),
+    signs,
+)
+rounds_to_minus_zero = st.floats(-5e-7, 0.0)
+float_values = st.one_of(
+    st.floats(),  # every float: subnormals, +-0.0, inf and NaN included
+    e_halves,
+    f_halves,
+    powers_of_ten,
+    three_digit_exponents,
+    rounds_to_minus_zero,
+    st.floats(-1e4, 1e4),  # coordinates and field values
+)
+int_values = st.integers(-(2**63), 2**63 - 1) | st.integers(-1000, 10**6)
+
+
+def _rows(values, template, dtype):
+    ncols = template.count("%")
+    return np.array(values[: len(values) // ncols * ncols], dtype=dtype).reshape(-1, ncols)
+
+
+def _assert_matches_percent(template, rows, chunk):
+    with mock.patch.object(grids, "_ROWS_PER_WRITE", chunk):
+        got, want = io.StringIO(), io.StringIO()
+        grids.write_rows(got, template, rows)
+        conftest.write_rows_percent(want, template, rows)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("template", FLOAT_TEMPLATES)
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(float_values, max_size=60), chunk=st.integers(1, 25))
+def test_write_rows_floats_match_percent(template, values, chunk):
+    _assert_matches_percent(template, _rows(values, template, np.float64), chunk)
+
+
+@pytest.mark.parametrize("template", INT_TEMPLATES)
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(int_values, max_size=60), chunk=st.integers(1, 25))
+def test_write_rows_ints_match_percent(template, values, chunk):
+    _assert_matches_percent(template, _rows(values, template, np.int64), chunk)
+
+
+# exact ties both ways, the carry into the next decade, the ends of the
+# exact power-of-ten range, and the 2^52 / 2^53 limits of %.6f
+_HARD = [
+    1048576.5, 0.5, 1.5, 2.5, 0.0000005, -5e-7, 9999999.5, 9999999.499999999,
+    99999995.0, 0.99999995, 1e22, 1e23, 1e-16, 1e-17, 9.9999995e28, 1e29,
+    2.0**52 / 1e6, 2.0**53 / 1e6, 2.0**53, -0.0, 0.0, 5e-324, -2.5e-310,
+    1.7976931348623157e308, float("inf"), float("-inf"), float("nan"),
+]
+
+
+@pytest.mark.parametrize("template", FLOAT_TEMPLATES)
+@pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 16])
+def test_write_rows_hard_values_match_percent(template, chunk):
+    values = np.array(_HARD + [-v for v in _HARD])
+    ncols = template.count("%")
+    for shift in range(ncols):  # each value in every column
+        _assert_matches_percent(template, _rows(np.roll(values, shift), template, float), chunk)
+
+
+@pytest.mark.parametrize(
+    "dtype", [np.int64, np.int32, np.uint8, np.uint64, np.float32, np.float64, bool]
+)
+@pytest.mark.parametrize("template", ["f %d %d %d\n", "%.6e %.6e %.6e\n", "%.6f %.6f %.6f\n"])
+def test_write_rows_any_numeric_dtype_matches_percent(template, dtype):
+    # %d of floats truncates in Python: those rows go through `%` whole
+    values = np.array([0, 1, 7, 10, 99, 100, 127, 250, 255, 3, 2, 1])
+    _assert_matches_percent(template, values.astype(dtype).reshape(-1, 3), 2)
+
+
+def test_write_rows_refuses_other_conversions_and_shapes():
+    fh = io.StringIO()
+    for template in ("%g\n", "%.3f\n", "%s\n", "%5d\n", "100%\n", "%%d\n"):
+        with pytest.raises(ValueError, match="supported"):
+            grids.write_rows(fh, template, np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="do not fit"):
+        grids.write_rows(fh, "%d %d\n", np.zeros((2, 3), dtype=int))
+    with pytest.raises(ValueError, match="do not fit"):
+        grids.write_rows(fh, "%d\n", np.zeros(3, dtype=int))
+    assert fh.getvalue() == ""
