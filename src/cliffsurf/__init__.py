@@ -44,6 +44,7 @@ from .molecule import (
 from .pdefilter import (
     FilterParams,
     ModeDecomposition,
+    SpectralBand,
     default_coefficients,
     field_from_spectrum,
     filter_gain,
@@ -80,6 +81,7 @@ __all__ = [
     "ParseError",
     "RunConfig",
     "ScalarField3",
+    "SpectralBand",
     "SpectralGrid",
     "TriangleMesh",
     "cft2_forward",

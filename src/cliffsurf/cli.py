@@ -10,12 +10,22 @@ and metrics files contain no timings or other run-varying content, so two
 runs of one configuration produce byte-identical files regardless of
 thread count; only the manifest's timing lines differ.
 
-The filter stage runs on the real FFT: one np.fft.rfftn of the initial
-field per run and one np.fft.irfftn per propagation time. For a real
-field that is exactly the scalar channel of the Clifford-Fourier
-transform, so no multivector is built. Sweeps over several propagation
-times reuse the one forward spectrum (it does not depend on t); results
-are bit-identical to independent single-time runs because the per-time
+The filter stage runs on the real FFT of the initial field, which for a
+real field is exactly the scalar channel of the Clifford-Fourier
+transform, so no multivector is built. It works on the band: per axis,
+the sorted bins whose squared wavenumber alone gets a nonzero gain at
+some propagation time of the run. Every bin outside the band's box gets
+a gain of exactly 0, because a bin's w^2 is at least each of its axis
+terms and the rounded gain exponent cannot fall as w^2 grows; the
+default filter keeps a few hundred of a million bins. So the run makes
+one forward transform of the band (rfftn's passes, keeping only band
+bins after each) and, per time, weights the band and inverts it
+(irfftn's passes on zero-filled band lines), and the field is
+bit-identical to full rfftn / irfftn. With eps > 0 no gain is 0 and the
+band is every bin. The manifest's filter.zero_gain_frac is the share of
+the half spectrum whose gain is 0. Sweeps over several propagation times
+reuse the one forward spectrum (it does not depend on t); results are
+bit-identical to independent single-time runs because the per-time
 arithmetic is the same operations on the same spectrum. Several peel-off
 passes apply their closed-form summed gain 1 - (1 - L)^K in one step,
 equal to summing the mode_decompose modes up to rounding.
@@ -44,6 +54,7 @@ from .molecule import Molecule, parse_auto, parse_pdb, parse_pqr, parse_xyzr
 from .pdefilter import (
     DEFAULT_HALF_ORDER,
     FilterParams,
+    SpectralBand,
     default_coefficients,
     field_from_spectrum,
     filter_gain,
@@ -312,21 +323,27 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
         manifest.append(f"input.warning: {w}")
 
     with stage("filter"):
-        # one forward transform serves every propagation time
-        spectrum = forward_spectrum(initial)
+        # one forward transform over the band of every time serves them all
+        per_time = [FilterParams(m=cfg.m, d=cfg.d, epsilon=cfg.epsilon, t=t) for t in cfg.times]
+        band = SpectralBand.of(grid, per_time)
+        spectrum = forward_spectrum(initial, band)
         del initial  # only its spectrum is needed from here on
+    n0, n1, nz = grid.dims
+    half_bins = n0 * n1 * (nz // 2 + 1)
 
     # one time at a time: at most one filtered field next to the spectrum
-    for i, t in enumerate(cfg.times):
+    for i, (t, params) in enumerate(zip(cfg.times, per_time)):
         with stage("filter"):
             # the peel-off passes fold into the closed-form gain 1 - (1 - L)^K;
-            # the smoothness indicator is read off the retained half spectrum
-            params = FilterParams(m=cfg.m, d=cfg.d, epsilon=cfg.epsilon, t=t)
-            retained = spectrum * filter_gain(params, grid, cfg.passes)
+            # the smoothness indicator is read off the retained band
+            gain = filter_gain(params, grid, cfg.passes, band)
+            zero_gain_frac = 1.0 - np.count_nonzero(gain) / half_bins
+            retained = spectrum * gain
+            del gain
             if i == len(cfg.times) - 1:
                 del spectrum  # keep it out of the last extraction's peak
-            f = field_from_spectrum(retained, grid)
-            energy = spectral_energy(retained, grid, ENERGY_W2_THRESHOLD)
+            f = field_from_spectrum(retained, grid, band)
+            energy = spectral_energy(retained, grid, ENERGY_W2_THRESHOLD, band)
             del retained
 
         key = f"run[t={t:g}]"
@@ -334,6 +351,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             f"{key}.field.min: {_fmt(f.min)}",
             f"{key}.field.max: {_fmt(f.max)}",
             f"{key}.highband_energy: {_fmt(energy)}",
+            f"{key}.filter.zero_gain_frac: {_fmt(zero_gain_frac)}",
         ]
 
         if cfg.volume_out:

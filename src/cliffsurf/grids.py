@@ -192,9 +192,16 @@ class SpectralGrid:
         """Broadcastable (sparse) wavenumber components, Nyquist bins zeroed."""
         return np.meshgrid(*self.w_axes(zero_nyquist=True), indexing="ij", sparse=True)
 
-    def w2(self, half: bool = False) -> np.ndarray:
-        """|w|^2 over the full (or real-FFT half) spectrum, Nyquist bins included."""
-        meshes = np.meshgrid(*self.w_axes(half=half), indexing="ij", sparse=True)
+    def w2(self, half: bool = False, index=None) -> np.ndarray:
+        """|w|^2 over the full (or real-FFT half) spectrum, Nyquist bins included.
+
+        index, one array of bin indices per axis, restricts it to the box
+        of those bins, with the same values as the full array has there.
+        """
+        axes = self.w_axes(half=half)
+        if index is not None:
+            axes = [w[i] for w, i in zip(axes, index)]
+        meshes = np.meshgrid(*axes, indexing="ij", sparse=True)
         return reduce(np.add, (m * m for m in meshes))
 
 

@@ -19,10 +19,23 @@ produced under per-sample frequency conventions. d_j stays configurable
 for exactly that reason (see the README note on reproducing
 monotonicity sweeps, which use d_m = spacing^(2m)).
 
-Exponent evaluation is clamped at 745 (exp(-745) is the float64 denormal
-floor); beyond it the decay factor is exactly 0. The high-order symbol
-(w^2)^m at Nyquist with large t exceeds that long before any float
-overflows, so the clamp is the honest limit value, not a fudge.
+Exponent evaluation is clamped at 708 (exp(-708) is about the smallest
+normal double); beyond it the decay factor is exactly 0. The high-order
+symbol (w^2)^m at Nyquist with large t exceeds that long before any
+float overflows, so the clamp is the honest limit value, not a fudge.
+
+So a high-order filter is nearly a brick wall: at the CLI defaults all
+but a few hundred of a million half-spectrum bins get a gain of exactly
+0. The transforms therefore work on a SpectralBand, one sorted array of
+kept bin indices per axis: the bins whose w^2 along that axis alone gets
+a nonzero gain. That is exact. A bin's w^2 = (w_x^2 + w_y^2) + w_z^2 is
+a rounded sum of nonnegative terms, so it is at least each axis term,
+and the rounded exponent (P(w^2) + eps) t cannot fall as w^2 grows; a
+bin outside the band's box is past the clamp and gets gain 0, and so
+does 1 - (1 - L)^K. The band transforms compute every kept line as the
+full np.fft.rfftn / irfftn do, so their values are bit-identical. With
+eps > 0 no gain is 0 and the band is every bin: the same code then does
+the full transforms.
 """
 
 from __future__ import annotations
@@ -127,44 +140,155 @@ def _require_finite(X: ScalarField3):
         raise ValueError("field contains NaN or Inf")
 
 
-def forward_spectrum(X: ScalarField3) -> np.ndarray:
-    """Unnormalized real-FFT half spectrum (np.fft.rfftn) of a finite field.
+@dataclass(frozen=True, eq=False)
+class SpectralBand:
+    """A box of bins of the real-FFT half spectrum: sorted bin indices per axis.
+
+    index[0] and index[1] are bin positions in the FFT layout of axes 0
+    and 1; index[2] is a prefix of the nonnegative half of the last axis.
+    The band functions below transform, weight and invert only the bins
+    of the box; full() is every bin, of() is the bins a filter can keep.
+    """
+
+    spectral: SpectralGrid
+    index: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return tuple(len(i) for i in self.index)
+
+    def w2(self) -> np.ndarray:
+        """|w|^2 over the band's box."""
+        return self.spectral.w2(half=True, index=self.index)
+
+    @classmethod
+    def full(cls, grid: GridSpec) -> "SpectralBand":
+        n0, n1, nz = grid.dims
+        index = (np.arange(n0), np.arange(n1), np.arange(nz // 2 + 1))
+        return cls(SpectralGrid.from_grid(grid), index)
+
+    @classmethod
+    def of(cls, grid: GridSpec, params: Sequence[FilterParams]) -> "SpectralBand":
+        """Per axis, the bins whose w^2 alone gets a nonzero gain at some params.
+
+        Every bin outside the box gets a gain of exactly 0 (see the module
+        docstring); with eps > 0 the band is every bin.
+        """
+        spectral = SpectralGrid.from_grid(grid)
+        index = []
+        for w in spectral.w_axes(half=True):
+            keep = np.zeros(w.shape, dtype=bool)
+            for p in params:
+                keep |= frequency_response(p, w * w) > 0
+            index.append(np.flatnonzero(keep))
+        # the half axis's w^2 grows with the bin, so its kept bins are a prefix
+        index[2] = np.arange(index[2][-1] + 1)
+        return cls(spectral, tuple(index))
+
+
+def _band(grid: GridSpec, band: SpectralBand | None) -> SpectralBand:
+    if band is None:
+        return SpectralBand.full(grid)
+    if band.spectral != SpectralGrid.from_grid(grid):
+        raise ValueError(f"band of {band.spectral} does not match grid {grid}")
+    return band
+
+
+def _check_spectrum(spectrum: np.ndarray, grid: GridSpec, band: SpectralBand):
+    if spectrum.shape != band.shape:
+        raise ValueError(
+            f"spectrum shape {spectrum.shape} does not match the band {band.shape} "
+            f"of grid {grid.dims}"
+        )
+
+
+def _take(a: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+    """a restricted to the sorted bins index along axis (a itself if all)."""
+    return a if index.size == a.shape[axis] else a.take(index, axis=axis)
+
+
+def _pad(a: np.ndarray, index: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """Zero-filled lines of length n along axis, holding a at the bins index."""
+    if index.size == n:
+        return a
+    shape = list(a.shape)
+    shape[axis] = n
+    out = np.zeros(shape, dtype=a.dtype)
+    out[(slice(None),) * axis + (index,)] = a
+    return out
+
+
+def forward_spectrum(X: ScalarField3, band: SpectralBand | None = None) -> np.ndarray:
+    """Unnormalized real-FFT half spectrum (np.fft.rfftn) of a finite field, on a band.
 
     For a real field this is the scalar channel of the Clifford-Fourier
     transform (cft3_forward of the field's scalar embedding) restricted to
     the nonnegative half of the last axis; the other half is its complex
-    conjugate mirror and carries no extra information.
+    conjugate mirror and carries no extra information. band defaults to
+    every bin.
+
+    The passes are rfftn's, in its order (last axis, then axis 1, then
+    axis 0), each keeping only the band's bins; every line is transformed
+    as rfftn transforms it, so the band values are rfftn's bit for bit.
+    The last axis goes one axis-0 plane at a time, so no full half
+    spectrum is ever alive.
     """
     _require_finite(X)
-    return np.fft.rfftn(X.values)
+    ix, iy, iz = _band(X.grid, band).index
+    values = X.values
+    half = np.empty(values.shape[:2] + (iz.size,), dtype=np.complex128)
+    for i, plane in enumerate(values):
+        half[i] = np.fft.rfft(plane)[:, : iz.size]
+    half = _take(np.fft.fft(half, axis=1), iy, 1)
+    return _take(np.fft.fft(half, axis=0), ix, 0)
 
 
-def filter_gain(params: FilterParams, grid: GridSpec, passes: int = 1) -> np.ndarray:
-    """Bin gain over the half spectrum of `passes` summed peel-off modes.
+def filter_gain(
+    params: FilterParams, grid: GridSpec, passes: int = 1, band: SpectralBand | None = None
+) -> np.ndarray:
+    """Bin gain over a band of the half spectrum of `passes` summed peel-off modes.
 
     Pass k extracts the low pass of the k-th residue, L (1 - L)^(k-1) X,
     because every pass applies the same linear gain L; the modes of K
-    passes therefore sum to (1 - (1 - L)^K) X in closed form.
+    passes therefore sum to (1 - (1 - L)^K) X in closed form. band
+    defaults to every bin.
     """
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
-    gain = frequency_response(params, SpectralGrid.from_grid(grid).w2(half=True))
+    gain = frequency_response(params, _band(grid, band).w2())
     if passes == 1:
         return gain
     return 1.0 - (1.0 - gain) ** passes
 
 
-def field_from_spectrum(spectrum: np.ndarray, grid: GridSpec) -> ScalarField3:
-    """Inverse real FFT of a half spectrum back onto the grid (1/N included)."""
-    return ScalarField3(grid, np.fft.irfftn(spectrum, s=grid.dims, axes=(0, 1, 2)))
+def field_from_spectrum(
+    spectrum: np.ndarray, grid: GridSpec, band: SpectralBand | None = None
+) -> ScalarField3:
+    """Inverse real FFT of a band of the half spectrum back onto the grid (1/N included).
+
+    The bins outside the band are zero. The passes are irfftn's, in its
+    order: axis 0 and then axis 1 on zero-filled band lines, then the
+    last axis, where irfft zero-fills each short line itself; the field is
+    irfftn's of the zero-filled half spectrum bit for bit.
+    """
+    band = _band(grid, band)
+    _check_spectrum(spectrum, grid, band)
+    ix, iy, _ = band.index
+    n0, n1, nz = grid.dims
+    lines = np.fft.ifft(_pad(spectrum, ix, n0, 0), axis=0)
+    lines = np.fft.ifft(_pad(lines, iy, n1, 1), axis=1)
+    return ScalarField3(grid, np.fft.irfft(lines, n=nz, axis=2))
 
 
 def lowpass_apply(X: ScalarField3, params: FilterParams) -> ScalarField3:
     """Filter a periodic scalar field: transform, scale every bin by L, invert.
 
-    The mean (DC bin) is preserved exactly up to rounding because L(0) = 1.
+    Only the band of bins L keeps is transformed. The mean (DC bin) is
+    preserved exactly up to rounding because L(0) = 1.
     """
-    return field_from_spectrum(forward_spectrum(X) * filter_gain(params, X.grid), X.grid)
+    band = SpectralBand.of(X.grid, [params])
+    retained = forward_spectrum(X, band) * filter_gain(params, X.grid, band=band)
+    return field_from_spectrum(retained, X.grid, band)
 
 
 @dataclass(frozen=True)
@@ -195,6 +319,9 @@ def mode_decompose(
     """Extract `passes` low-pass modes, each from the residue of the last.
 
     params may be a single FilterParams (reused each pass) or one per pass.
+    The k-th residue's spectrum is S (1 - L_1) ... (1 - L_(k-1)) for the
+    input's spectrum S, so one forward transform over the band of every
+    pass serves all modes, and each mode is one inverse transform.
     """
     K = int(passes)
     if K < 1:
@@ -205,40 +332,55 @@ def mode_decompose(
         per_pass = tuple(params)
         if len(per_pass) != K:
             raise ValueError(f"need {K} parameter sets, got {len(per_pass)}")
-    _require_finite(X)
+    band = SpectralBand.of(X.grid, per_pass)
+    rest = forward_spectrum(X, band)
     modes = []
-    residue = X
+    residue = X.values
     for p in per_pass:
-        mode = lowpass_apply(residue, p)
+        gain = filter_gain(p, X.grid, band=band)
+        mode = field_from_spectrum(rest * gain, X.grid, band)
+        rest = rest * (1.0 - gain)
         modes.append(mode)
-        residue = ScalarField3(X.grid, residue.values - mode.values)
+        residue = residue - mode.values
     return ModeDecomposition(
-        modes=tuple(modes), final_residue=residue, params=per_pass
+        modes=tuple(modes), final_residue=ScalarField3(X.grid, residue), params=per_pass
     )
 
 
-def spectral_energy(spectrum: np.ndarray, grid: GridSpec, w2_threshold: float) -> float:
-    """Full-spectrum energy above a squared-wavenumber threshold, from a half spectrum.
+def spectral_energy(
+    spectrum: np.ndarray,
+    grid: GridSpec,
+    w2_threshold: float,
+    band: SpectralBand | None = None,
+) -> float:
+    """Full-spectrum energy above a squared-wavenumber threshold, from a band of a half spectrum.
 
     Sum of |X_hat|^2 over the bins of the complete unnormalized DFT with
-    w^2 > w2_threshold, read off the real-FFT half spectrum: an interior
-    bin of the last axis stands for itself and its conjugate mirror and
-    counts twice; the k_z = 0 plane and, for even N_z, the Nyquist plane
-    are their own mirrors and count once.
+    w^2 > w2_threshold, read off the real-FFT half spectrum, whose bins
+    outside the band (default: none) are zero: an interior bin of the last
+    axis stands for itself and its conjugate mirror and counts twice; the
+    k_z = 0 plane and, for even N_z, the Nyquist plane are their own
+    mirrors and count once.
     """
     if not w2_threshold > 0:
         raise ValueError(f"w2_threshold must be positive, got {w2_threshold}")
-    nz = grid.dims[-1]
-    if spectrum.shape != grid.dims[:-1] + (nz // 2 + 1,):
-        raise ValueError(f"half spectrum shape {spectrum.shape} does not match grid {grid.dims}")
+    band = _band(grid, band)
+    _check_spectrum(spectrum, grid, band)
     power = np.abs(spectrum)
     power *= power
-    power[SpectralGrid.from_grid(grid).w2(half=True) <= w2_threshold] = 0.0
-    weight = np.full(power.shape[-1], 2.0)
+    power[band.w2() <= w2_threshold] = 0.0
+    # per-plane sums added row after row in C order, as a reduction over the
+    # full half spectrum adds them (zero rows add nothing); sum() on a small
+    # box may pair its terms in another order. The dot spans the whole half
+    # axis, so it too adds what the full half spectrum's would.
+    nz = grid.dims[-1]
+    rows = power.reshape(-1, power.shape[-1]).cumsum(axis=0)[-1]
+    planes = _pad(rows, band.index[2], nz // 2 + 1, 0)
+    weight = np.full(planes.size, 2.0)
     weight[0] = 1.0
     if nz % 2 == 0:
         weight[-1] = 1.0
-    return float(power.sum(axis=(0, 1)) @ weight)
+    return float(planes @ weight)
 
 
 def highband_energy(X: ScalarField3, w2_threshold: float) -> float:

@@ -36,21 +36,26 @@ DEFAULT_BUMP_DECAY = 3.0
 DEFAULT_MEM_CAP = 4 * 1024**3
 
 # Traced (tracemalloc) peak of a whole CLI run per grid voxel. Times run one
-# at a time, so at most the real-FFT half spectrum (8 B/voxel, freed once the
-# last time is filtered) and one filtered field (8) sit next to the filter's
-# buffers or the surface stage's scratch. Extraction needs a few B per cell
-# (sign mask, uint8 case index) plus arrays per triangle corner; the peak of
-# the surface stage is mesh_metrics' dihedral scan, about 240 B per triangle.
-# Seeded globules (bench seed 0): 29 B/voxel for 300 atoms at 135^3, 29 at
-# 112^3 with gaussian init (both the filter's peak; the surface stage's is
-# 19 and 18, the OpenDX export's 13, the gaussian rasterizer's 9), 34 for
-# 3000 atoms and two times (108^3, set by mesh_metrics); 72 is about twice
-# that. A CLI run holds one mesh at a time, so its peak stops growing with the
-# (t, isovalue) pairs (three-atom fixture at h = 0.25, every writer: 38,
-# 46, 46, 46 with 1, 2, 6, 12 times); only sweep(), which returns its
-# meshes, adds a few B/voxel per pair (37, 46, 52, 60). A few MB do not
+# at a time. The filter transforms only the band of bins its gain keeps, so
+# next to the initial field (8 B/voxel, freed after the forward pass) or one
+# filtered field (8) it holds one plane's half spectrum and arrays the size
+# of the band's box (a few hundred bins at the defaults); with eps > 0 the
+# band is the whole half spectrum (8 B/voxel complex) and the filter's
+# buffers are full-size again. Extraction needs a few B per cell (sign mask,
+# uint8 case index) plus arrays per triangle corner; the surface stage's
+# peak is mesh_metrics (edge table, cross products), whose dihedral scan
+# gathers normals in fixed-size slices. Seeded globules (bench seed 0): 19
+# B/voxel for 300 atoms at 135^3, 18 at 112^3 with gaussian init, 26 for
+# 3000 atoms and two times (108^3), all set by mesh_metrics (the filter's
+# peak is 8-9, the OpenDX export's 13, the gaussian rasterizer's 9); with
+# --epsilon 0.05 --passes 3 and two times at 112^3 the filter sets it, at
+# 33. 72 is about twice the highest. A CLI run holds one mesh at a time, so
+# its peak stops growing with the (t, isovalue) pairs (three-atom fixture
+# at h = 0.25, every writer: 38, 38, 38, 38 with 1, 2, 6, 12 times, set by
+# the OpenDX export's fixed-size buffers); only sweep(), which returns its
+# meshes, adds a few B/voxel per pair (37, 39, 46, 55). A few MB do not
 # scale with the grid (the fixture at h = 0.5, 37.8k voxels, two times,
-# peaks at 58). Used only to refuse grids before allocating.
+# peaks at 50). Used only to refuse grids before allocating.
 _BYTES_PER_VOXEL = 72
 
 # edge, in voxels, of the cubes rasterize_gaussian prunes atoms over

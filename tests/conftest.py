@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the code paths under test: the
 geometric product is checked against 2x2 matrix representations, the
 transforms against direct-sum DFTs built from explicit kernel matrices,
-the filter against finite-difference time stepping, marching cubes
+the filter against finite-difference time stepping, the one-transform
+mode decomposition against filtering each residue anew, marching cubes
 against its former per-cell loop, the mesh metrics' edge table against
 a dict of edges, the gaussian rasterizer against its former loop over
 every atom, and the array text formatter against Python's `%`.
@@ -17,6 +18,7 @@ from cliffsurf.ga import BLADE_NAMES_2, BLADE_NAMES_3
 from cliffsurf.grids import GridSpec, ScalarField3
 from cliffsurf.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from cliffsurf.molecule import parse_xyzr
+from cliffsurf.pdefilter import frequency_response
 from cliffsurf.surface import TriangleMesh
 
 # ---------------------------------------------------------------------------
@@ -165,6 +167,21 @@ def response_rk4(w2, params, steps=1000):
         k4 = f(g + dt * k3)
         g += dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return g
+
+
+def mode_decompose_per_residue(X, per_pass):
+    """Peel-off modes by filtering each residue anew: mode k is the low
+    pass of X minus the modes before it, each through a full rfftn, gain
+    and irfftn. Returns the modes and the final residue."""
+    w2 = grids.SpectralGrid.from_grid(X.grid).w2(half=True)
+    modes = []
+    residue = X.values
+    for params in per_pass:
+        spectrum = np.fft.rfftn(residue) * frequency_response(params, w2)
+        mode = np.fft.irfftn(spectrum, s=X.grid.dims, axes=(0, 1, 2))
+        modes.append(mode)
+        residue = residue - mode
+    return modes, residue
 
 
 # ---------------------------------------------------------------------------

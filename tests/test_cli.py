@@ -34,7 +34,13 @@ from cliffsurf.cli import (
 )
 from cliffsurf.grids import SpectralGrid
 from cliffsurf.molecule import parse_xyzr
-from cliffsurf.pdefilter import FilterParams, default_coefficients, mode_decompose
+from cliffsurf.pdefilter import (
+    FilterParams,
+    SpectralBand,
+    default_coefficients,
+    filter_gain,
+    mode_decompose,
+)
 from cliffsurf.volumetrics import _BYTES_PER_VOXEL, make_grid, rasterize_piecewise
 
 from conftest import read_dx, read_obj, read_off, read_raw
@@ -831,6 +837,25 @@ def test_cli_passes_field_is_sum_of_peeled_modes(three_atom_file, tmp_path, caps
     assert np.abs(got - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("eps, passes", [(0.0, 1), (0.0, 3), (0.05, 3)])
+def test_manifest_zero_gain_frac_counts_the_full_half_spectrum(three_atom_file, capsys,
+                                                               eps, passes):
+    times = (10.0, 1000.0)
+    code, out, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5", "--time", "10", "--time", "1000",
+         "--epsilon", str(eps), "--passes", str(passes)],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    got = manifest_dict(out)
+    grid = make_grid(parse_xyzr(Path(three_atom_file).read_text()), spacing=0.5)
+    for t in times:
+        gain = filter_gain(FilterParams.single_term(t=t, epsilon=eps), grid, passes)
+        want = float(1.0 - np.count_nonzero(gain) / gain.size)
+        assert got[f"run[t={t:g}].filter.zero_gain_frac"] == repr(want)
+        assert (want == 0.0) == (eps > 0)
+
+
 def test_cli_highband_energy_is_full_fft_band_energy(three_atom_file, tmp_path, capsys):
     vol = str(tmp_path / "v.raw")
     code, out, err = run_cli(
@@ -847,25 +872,43 @@ def test_cli_highband_energy_is_full_fft_band_energy(three_atom_file, tmp_path, 
 
 
 def test_filter_stage_fft_count(three_atom_file, monkeypatch):
-    # one forward real transform per run, one inverse per time, and no
-    # complex transform at all, whatever the number of peel-off passes
-    calls: dict[str, int] = {}
+    # per run, the last-axis rfft takes every voxel once, one axis-0 plane
+    # at a time, whatever the number of times; per time, one last-axis
+    # irfft over n0 * n1 lines; every complex pass takes band lines only;
+    # no n-D transform at all, whatever the number of peel-off passes
+    calls: list[tuple[str, tuple[int, ...], int, int | None]] = []
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return fn(*args, **kwargs)
+    def recording(name, fn):
+        def wrapper(a, n=None, axis=-1, *args, **kwargs):
+            a = np.asarray(a)
+            calls.append((name, a.shape, axis % a.ndim, n))
+            return fn(a, n, axis, *args, **kwargs)
 
         return wrapper
 
-    for name in ("fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfftn", "irfftn",
-                 "rfft", "irfft"):
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    combos = sweep(
-        RunConfig(three_atom_file, spacing=0.5, times=(50.0, 100.0), passes=3)
-    )
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, recording(name, getattr(np.fft, name)))
+    for name in ("fft2", "ifft2", "fftn", "ifftn", "rfft2", "irfft2", "rfftn", "irfftn",
+                 "hfft", "ihfft"):
+        monkeypatch.setattr(np.fft, name, None)  # calling one fails the run
+    times = (50.0, 100.0)
+    combos = sweep(RunConfig(three_atom_file, spacing=0.5, times=times, passes=3))
     assert len(combos) == 2
-    assert calls == {"rfftn": 1, "irfftn": 2}
+
+    grid = make_grid(parse_xyzr(Path(three_atom_file).read_text()), spacing=0.5)
+    n0, n1, nz = grid.dims
+    params = [FilterParams(m=6, d=default_coefficients(6), epsilon=0.0, t=t) for t in times]
+    b0, b1, bz = SpectralBand.of(grid, params).shape
+    assert b0 < n0 and b1 < n1 and bz < nz // 2 + 1  # the band prunes every axis
+    assert calls[:n0] == [("rfft", (n1, nz), 1, None)] * n0
+    assert calls[n0:] == [
+        ("fft", (n0, n1, bz), 1, None),
+        ("fft", (n0, b1, bz), 0, None),
+    ] + [
+        ("ifft", (n0, b1, bz), 0, None),
+        ("ifft", (n0, n1, bz), 1, None),
+        ("irfft", (n0, n1, bz), 2, nz),
+    ] * len(times)
 
 
 def test_energy_failure_is_tagged_filter(three_atom_file, monkeypatch, capsys):

@@ -10,6 +10,7 @@ from cliffsurf.cft import MultivectorField3, cft3_forward, cft3_inverse
 from cliffsurf.grids import GridSpec, ScalarField3, SpectralGrid
 from cliffsurf.pdefilter import (
     FilterParams,
+    SpectralBand,
     default_coefficients,
     field_from_spectrum,
     filter_gain,
@@ -20,7 +21,7 @@ from cliffsurf.pdefilter import (
     mode_decompose,
     spectral_energy,
 )
-from conftest import heat_rk4, response_rk4
+from conftest import heat_rk4, mode_decompose_per_residue, response_rk4
 
 
 def _smooth_random_field(rng, dims=(16, 16, 16), spacing=1.0, kmax=3):
@@ -226,6 +227,30 @@ def test_closed_form_passes_match_summed_modes(rng, dims, passes):
     assert np.abs(got - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("dims", _ODD_EVEN_DIMS)
+@pytest.mark.parametrize("passes", [1, 2, 4])
+@pytest.mark.parametrize(
+    "per_pass",
+    [
+        lambda k: FilterParams.single_term(t=10.0),
+        lambda k: FilterParams(m=3, d=(0.1, 0.0, 1e-5), epsilon=0.2 * k, t=0.7 * (k + 1)),
+        lambda k: FilterParams(m=2, d=(0.0, 0.5), epsilon=0.0, t=10.0**k),
+    ],
+)
+def test_mode_decomposition_matches_filtering_each_residue(rng, dims, passes, per_pass):
+    # one forward transform and one inverse per mode, against a full
+    # rfftn / irfftn of every residue
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=dims)
+    X = ScalarField3(grid, rng.standard_normal(dims) + 2.0)
+    params = [per_pass(k) for k in range(passes)]
+    dec = mode_decompose(X, passes, params)
+    want_modes, want_residue = mode_decompose_per_residue(X, params)
+    scale = np.abs(X.values).max()
+    for got, want in zip(dec.modes, want_modes):
+        assert np.abs(got.values - want).max() <= 1e-12 * scale
+    assert np.abs(dec.final_residue.values - want_residue).max() <= 1e-12 * scale
+
+
 def test_filter_gain_rejects_zero_passes():
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=(4, 4, 4))
     with pytest.raises(ValueError, match="passes"):
@@ -308,3 +333,80 @@ def test_spectral_grid_wavenumbers():
     assert w2.shape == (8, 6, 5)
     assert w2[0, 0, 0] == 0.0
     assert np.all(w2 >= 0.0)
+
+
+@st.composite
+def _band_cases(draw):
+    m = draw(st.integers(1, 8))
+    d = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 10.0)), min_size=m, max_size=m))
+    if not any(d):
+        d[draw(st.integers(0, m - 1))] = draw(st.floats(1e-6, 10.0))
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+    times = draw(
+        st.lists(st.floats(-3.0, 9.0).map(lambda e: 10.0**e), min_size=1, max_size=3)
+    )
+    dims = tuple(draw(st.lists(st.integers(2, 17), min_size=3, max_size=3)))
+    spacing = draw(st.floats(0.1, 2.0))
+    params = [FilterParams(m=m, d=tuple(d), epsilon=eps, t=t) for t in times]
+    return params, draw(st.integers(1, 4)), dims, spacing, draw(st.integers(0, 2**32 - 1))
+
+
+@given(case=_band_cases(), thr=st.floats(1e-3, 50.0))
+@settings(max_examples=150, deadline=None)
+def test_band_functions_equal_the_full_spectrum_ones(case, thr):
+    params, passes, dims, spacing, seed = case
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=spacing, dims=dims)
+    X = ScalarField3(grid, np.random.default_rng(seed).standard_normal(dims) + 1.0)
+    band = SpectralBand.of(grid, params)
+    box = np.ix_(*band.index)
+    if params[0].epsilon > 0:
+        assert band.shape == SpectralBand.full(grid).shape
+    full = forward_spectrum(X)
+    want = np.fft.rfftn(X.values)
+    assert np.abs(full - want).max() <= 1e-12 * np.abs(want).max()
+    spectrum = forward_spectrum(X, band)
+    assert np.array_equal(spectrum, full[box])
+    for p in params:
+        gain_full = filter_gain(p, grid, passes)
+        outside = gain_full.copy()
+        outside[box] = 0.0
+        assert not outside.any()  # every bin outside the band box gets exactly 0
+        gain = filter_gain(p, grid, passes, band)
+        assert np.array_equal(gain, gain_full[box])
+        f_full = field_from_spectrum(full * gain_full, grid).values
+        f = field_from_spectrum(spectrum * gain, grid, band).values
+        assert np.array_equal(f, f_full)
+        f_numpy = np.fft.irfftn(want * gain_full, s=dims, axes=(0, 1, 2))
+        assert np.abs(f - f_numpy).max() <= 1e-12 * max(1.0, np.abs(f_numpy).max())
+        e = spectral_energy(spectrum * gain, grid, thr, band)
+        assert e == spectral_energy(full * gain_full, grid, thr)
+
+
+def test_band_of_fidelity_filter_is_every_bin():
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.25, dims=(12, 9, 10))
+    band = SpectralBand.of(grid, [FilterParams.single_term(t=1e9, epsilon=0.01)])
+    full = SpectralBand.full(grid)
+    assert band.shape == full.shape == (12, 9, 6)
+    assert all(np.array_equal(a, b) for a, b in zip(band.index, full.index))
+
+
+def test_band_of_sharp_filter_keeps_the_low_bins():
+    # 100 (w^2)^6 <= 708 needs w <= 1.18 rad/A; a 20 A box has w = 0.314 |k|
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.25, dims=(80, 81, 82))
+    band = SpectralBand.of(grid, [FilterParams.single_term(t=100.0)])
+    ix, iy, iz = band.index
+    # the signed low bins of the FFT layout on full axes, a prefix on the half one
+    assert np.array_equal(ix, [0, 1, 2, 3, 77, 78, 79])
+    assert np.array_equal(iy, [0, 1, 2, 3, 78, 79, 80])
+    assert np.array_equal(iz, [0, 1, 2, 3])
+
+
+def test_band_functions_reject_a_foreign_band_or_spectrum(rng):
+    X = _random_field(rng, (6, 7, 8))
+    for dims, spacing in (((6, 7, 9), 0.5), ((6, 7, 8), 0.25)):
+        other = SpectralBand.full(GridSpec(origin=(0.0, 0.0, 0.0), spacing=spacing, dims=dims))
+        with pytest.raises(ValueError, match="does not match"):
+            forward_spectrum(X, other)
+    band = SpectralBand.of(X.grid, [FilterParams.single_term(t=1e3)])
+    with pytest.raises(ValueError, match="does not match"):
+        field_from_spectrum(forward_spectrum(X), X.grid, band)

@@ -7,7 +7,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 import conftest
-from cliffsurf import grids
+from cliffsurf import grids, surface
 from cliffsurf.grids import GridSpec, ScalarField3
 from cliffsurf.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_MASKS, TRI_TABLE
 from cliffsurf.pdefilter import FilterParams, lowpass_apply
@@ -485,6 +485,17 @@ def test_random_meshes_match_edge_oracle(rng):
 def test_three_atom_fixture_metrics_match_edge_oracle(three_atoms):
     m = _assert_metrics_match_edge_oracle(marching_cubes(_three_atom_field(three_atoms), 0.9))
     assert m.boundary_edge_count == 0 and m.euler_characteristic == 2
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+def test_sliced_dihedral_scan_matches_edge_oracle(rng, three_atoms, monkeypatch, chunk):
+    # slices that end mid-mesh, hold only zero-area pairs, or are the last
+    # short one must give the same minimum as one scan over every edge
+    monkeypatch.setattr(surface, "_DIHEDRAL_CHUNK", chunk)
+    for i in range(60):
+        _assert_metrics_match_edge_oracle(_random_mesh(rng, lattice=i % 2 == 0))
+    mesh = marching_cubes(_three_atom_field(three_atoms), 0.9)
+    assert _assert_metrics_match_edge_oracle(mesh).boundary_edge_count == 0
 
 
 def test_mesh_validation():
