@@ -297,8 +297,18 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             mem_cap_bytes=int(cfg.mem_cap_gib * 1024**3),
         )
 
-    with stage("rasterize"):
+    # the check below reports an overflow; numpy's warnings would repeat it
+    with stage("rasterize"), np.errstate(all="ignore"):
         initial = _rasterize(cfg, mol, grid)
+        initial_min, initial_max = initial.min, initial.max  # a NaN reaches both
+        # the forward transform sums every voxel: bounded by n_voxels times
+        # the largest magnitude, which must be finite too
+        if not np.isfinite(max(-initial_min, initial_max) * grid.n_voxels):
+            raise ValueError(
+                f"the initial field spans [{initial_min:g}, {initial_max:g}], too large "
+                f"to transform over {grid.n_voxels} voxels; --s {cfg.s:g} or "
+                f"--re {cfg.r_e:g} is out of range"
+            )
 
     manifest += [
         f"input.path: {cfg.input_path}",
@@ -316,8 +326,8 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
         f"filter.d: {_fmt(cfg.d)}",
         f"filter.epsilon: {_fmt(cfg.epsilon)}",
         f"filter.passes: {cfg.passes}",
-        f"field.initial.min: {_fmt(initial.min)}",
-        f"field.initial.max: {_fmt(initial.max)}",
+        f"field.initial.min: {_fmt(initial_min)}",
+        f"field.initial.max: {_fmt(initial_max)}",
     ]
     for w in mol.source.warnings:
         manifest.append(f"input.warning: {w}")

@@ -179,21 +179,29 @@ def marching_cubes(field: ScalarField3, isovalue: float) -> TriangleMesh:
     corner_a = corner_flat[EDGE_CORNERS[:, 0]]
     corner_b = corner_flat[EDGE_CORNERS[:, 1]]
     edge_key = _EDGE_AXIS * values.size + np.minimum(corner_a, corner_b)
-    _, first, inverse = np.unique(
-        slot_base + edge_key[edge], return_index=True, return_inverse=True
-    )
+    keys = slot_base + edge_key[edge]
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    del keys, sorted_keys
+    # each edge's first slot in emission order: the least slot of its run,
+    # whatever order the sort left the run in
+    first = np.minimum.reduceat(by_key, starts)
     # vertex ids by first occurrence of their edge in emission order
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    tri = rank[inverse].reshape(-1, 3)
-    del inverse, rank
+    is_first = np.zeros(len(by_key), dtype=bool)
+    is_first[first] = True
+    ids = np.cumsum(is_first) - 1
+    vertex = np.empty_like(by_key)
+    vertex[by_key] = np.repeat(ids[first], np.diff(starts, append=len(by_key)))
+    tri = vertex.reshape(-1, 3)
+    del by_key, starts, first, ids, vertex
 
     # each vertex is interpolated along the cell edge where it first
     # occurs, from that edge's first corner: edge 2 runs from corner 2 to
     # 3, toward -x, and interpolating it from its lower corner instead
     # would change the last bits of the position
-    s = first[order]
+    s = np.flatnonzero(is_first)
+    del is_first
     e = edge[s]
     pa = slot_base[s] + corner_a[e]
     fa, fb = flat_values[pa], flat_values[slot_base[s] + corner_b[e]]
@@ -217,15 +225,18 @@ def _edge_runs(triangles: np.ndarray, n_vertices: int):
     """The 3F triangle sides grouped by undirected edge, with one sort.
 
     Slot s is side s // F of face s % F (sides (0, 1), (1, 2), (2, 0)),
-    coded lo * V + hi by its sorted vertex pair. A stable argsort of the
-    codes puts each edge's slots side by side, in slot order. Returns that
-    order, the start of each edge's run in it, and each edge's code, the
-    edges in increasing code order.
+    coded lo * V + hi by its sorted vertex pair. An argsort of the codes
+    puts each edge's slots side by side, in no set order within a run:
+    the callers need none, as an edge's face count and code do not depend
+    on it, and the dihedral across a 2-face edge is symmetric in its two
+    faces bit for bit (the products commute and sum in the same order).
+    Returns that order, the start of each edge's run in it, and each
+    edge's code, the edges in increasing code order.
     """
     a = triangles.T  # side k of face f runs from a[k, f] to b[k, f]
     b = np.roll(a, -1, axis=0)
     codes = (np.minimum(a, b) * np.int64(n_vertices) + np.maximum(a, b)).ravel()
-    order = np.argsort(codes, kind="stable")
+    order = np.argsort(codes)
     codes = codes[order]
     starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
     return order, starts, codes[starts]

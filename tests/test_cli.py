@@ -213,6 +213,39 @@ def test_tiny_memory_cap_exits_4(three_atom_file, capsys):
     assert "memory cap" in err
 
 
+@pytest.mark.parametrize("spacing", ["1e-300", "1e-310"])
+def test_absurd_spacing_fails_fast_at_grid(three_atom_file, spacing):
+    # about 1e301 samples per axis: the cap refuses them before they are
+    # rounded up to FFT-smooth sizes, which took minutes one integer at a
+    # time; at 1e-310 the sample count itself is not finite
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "cliffsurf", "--input", three_atom_file, "--spacing", spacing],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == EXIT_COMPUTE
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error[stage=grid]: ")
+
+
+@pytest.mark.parametrize(
+    "setting", [["--re", "1e-160"], ["--s", "1e308"]], ids=["re-underflow", "s-overflow"]
+)
+def test_gaussian_field_out_of_range_fails_at_rasterize(three_atom_file, capsys, setting):
+    # r_e^2 = 1e-320 overflows the exponent to inf; s = 1e308 keeps every
+    # voxel finite, but the transform's sum over the voxels would overflow
+    code, out, err = run_cli(["--input", three_atom_file, "--init", "gaussian", *setting], capsys)
+    assert code == EXIT_COMPUTE
+    assert out == ""
+    assert err.startswith("error[stage=rasterize]: ")
+    assert setting[0] in err
+
+
 def test_isovalue_outside_field_range_exits_4(three_atom_file, capsys):
     # 0.05 is a legal level for binary data but the filtered field never
     # drops that low, so extraction has nothing to cut

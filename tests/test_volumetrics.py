@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliffsurf import grids
 from cliffsurf.grids import GridSpec, ScalarField3
@@ -244,6 +246,42 @@ def test_gaussian_matches_all_atom_oracle_on_globule():
     assert grid.dims == (112, 112, 112)
     got = rasterize_gaussian(mol, grid).values
     assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
+
+
+@st.composite
+def _prune_cases(draw):
+    """A grid cut at any block and leaf offset, and a molecule around it.
+
+    Radii from 0.3 to 12 A in one molecule, centres up to half the box
+    beyond every face, some on voxel centres, and twins with equal radii,
+    which tie exactly everywhere.
+    """
+    dims = tuple(draw(st.integers(2, 40)) for _ in range(3))
+    spacing = draw(st.floats(0.1, 1.0))
+    origin = tuple(draw(st.floats(-5.0, 5.0)) for _ in range(3))
+    grid = GridSpec(origin=origin, spacing=spacing, dims=dims)
+    atoms = []
+    for _ in range(draw(st.integers(1, 25))):
+        if draw(st.booleans()):  # on a voxel centre, inside the grid or not
+            index = [draw(st.integers(-n // 2, n + n // 2)) for n in dims]
+            center = tuple(o + spacing * i for o, i in zip(origin, index))
+        else:
+            center = tuple(
+                o + spacing * (n - 1) * draw(st.floats(-0.5, 1.5))
+                for o, n in zip(origin, dims)
+            )
+        atoms.append(Atom(center=center, radius=draw(st.floats(0.3, 12.0))))
+    atoms += [atoms[i] for i in draw(st.lists(st.integers(0, len(atoms) - 1), max_size=5))]
+    # r_e >= 0.5 keeps exp(12^2 / r_e^2) finite
+    return Molecule(tuple(atoms)), grid, draw(st.floats(0.1, 10.0)), draw(st.floats(0.5, 6.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prune_cases())
+def test_gaussian_two_level_prune_matches_all_atom_oracle(case):
+    mol, grid, s, r_e = case
+    got = rasterize_gaussian(mol, grid, s=s, r_e=r_e).values
+    assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid, s=s, r_e=r_e).values)
 
 
 def test_gaussian_peak_memory_per_voxel():
