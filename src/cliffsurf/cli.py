@@ -357,9 +357,12 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             del retained
 
         key = f"run[t={t:g}]"
+        face_min, face_max = f.face_range()
         manifest += [
             f"{key}.field.min: {_fmt(f.min)}",
             f"{key}.field.max: {_fmt(f.max)}",
+            f"{key}.field.face_min: {_fmt(face_min)}",
+            f"{key}.field.face_max: {_fmt(face_max)}",
             f"{key}.highband_energy: {_fmt(energy)}",
             f"{key}.filter.zero_gain_frac: {_fmt(zero_gain_frac)}",
         ]

@@ -118,25 +118,44 @@ class ScalarField3:
     def max(self) -> float:
         return float(self.values.max())
 
+    def face_range(self) -> tuple[float, float]:
+        """Min and max over the six box faces, read through views.
+
+        The mesh marching_cubes extracts at an isovalue iso is closed
+        exactly when not face_min < iso <= face_max: a sample equal to iso
+        counts as above it.
+        """
+        v = self.values
+        faces = (v[0], v[-1], v[:, 0], v[:, -1], v[:, :, 0], v[:, :, -1])
+        return float(np.min([f.min() for f in faces])), float(np.max([f.max() for f in faces]))
+
     def is_finite(self) -> bool:
         # no per-voxel mask: a NaN reaches both extremes, an infinity is one
         v = self.values
         return bool(np.isfinite(v.min()) and np.isfinite(v.max()))
 
 
-def _smooth_enough(n: int, primes=(2, 3, 5, 7)) -> bool:
-    for p in primes:
-        while n % p == 0:
-            n //= p
-    return n == 1
-
-
 def next_smooth(n: int) -> int:
-    """Smallest integer >= n whose prime factors are all in {2, 3, 5, 7}."""
+    """Smallest integer >= n whose prime factors are all in {2, 3, 5, 7}.
+
+    Each candidate is an odd part 3^b 5^c 7^d times the least power of
+    two that lifts it to n; odd parts run only below the best candidate
+    so far, so this takes O(log^3 n) steps at any n.
+    """
     n = max(int(n), 2)
-    while not _smooth_enough(n):
-        n += 1
-    return n
+    best = 1 << (n - 1).bit_length()
+    p3 = 1
+    while p3 < best:
+        p5 = p3
+        while p5 < best:
+            p7 = p5
+            while p7 < best:
+                # 2^a p7 >= n exactly when 2^a >= ceil(n / p7)
+                best = min(best, p7 << (-(-n // p7) - 1).bit_length())
+                p7 *= 7
+            p5 *= 5
+        p3 *= 3
+    return best
 
 
 @dataclass(frozen=True)

@@ -360,27 +360,29 @@ def spectral_energy(
     outside the band (default: none) are zero: an interior bin of the last
     axis stands for itself and its conjugate mirror and counts twice; the
     k_z = 0 plane and, for even N_z, the Nyquist plane are their own
-    mirrors and count once.
+    mirrors and count once. An energy beyond the float range reads inf,
+    without a warning.
     """
     if not w2_threshold > 0:
         raise ValueError(f"w2_threshold must be positive, got {w2_threshold}")
     band = _band(grid, band)
     _check_spectrum(spectrum, grid, band)
-    power = np.abs(spectrum)
-    power *= power
-    power[band.w2() <= w2_threshold] = 0.0
-    # per-plane sums added row after row in C order, as a reduction over the
-    # full half spectrum adds them (zero rows add nothing); sum() on a small
-    # box may pair its terms in another order. The dot spans the whole half
-    # axis, so it too adds what the full half spectrum's would.
-    nz = grid.dims[-1]
-    rows = power.reshape(-1, power.shape[-1]).cumsum(axis=0)[-1]
-    planes = _pad(rows, band.index[2], nz // 2 + 1, 0)
-    weight = np.full(planes.size, 2.0)
-    weight[0] = 1.0
-    if nz % 2 == 0:
-        weight[-1] = 1.0
-    return float(planes @ weight)
+    with np.errstate(over="ignore"):
+        power = np.abs(spectrum)
+        power *= power
+        power[band.w2() <= w2_threshold] = 0.0
+        # per-plane sums added row after row in C order, as a reduction over
+        # the full half spectrum adds them (zero rows add nothing); sum() on
+        # a small box may pair its terms in another order. The dot spans the
+        # whole half axis, so it too adds what the full half spectrum's would.
+        nz = grid.dims[-1]
+        rows = power.reshape(-1, power.shape[-1]).cumsum(axis=0)[-1]
+        planes = _pad(rows, band.index[2], nz // 2 + 1, 0)
+        weight = np.full(planes.size, 2.0)
+        weight[0] = 1.0
+        if nz % 2 == 0:
+            weight[-1] = 1.0
+        return float(planes @ weight)
 
 
 def highband_energy(X: ScalarField3, w2_threshold: float) -> float:

@@ -11,15 +11,29 @@ Triangles are emitted in row-major cell order, table row order within a
 cell, and vertex ids are numbered by first occurrence in that order, so
 the output is identical from run to run.
 
-Ambiguous faces (a cell face whose below-isovalue corners sit on a
-diagonal) admit two triangulations. The resolution here is deliberately
-light: such a cell compares its ambiguous-face center means against the
-isovalue and, when the majority land below, switches to the complementary
-case with flipped winding, which joins the below-diagonal instead of
-separating it. This is a heuristic; topology inside ambiguous cells is
-best-effort, and the closure guarantee is only claimed for fields whose
-active cells have no ambiguous faces. The smooth filtered fields this
-package produces are overwhelmingly in that regime.
+Every active cell is meshed with its own TRI_TABLE row, and that makes
+the mesh closed, for any finite field, whenever the box-face samples
+all lie on one side of the isovalue (a sample equal to it counts as
+above: marching_cubes nudges ties up). Three facts about the table,
+each checked over all 256 cases by the test suite, give this:
+
+- On every face, the segments a case draws (triangle sides whose two
+  vertices are on edges of that face) depend only on the face's four
+  corner signs. On an ambiguous face, one whose below-isovalue corners
+  sit on a diagonal, every case separates the two below corners. So
+  the two cells that share a face draw the same segments there, each
+  once.
+- Inside each cell, every triangle side that is not on a face is used
+  by exactly two of the cell's triangles, once in each direction.
+- Both cells that share a face orient their triangles toward increasing
+  values, and they see the face from opposite sides, so they use each
+  shared segment once in each direction.
+
+Only a box face has no second cell, and a box face with all its
+samples on one side carries no segment. Every edge of such a mesh is
+then in exactly two triangles, used once in each direction. Inside an
+ambiguous cell the topology is the table's, not necessarily that of the
+trilinear interpolant.
 """
 
 from __future__ import annotations
@@ -31,28 +45,6 @@ import numpy as np
 from .grids import ScalarField3, write_rows
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
-# Faces as cyclic corner quadruples, for ambiguity detection.
-_FACES = np.array(
-    [
-        (0, 1, 2, 3),  # z-
-        (4, 5, 6, 7),  # z+
-        (0, 1, 5, 4),  # y-
-        (3, 2, 6, 7),  # y+
-        (0, 3, 7, 4),  # x-
-        (1, 2, 6, 5),  # x+
-    ],
-    dtype=np.int64,
-)
-
-# Per case: which faces are ambiguous (their below-corners occupy exactly
-# one diagonal), how many, and how many triangles the table row holds.
-_FACE_BELOW = ((np.arange(256)[:, None] >> np.arange(8)) & 1)[:, _FACES]
-_AMBIG_FACES = (
-    (_FACE_BELOW[..., 0] == _FACE_BELOW[..., 2])
-    & (_FACE_BELOW[..., 1] == _FACE_BELOW[..., 3])
-    & (_FACE_BELOW[..., 0] != _FACE_BELOW[..., 1])
-)
-_N_AMBIG = _AMBIG_FACES.sum(axis=1)
 _N_TRI = (TRI_TABLE >= 0).sum(axis=1) // 3
 _TRI_EDGES = TRI_TABLE.astype(np.int8)
 # the grid axis each cell edge runs along
@@ -151,30 +143,16 @@ def marching_cubes(field: ScalarField3, isovalue: float) -> TriangleMesh:
 
     flat_values = values.ravel()
     corner_flat = CORNER_OFFSETS @ np.array([ny * nz, nz, 1], dtype=np.int64)
-    # the ambiguous-face majority vote, on the few cells that have one
-    flip = np.zeros(len(case), dtype=bool)
-    ambiguous = np.flatnonzero(_N_AMBIG[case])
-    if ambiguous.size:
-        corner_vals = flat_values[base[ambiguous, None] + corner_flat]
-        f = corner_vals[:, _FACES]
-        # summed left to right, the order np.mean takes on four values:
-        # a center that rounds onto the isovalue must keep its side
-        center = (((f[..., 0] + f[..., 1]) + f[..., 2]) + f[..., 3]) / 4.0
-        c = case[ambiguous]
-        below_centers = ((center < iso) & _AMBIG_FACES[c]).sum(axis=1)
-        flip[ambiguous] = below_centers * 2 > _N_AMBIG[c]
-    use = np.where(flip, 255 - case, case)
 
     # one slot per triangle corner, in emission order: cells in row-major
     # order, each cell's table row in order
-    rows = _TRI_EDGES[use]
+    rows = _TRI_EDGES[case]
     edge = rows[rows >= 0]
     if not edge.size:
         raise ValueError(
             f"isovalue {iso} crosses no cell; the surface would be empty"
         )
-    n_tri = _N_TRI[use]
-    slot_base = np.repeat(base, 3 * n_tri)
+    slot_base = np.repeat(base, 3 * _N_TRI[case])
     del rows, base
     corner_a = corner_flat[EDGE_CORNERS[:, 0]]
     corner_b = corner_flat[EDGE_CORNERS[:, 1]]
@@ -215,10 +193,8 @@ def marching_cubes(field: ScalarField3, isovalue: float) -> TriangleMesh:
     # higher-value side; emitting them reversed points the normals toward
     # increasing field values, which is the orientation contract of this
     # module (verified by the sphere orientation test: distance fields get
-    # positive enclosed volume). A complementary case is already reversed.
-    flip_tri = np.repeat(flip, n_tri)
-    triangles = np.where(flip_tri[:, None], tri, tri[:, [0, 2, 1]])
-    return TriangleMesh(vertices=positions, triangles=triangles)
+    # positive enclosed volume).
+    return TriangleMesh(vertices=positions, triangles=tri[:, [0, 2, 1]])
 
 
 def _edge_runs(triangles: np.ndarray, n_vertices: int):

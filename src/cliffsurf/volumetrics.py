@@ -77,16 +77,19 @@ def check_grid_settings(spacing: float, padding: float) -> None:
         raise ValueError(f"padding must be nonnegative and finite, got {padding}")
 
 
-def _check_mem_cap(dims, mem_cap_bytes: int | None) -> None:
-    # the test in Python ints, exact at any size; the message's floats may
+def _check_grid_size(dims, mem_cap_bytes: int | None) -> None:
+    # the tests in Python ints, exact at any size; the messages' floats may
     # read inf
-    if mem_cap_bytes is not None and math.prod(dims) * _BYTES_PER_VOXEL > mem_cap_bytes:
-        shape = ", ".join(f"{float(n):.7g}" for n in dims)
+    voxels = math.prod(dims)
+    shape = ", ".join(f"{float(n):.7g}" for n in dims)
+    if mem_cap_bytes is not None and voxels * _BYTES_PER_VOXEL > mem_cap_bytes:
         gib = math.prod(map(float, dims)) * _BYTES_PER_VOXEL / 1024**3
         raise ValueError(
             f"grid ({shape}) needs about {gib:.1f} GiB, "
             f"over the {mem_cap_bytes / 1024**3:.1f} GiB memory cap"
         )
+    if voxels > np.iinfo(np.intp).max // 8:
+        raise ValueError(f"grid ({shape}) has more voxels than a float64 array can hold")
 
 
 def make_grid(
@@ -103,8 +106,10 @@ def make_grid(
     faces is what the padding is for; 5 Angstrom keeps it far below
     isovalue scale for the default filter strengths. The memory cap is
     checked against the estimated peak of a whole run, _BYTES_PER_VOXEL
-    per voxel, on the sample counts and again on the rounded dims. A
-    span whose sample count is not finite raises ValueError.
+    per voxel, on the sample counts and again on the rounded dims; with
+    or without a cap, more voxels than a float64 array can hold are
+    refused the same way. A span whose sample count is not finite raises
+    ValueError.
     """
     check_grid_settings(spacing, padding)
     lo, hi = mol.bounding_box()
@@ -118,11 +123,10 @@ def make_grid(
             raise ValueError(f"a {span:g} A span at spacing {spacing:g} needs {samples} samples")
         # smallest sample count covering the span, robust to float fuzz
         counts.append(max(math.ceil(samples - 1e-9) + 1, 2))
-    # rounding only grows dims, so the cap can refuse them first: next_smooth
-    # counts up one integer at a time and would take ages on a huge count
-    _check_mem_cap(counts, mem_cap_bytes)
+    # rounding only grows dims, so the checks can refuse them first
+    _check_grid_size(counts, mem_cap_bytes)
     dims = tuple(next_smooth(n) for n in counts)
-    _check_mem_cap(dims, mem_cap_bytes)
+    _check_grid_size(dims, mem_cap_bytes)
     origin = tuple(center[a] - (dims[a] - 1) * spacing / 2.0 for a in range(3))
     return GridSpec(origin=origin, spacing=spacing, dims=dims)
 

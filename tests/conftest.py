@@ -252,44 +252,15 @@ def read_raw(path):
 # ---------------------------------------------------------------------------
 # marching-cubes oracle: the per-cell loop
 
-# Faces as cyclic corner quadruples, for ambiguity detection.
-_FACES = np.array(
-    [
-        (0, 1, 2, 3),  # z-
-        (4, 5, 6, 7),  # z+
-        (0, 1, 5, 4),  # y-
-        (3, 2, 6, 7),  # y+
-        (0, 3, 7, 4),  # x-
-        (1, 2, 6, 5),  # x+
-    ],
-    dtype=np.int64,
-)
-
-
-def _ambiguous_faces_per_case() -> list[tuple[int, ...]]:
-    # A face is ambiguous when its below-corners occupy exactly one diagonal.
-    out = []
-    for case in range(256):
-        below = [(case >> c) & 1 for c in range(8)]
-        faces = []
-        for f, (a, b, c, d) in enumerate(_FACES):
-            if below[a] == below[c] and below[b] == below[d] and below[a] != below[b]:
-                faces.append(f)
-        out.append(tuple(faces))
-    return out
-
-
-_AMBIG_FACES = _ambiguous_faces_per_case()
-
-
 def marching_cubes_loop(field, isovalue):
     """Per-cell marching cubes with a dict weld: the oracle of the array code.
 
     The package's extraction loop before surface.marching_cubes became
-    array code, verbatim but for its name and this docstring: one Python
+    array code, verbatim but for its name, this docstring and the
+    ambiguous-face vote, deleted from both since: one Python
     iteration per active cell, vertices welded through a dict keyed by the
-    sorted pair of flat grid indices. It pins the ambiguous-face majority
-    rule, the emission order and the vertex numbering.
+    sorted pair of flat grid indices. It pins the triangles, the emission
+    order and the vertex numbering.
     """
     iso = float(isovalue)
     if not np.isfinite(iso):
@@ -330,20 +301,7 @@ def marching_cubes_loop(field, isovalue):
     for i, j, k in active:
         c = int(case[i, j, k])
         corner_ijk = np.array((i, j, k)) + CORNER_OFFSETS
-        use = c
-        flip = False
-        ambig = _AMBIG_FACES[c]
-        if ambig:
-            corner_vals = values[
-                corner_ijk[:, 0], corner_ijk[:, 1], corner_ijk[:, 2]
-            ]
-            below_centers = sum(
-                1 for f in ambig if corner_vals[_FACES[f]].mean() < iso
-            )
-            if below_centers * 2 > len(ambig):
-                use = 255 - c
-                flip = True
-        row = TRI_TABLE[use]
+        row = TRI_TABLE[c]
         corner_flat = corner_ijk @ strides
         cell_vertex: dict[int, int] = {}
         for e in row[row >= 0]:
@@ -368,10 +326,10 @@ def marching_cubes_loop(field, isovalue):
         # higher-value side; emitting them reversed points the normals toward
         # increasing field values, which is the orientation contract of this
         # module (verified by the sphere orientation test: distance fields get
-        # positive enclosed volume). A complementary case is already reversed.
+        # positive enclosed volume).
         for s in range(0, int((row >= 0).sum()), 3):
             a, b, c3 = (cell_vertex[int(row[s + o])] for o in range(3))
-            tri_rows.append((a, b, c3) if flip else (a, c3, b))
+            tri_rows.append((a, c3, b))
 
     if not tri_rows:
         raise ValueError(

@@ -8,6 +8,7 @@ documented stage map (0 ok, 2 input, 3 config, 4 compute, 5 output).
 import gc
 import os
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -868,6 +869,43 @@ def test_cli_passes_field_is_sum_of_peeled_modes(three_atom_file, tmp_path, caps
     modes = mode_decompose(_cli_initial_field(three_atom_file, 0.5), passes, params).modes
     want = sum(mode.values for mode in modes)
     assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "flags, closed",
+    [([], True), (["--spacing", "0.5", "--padding", "0.5"], False)],
+    ids=["default", "tight-box"],
+)
+def test_face_range_tells_whether_the_mesh_is_closed(three_atom_file, tmp_path, capsys,
+                                                     flags, closed):
+    vol = str(tmp_path / "v.raw")
+    code, out, err = run_cli(["--input", three_atom_file, *flags, "--volume-out", vol], capsys)
+    assert code == EXIT_OK, err
+    m = manifest_dict(out)
+    _, _, _, values = read_raw(vol)
+    faces = [values[[0, -1]], values[:, [0, -1]], values[:, :, [0, -1]]]
+    lo = float(m["run[t=100].field.face_min"])
+    hi = float(m["run[t=100].field.face_max"])
+    assert lo == min(f.min() for f in faces) and hi == max(f.max() for f in faces)
+    # the mesh is closed exactly when no box-face sample is below the
+    # isovalue or none is above it; at 0.5 A of padding the surface
+    # reaches the box
+    assert (not lo < 0.9 <= hi) == closed
+    boundary = int(m["run[t=100,iso=0.9].mesh.boundary_edge_count"])
+    assert (boundary == 0) == closed
+
+
+def test_overflowing_highband_energy_reads_inf_without_warning(three_atom_file, capsys):
+    # |X|^2 overflows where |X| does not: the true high-band energy of this
+    # run is about 1e587, and no warning may escape as an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            ["--input", three_atom_file, "--init", "gaussian", "--s", "1e290"], capsys
+        )
+    assert code == EXIT_OK, err
+    assert err == ""
+    assert manifest_dict(out)["run[t=100].highband_energy"] == "inf"
 
 
 @pytest.mark.parametrize("eps, passes", [(0.0, 1), (0.0, 3), (0.05, 3)])

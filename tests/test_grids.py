@@ -1,4 +1,5 @@
-"""The array text formatter (grids.write_rows) against Python's `%`."""
+"""The array text formatter (grids.write_rows) against Python's `%`, and
+grids.next_smooth against counting up."""
 
 import io
 from unittest import mock
@@ -133,3 +134,28 @@ def test_write_rows_refuses_other_conversions_and_shapes():
     with pytest.raises(ValueError, match="do not fit"):
         grids.write_rows(fh, "%d\n", np.zeros(3, dtype=int))
     assert fh.getvalue() == ""
+
+
+def _next_smooth_by_counting(n):
+    """The smallest {2, 3, 5, 7}-smooth integer >= max(n, 2), one step at a time."""
+    n = max(n, 2)
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def test_next_smooth_matches_counting_up():
+    for n in range(-3, 20001):
+        assert grids.next_smooth(n) == _next_smooth_by_counting(n), n
+
+
+def test_next_smooth_is_fast_on_huge_counts():
+    # counting up from 3e17 + 1 would take about 1e13 steps
+    assert grids.next_smooth(3 * 10**17) == 3 * 10**17
+    n = grids.next_smooth(3 * 10**17 + 1)
+    assert n > 3 * 10**17 and _next_smooth_by_counting(n) == n

@@ -1,15 +1,19 @@
 """Isosurface extraction: per-case cell behavior, welding, topology and
 geometry metrics, mesh file formats."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 import conftest
 from cliffsurf import grids, surface
 from cliffsurf.grids import GridSpec, ScalarField3
-from cliffsurf.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, EDGE_MASKS, TRI_TABLE
+from cliffsurf.mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 from cliffsurf.pdefilter import FilterParams, lowpass_apply
 from cliffsurf.surface import (
     TriangleMesh,
@@ -40,11 +44,16 @@ def _table_triangle_count(case):
     return sum(1 for v in row if v >= 0) // 3
 
 
+def _cut_edges(case):
+    """The edges whose two corners lie on opposite sides of the isovalue."""
+    return {e for e, (a, b) in enumerate(EDGE_CORNERS) if (case >> a ^ case >> b) & 1}
+
+
 @pytest.mark.parametrize("case", range(1, 255))
 def test_single_cell_all_cases(case):
     mesh = marching_cubes(_single_cell_field(case), 0.5)
-    # the cell may be complemented by the ambiguity decider, never both
-    assert mesh.n_triangles in {_table_triangle_count(case), _table_triangle_count(255 - case)}
+    # every cell meshes with its own table row
+    assert mesh.n_triangles == _table_triangle_count(case)
     # with values -0.5 / 1.5 every cut lands mid-edge: one coordinate 0.5,
     # the others on grid planes
     frac = mesh.vertices == 0.5
@@ -68,7 +77,7 @@ def test_single_cell_all_cases(case):
 def test_single_cell_complement_cuts_same_edges(case):
     # inverting the field complements the case; the cut-edge set (hence
     # the vertex positions) must be identical
-    assert EDGE_MASKS[case] == EDGE_MASKS[255 - case]
+    assert _cut_edges(case) == _cut_edges(255 - case)
     va = marching_cubes(_single_cell_field(case), 0.5).vertices
     vb = marching_cubes(_single_cell_field(255 - case), 0.5).vertices
     sa = {tuple(v) for v in np.round(va, 12)}
@@ -82,11 +91,55 @@ def test_edge_corner_tables_consistent():
         da = np.array(_CORNERS[a])
         db = np.array(_CORNERS[b])
         assert np.abs(da - db).sum() == 1
-    # table rows only reference edges the mask declares cut
+    # each table row uses exactly the edges whose corners differ in sign
     for case in range(256):
-        used = {v for v in TRI_TABLE[case] if v >= 0}
-        mask = EDGE_MASKS[case]
-        assert all(mask & (1 << e) for e in used)
+        assert {int(v) for v in TRI_TABLE[case] if v >= 0} == _cut_edges(case)
+
+
+def test_case_table_is_face_consistent():
+    # the three facts of the surface module's closure proof, for all 256
+    # cases: a side is on a face when both its vertices' edges are
+    def in_face(corner, axis):  # a corner's coordinates within the face
+        return tuple(x for a, x in enumerate(_CORNERS[corner]) if a != axis)
+
+    faces = []  # (axis, side, corners, edges)
+    for axis in range(3):
+        for side in (0, 1):
+            corners = {c for c, xyz in enumerate(_CORNERS) if xyz[axis] == side}
+            edges = {e for e, (a, b) in enumerate(EDGE_CORNERS) if {a, b} <= corners}
+            faces.append((axis, side, corners, edges))
+    drawn = {}  # (axis, face corner signs) -> side -> segment sets drawn
+    for case in range(256):
+        row = [int(e) for e in TRI_TABLE[case] if e >= 0]
+        sides = [
+            (row[i + k], row[i + (k + 1) % 3]) for i in range(0, len(row), 3) for k in range(3)
+        ]
+        interior = set(sides)
+        for axis, side, corners, edges in faces:
+            segments = [(a, b) for a, b in sides if a in edges and b in edges]
+            interior -= set(segments)
+            assert max(Counter(frozenset(s) for s in segments).values(), default=1) == 1
+            below = {c for c in corners if case >> c & 1}
+            if len(below) == 2 and not any({*EDGE_CORNERS[e]} <= below for e in edges):
+                # an ambiguous face: each segment cuts off one below corner
+                for a, b in segments:
+                    assert len({*EDGE_CORNERS[a]} & {*EDGE_CORNERS[b]} & below) == 1
+            # in face coordinates, an edge as its two corners
+            local = frozenset(
+                tuple(frozenset(in_face(c, axis) for c in EDGE_CORNERS[e]) for e in s)
+                for s in segments
+            )
+            signs = tuple(sorted((in_face(c, axis), case >> c & 1) for c in corners))
+            drawn.setdefault((axis, signs), {}).setdefault(side, set()).add(local)
+        # every side inside the cell is used twice, once in each direction
+        assert all(sides.count(s) == 1 and (s[1], s[0]) in interior for s in interior)
+    assert len(drawn) == 3 * 16
+    for by_side in drawn.values():
+        # one segment set per face pattern, whatever the other corners, and
+        # the cells on the two sides of a face draw it in opposite directions
+        assert len(by_side[0]) == len(by_side[1]) == 1
+        (low,), (high,) = by_side[0], by_side[1]
+        assert low == {(b, a) for a, b in high}
 
 
 def test_uniform_field_has_no_surface():
@@ -254,26 +307,67 @@ def test_noise_fields_match_loop_oracle():
     assert nudged >= 50
 
 
-def test_noise_fields_exercise_the_majority_rule(monkeypatch):
-    # with the ambiguous-face vote switched off in the oracle, some noise
-    # fields must mesh differently: the comparison above pins the rule
-    monkeypatch.setattr(conftest, "_AMBIG_FACES", [()] * 256)
-    changed = 0
-    for field, iso in _noise_fields():
-        plain = marching_cubes_loop(field, iso)
-        got = marching_cubes(field, iso)
-        changed += not np.array_equal(plain.triangles, got.triangles)
-    assert changed >= 50
-
-
-def test_ambiguous_majority_takes_the_complement():
+def test_ambiguous_face_separates_the_below_corners():
     # corners 0 and 2 below, on the diagonal of the z- face, whose center
-    # mean lies below too: the cell meshes as case 250, one joined sheet
+    # mean lies below too: the cell still meshes as its own case, two
+    # triangles that cut off one below corner each
     values = _single_cell_field(0b101).values * 7.0 - 6.5  # -10 below, 4 above
     field = ScalarField3(GridSpec((0.0, 0.0, 0.0), 1.0, (2, 2, 2)), values)
     mesh = _assert_matches_loop(field, 0.5)
-    assert mesh.n_triangles == _table_triangle_count(250) == 4
-    assert mesh_metrics(mesh).component_count == 1
+    assert mesh.n_triangles == _table_triangle_count(0b101) == 2
+    assert mesh_metrics(mesh).component_count == 2
+
+
+@st.composite
+def _noise_boxes(draw):
+    """White noise on a 3-13 point box, half of them inside a shell of
+    samples all above or all below the isovalue, a third rounded to one
+    decimal so that samples tie with the isovalue and get nudged."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = tuple(draw(st.integers(3, 13)) for _ in range(3))
+    values = rng.standard_normal(dims)
+    iso = draw(st.floats(-0.5, 0.5))
+    if draw(st.booleans()):
+        inner = values[1:-1, 1:-1, 1:-1].copy()
+        values[:] = draw(st.sampled_from([-10.0, 10.0]))
+        values[1:-1, 1:-1, 1:-1] = inner
+    if draw(st.integers(0, 2)) == 0:
+        values = np.round(values, 1)
+        iso = round(iso, 1)
+    assume(values.min() < iso < values.max())
+    return ScalarField3(GridSpec((0.0, 0.0, 0.0), 0.5, dims), values), iso
+
+
+@settings(max_examples=200, deadline=None)
+@given(_noise_boxes())
+def test_mesh_is_closed_exactly_when_the_box_faces_are_one_sided(case):
+    field, iso = case
+    mesh = marching_cubes(field, iso)
+    m = mesh_metrics(mesh)
+    # a sample equal to the isovalue counts as above: ties are nudged up
+    below = [face < iso for face in (field.values[[0, -1]], field.values[:, [0, -1]],
+                                     field.values[:, :, [0, -1]])]
+    one_sided = all(b.all() for b in below) or not any(b.any() for b in below)
+    assert (m.boundary_edge_count == 0) == one_sided
+    if not one_sided:
+        return
+    # every directed side once and its reverse once: each undirected edge
+    # in exactly two faces, used once in each direction
+    t = mesh.triangles
+    V = np.int64(mesh.n_vertices)
+    a, b = t.ravel(), t[:, [1, 2, 0]].ravel()
+    sides = np.sort(a * V + b)
+    assert np.all(sides[1:] != sides[:-1])
+    assert np.array_equal(sides, np.sort(b * V + a))
+    # a closed orientable surface: every component's Euler characteristic is even
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(V, V))
+    n, label = connected_components(graph, directed=False)
+    chi = (
+        np.bincount(label, minlength=n)
+        - np.bincount(label[a], minlength=n) // 2
+        + np.bincount(label[t[:, 0]], minlength=n)
+    )
+    assert np.all(chi % 2 == 0)
 
 
 def _three_atom_field(three_atoms):

@@ -20,7 +20,7 @@ from cliffsurf.volumetrics import (
     rasterize_piecewise,
     rasterize_piecewise_swapped,
 )
-from conftest import rasterize_gaussian_all_atoms, read_dx, read_raw
+from conftest import THREE_ATOM_XYZR, rasterize_gaussian_all_atoms, read_dx, read_raw
 
 GOLDEN = __file__.rsplit("/", 1)[0] + "/golden"
 
@@ -73,6 +73,29 @@ def test_make_grid_memory_cap(three_atoms):
         make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=10 * 1024**2)
     grid = make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=None)
     assert grid.dims == (56, 70, 70)
+
+
+def test_make_grid_without_cap_refuses_absurd_spacing_fast():
+    # about 1e301 samples per axis: more voxels than any array can hold,
+    # refused before rounding; it used to count up toward a smooth size
+    # one integer at a time and never return
+    import subprocess
+    import sys
+
+    code = (
+        "from cliffsurf.molecule import parse_xyzr\n"
+        "from cliffsurf.volumetrics import make_grid\n"
+        f"mol = parse_xyzr({THREE_ATOM_XYZR!r})\n"
+        "try:\n"
+        "    make_grid(mol, spacing=1e-300, mem_cap_bytes=None)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "more voxels than a float64 array can hold" in proc.stdout
 
 
 def test_make_grid_validation(three_atoms):
