@@ -1,8 +1,11 @@
 """Uniform sampling grids, scalar fields, and their spectral counterparts.
 
 These types are shared between the volume-construction layer and the
-spectral operators, so they live in one dependency-free module; so does
-write_rows, the text-row formatter of the volume and mesh writers.
+spectral operators, so they live in one dependency-free module; so do
+write_rows, the text-row formatter of the volume and mesh writers, and
+the slab conventions of the streamed pipeline: the CLI rasterizes,
+transforms, writes and extracts a grid SLAB planes of axis 0 at a time,
+and no stage of a run holds an array the size of the grid.
 
 write_rows formats numbers as arrays, not one Python float at a time: it
 fills columns of ASCII bytes from integer digit arithmetic, and its
@@ -26,6 +29,7 @@ Conventions fixed here once for the whole package:
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import reduce
 
@@ -110,6 +114,16 @@ class ScalarField3:
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def from_slabs(cls, grid: GridSpec, parts: Iterable[np.ndarray]) -> "ScalarField3":
+        """The field whose consecutive slabs along axis 0 are parts."""
+        values = np.empty(grid.dims)
+        lo = 0
+        for part in parts:
+            values[lo : lo + len(part)] = part
+            lo += len(part)
+        return cls(grid, values)
+
     @property
     def min(self) -> float:
         return float(self.values.min())
@@ -125,14 +139,49 @@ class ScalarField3:
         exactly when not face_min < iso <= face_max: a sample equal to iso
         counts as above it.
         """
-        v = self.values
-        faces = (v[0], v[-1], v[:, 0], v[:, -1], v[:, :, 0], v[:, :, -1])
-        return float(np.min([f.min() for f in faces])), float(np.max([f.max() for f in faces]))
+        r = SlabRange(self.grid.dims[0])
+        r.add(self.values)
+        return float(r.face_min), float(r.face_max)
 
     def is_finite(self) -> bool:
         # no per-voxel mask: a NaN reaches both extremes, an infinity is one
         v = self.values
         return bool(np.isfinite(v.min()) and np.isfinite(v.max()))
+
+
+# planes of axis 0 per slab of the streamed pipeline
+SLAB = 8
+
+
+def slabs(values: np.ndarray) -> Iterator[np.ndarray]:
+    """Views of consecutive SLAB-plane slabs of values along axis 0, the last maybe shorter."""
+    return (values[lo : lo + SLAB] for lo in range(0, len(values), SLAB))
+
+
+class SlabRange:
+    """Min and max of a field fed in consecutive slabs along axis 0, overall and on the box faces.
+
+    A min or max is exact in any order, so min, max, face_min and
+    face_max are those of the whole array; a NaN reaches all four.
+    """
+
+    def __init__(self, n0: int):
+        self.n0 = n0
+        self.planes = 0
+        self.min = self.face_min = np.float64(np.inf)
+        self.max = self.face_max = np.float64(-np.inf)
+
+    def add(self, slab: np.ndarray) -> None:
+        faces = [slab[:, 0], slab[:, -1], slab[:, :, 0], slab[:, :, -1]]
+        if self.planes == 0:
+            faces.append(slab[0])
+        self.planes += len(slab)
+        if self.planes == self.n0:
+            faces.append(slab[-1])
+        self.min = np.minimum(self.min, slab.min())
+        self.max = np.maximum(self.max, slab.max())
+        self.face_min = np.minimum(self.face_min, np.min([f.min() for f in faces]))
+        self.face_max = np.maximum(self.face_max, np.max([f.max() for f in faces]))
 
 
 def next_smooth(n: int) -> int:

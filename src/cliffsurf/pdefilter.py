@@ -36,16 +36,22 @@ does 1 - (1 - L)^K. The band transforms compute every kept line as the
 full np.fft.rfftn / irfftn do, so their values are bit-identical. With
 eps > 0 no gain is 0 and the band is every bin: the same code then does
 the full transforms.
+
+Both transforms take the field as slabs of axis-0 planes: BandForward
+gathers the band's lines slab by slab and transforms axis 0 at the end,
+and field_slabs transforms axis 0 first and then inverts slab by slab.
+Only the band's n0 x b1 x bz lines and one slab's arrays are alive, so
+the CLI never holds the field or its half spectrum whole.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField3, SpectralGrid
+from .grids import GridSpec, ScalarField3, SpectralGrid, slabs
 
 # exp(-x) stays a normal double up to x ~ 708.4; past that the gain is
 # indistinguishable from zero, so clamp there and avoid underflow flags
@@ -218,6 +224,36 @@ def _pad(a: np.ndarray, index: np.ndarray, n: int, axis: int) -> np.ndarray:
     return out
 
 
+class BandForward:
+    """forward_spectrum of a field fed in consecutive slabs of axis-0 planes.
+
+    Each slab gets the last-axis rfft one plane at a time and then the
+    axis-1 fft, keeping only the band's bins after each; spectrum() runs
+    the axis-0 fft once all n0 planes are in. Only the band's n0 x b1 x bz
+    lines and one slab's n1 x bz lines are alive, never a full grid.
+    """
+
+    def __init__(self, grid: GridSpec, band: SpectralBand | None = None):
+        self.grid = grid
+        self.band = _band(grid, band)
+        _, iy, iz = self.band.index
+        self._lines = np.empty((grid.dims[0], iy.size, iz.size), dtype=np.complex128)
+        self._planes = 0
+
+    def add(self, slab: np.ndarray) -> None:
+        _, iy, iz = self.band.index
+        half = np.empty(slab.shape[:2] + (iz.size,), dtype=np.complex128)
+        for i, plane in enumerate(slab):
+            half[i] = np.fft.rfft(plane)[:, : iz.size]
+        lo, self._planes = self._planes, self._planes + len(slab)
+        self._lines[lo : self._planes] = _take(np.fft.fft(half, axis=1), iy, 1)
+
+    def spectrum(self) -> np.ndarray:
+        if self._planes != self.grid.dims[0]:
+            raise ValueError(f"fed {self._planes} of {self.grid.dims[0]} planes")
+        return _take(np.fft.fft(self._lines, axis=0), self.band.index[0], 0)
+
+
 def forward_spectrum(X: ScalarField3, band: SpectralBand | None = None) -> np.ndarray:
     """Unnormalized real-FFT half spectrum (np.fft.rfftn) of a finite field, on a band.
 
@@ -230,17 +266,14 @@ def forward_spectrum(X: ScalarField3, band: SpectralBand | None = None) -> np.nd
     The passes are rfftn's, in its order (last axis, then axis 1, then
     axis 0), each keeping only the band's bins; every line is transformed
     as rfftn transforms it, so the band values are rfftn's bit for bit.
-    The last axis goes one axis-0 plane at a time, so no full half
-    spectrum is ever alive.
+    The field goes through BandForward one slab at a time, so no full
+    half spectrum is ever alive.
     """
     _require_finite(X)
-    ix, iy, iz = _band(X.grid, band).index
-    values = X.values
-    half = np.empty(values.shape[:2] + (iz.size,), dtype=np.complex128)
-    for i, plane in enumerate(values):
-        half[i] = np.fft.rfft(plane)[:, : iz.size]
-    half = _take(np.fft.fft(half, axis=1), iy, 1)
-    return _take(np.fft.fft(half, axis=0), ix, 0)
+    forward = BandForward(X.grid, band)
+    for slab in slabs(X.values):
+        forward.add(slab)
+    return forward.spectrum()
 
 
 def filter_gain(
@@ -261,6 +294,29 @@ def filter_gain(
     return 1.0 - (1.0 - gain) ** passes
 
 
+def field_slabs(
+    spectrum: np.ndarray, grid: GridSpec, band: SpectralBand | None = None
+) -> Iterator[np.ndarray]:
+    """field_from_spectrum's values as consecutive slabs of SLAB axis-0 planes.
+
+    The axis-0 ifft of the band runs once, at the first slab; each slab
+    then takes the axis-1 ifft of its zero-filled band lines and the
+    last-axis irfft. Besides the band, one slab's lines are alive.
+    """
+    band = _band(grid, band)
+    _check_spectrum(spectrum, grid, band)
+    return _field_slabs(spectrum, grid, band)
+
+
+def _field_slabs(spectrum, grid, band):
+    ix, iy, _ = band.index
+    n0, n1, nz = grid.dims
+    lines = np.fft.ifft(_pad(spectrum, ix, n0, 0), axis=0)
+    del spectrum
+    for part in slabs(lines):
+        yield np.fft.irfft(np.fft.ifft(_pad(part, iy, n1, 1), axis=1), n=nz, axis=2)
+
+
 def field_from_spectrum(
     spectrum: np.ndarray, grid: GridSpec, band: SpectralBand | None = None
 ) -> ScalarField3:
@@ -269,15 +325,10 @@ def field_from_spectrum(
     The bins outside the band are zero. The passes are irfftn's, in its
     order: axis 0 and then axis 1 on zero-filled band lines, then the
     last axis, where irfft zero-fills each short line itself; the field is
-    irfftn's of the zero-filled half spectrum bit for bit.
+    irfftn's of the zero-filled half spectrum bit for bit. The slabs come
+    from field_slabs.
     """
-    band = _band(grid, band)
-    _check_spectrum(spectrum, grid, band)
-    ix, iy, _ = band.index
-    n0, n1, nz = grid.dims
-    lines = np.fft.ifft(_pad(spectrum, ix, n0, 0), axis=0)
-    lines = np.fft.ifft(_pad(lines, iy, n1, 1), axis=1)
-    return ScalarField3(grid, np.fft.irfft(lines, n=nz, axis=2))
+    return ScalarField3.from_slabs(grid, field_slabs(spectrum, grid, band))
 
 
 def lowpass_apply(X: ScalarField3, params: FilterParams) -> ScalarField3:

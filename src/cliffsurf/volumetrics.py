@@ -8,6 +8,11 @@ Two initial fields drive the smoothing pipeline:
   s * exp(-(|r - c|^2 - r_atom^2) / r_e^2), equal to s exactly on each
   isolated sphere surface and decaying with distance beyond it.
 
+Both rasterizers produce the field as consecutive slabs of SLAB axis-0
+planes (piecewise_slabs, gaussian_slabs), which the CLI streams into the
+filter; rasterize_* assemble the slabs into a whole field, and the volume
+writers take a field slab by slab too (VolumeWriter).
+
 The piecewise rasterizer touches each atom's bounding window only. The
 bumps reach every voxel, so the gaussian rasterizer prunes atoms in two
 levels: it keeps for each cube of voxels only the atoms that can win
@@ -27,11 +32,14 @@ symmetry bin-exactly; the spectral filter preserves it.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+from collections.abc import Iterator
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField3, next_smooth, write_rows
+from .grids import SLAB, GridSpec, ScalarField3, next_smooth, slabs, write_rows
 from .molecule import Molecule
 
 DEFAULT_SPACING = 0.25
@@ -40,32 +48,36 @@ DEFAULT_BUMP_HEIGHT = 1.0
 DEFAULT_BUMP_DECAY = 3.0
 DEFAULT_MEM_CAP = 4 * 1024**3
 
-# Traced (tracemalloc) peak of a whole CLI run per grid voxel. Times run one
-# at a time. The filter transforms only the band of bins its gain keeps, so
-# next to the initial field (8 B/voxel, freed after the forward pass) or one
-# filtered field (8) it holds one plane's half spectrum and arrays the size
-# of the band's box (a few hundred bins at the defaults); with eps > 0 the
-# band is the whole half spectrum (8 B/voxel complex) and the filter's
-# buffers are full-size again. Extraction needs a few B per cell (sign mask,
-# uint8 case index) plus arrays per triangle corner; the surface stage's
-# peak is mesh_metrics (edge table, cross products), whose dihedral scan
-# gathers normals in fixed-size slices. Seeded globules (bench seed 0): 19
-# B/voxel for 300 atoms at 135^3, 18 at 112^3 with gaussian init, 26 for
-# 3000 atoms and two times (108^3), all set by mesh_metrics (the filter's
-# peak is 8-9, the OpenDX export's 13, the gaussian rasterizer's 9); with
-# --epsilon 0.05 --passes 3 and two times at 112^3 the filter sets it, at
-# 33. 72 is about twice the highest. A CLI run holds one mesh at a time, so
-# its peak stops growing with the (t, isovalue) pairs (three-atom fixture
-# at h = 0.25, every writer: 38, 38, 38, 38 with 1, 2, 6, 12 times, set by
-# the OpenDX export's fixed-size buffers); only sweep(), which returns its
-# meshes, adds a few B/voxel per pair (37, 39, 46, 55). A few MB do not
-# scale with the grid (the fixture at h = 0.5, 37.8k voxels, two times,
-# peaks at 50). Used only to refuse grids before allocating.
+# Traced (tracemalloc) peak of a whole CLI run per grid voxel. A run streams
+# the grid in slabs of SLAB axis-0 planes: each rasterized slab goes into the
+# forward transform of the band of bins the filter keeps, and per time each
+# inverted slab goes to the range, the volume writer and every isovalue's
+# marching cubes. So no array the size of the grid is alive: only the band's
+# n0 x b1 x bz lines, a few slabs' arrays (O(n^2) each) and the meshes of
+# one time, one per isovalue, while they grow. mesh_metrics holds about 100 B
+# per triangle besides its mesh. Seeded globules (bench seed 0), whole run,
+# then the largest traced total inside one stage: 5.6 B/voxel for 300
+# atoms at 135^3 with every writer (mesh_metrics 5.7, the OpenDX writer 5.3,
+# marching cubes 3.3, the inverse 2.9, rasterize 1.4, forward 1.1); 5.0 at
+# 112^3 with gaussian init (mesh_metrics 5.2, marching cubes 3.6, rasterize
+# 3.5); 11.2 for 3000 atoms, two times and two isovalues at 108^3, where two
+# meshes grow at once (mesh writer 11.5, mesh_metrics 11.3). The slab terms
+# grow as n^2, so the smaller the grid, the more B/voxel: the three-atom fixture at h = 0.25
+# (every writer) reads 10.1, 10.2, 10.2, 10.3 with 1, 2, 6, 12 times, and
+# sweep(), which returns its meshes, 10.1, 11.8, 18.4, 27.9; at h = 0.5
+# (37.8k voxels, two times) it reads 17.0. With eps > 0 the band is the
+# whole half spectrum (8 B/voxel complex, and a copy of it per transform
+# pass): --epsilon 0.05 --passes 3 with two times at 112^3 reads 33.2, the
+# highest measured. 72 is about twice that. It stays a flat per-voxel
+# estimate, though the streamed run needs O(n^2) plus the band plus the
+# meshes; a model of those is an open item. Used only to refuse grids
+# before allocating.
 _BYTES_PER_VOXEL = 72
 
 # edges, in voxels, of the cubes rasterize_gaussian prunes atoms over and
-# of the leaves it refines each cube's candidates to
-_BLOCK = 8
+# of the leaves it refines each cube's candidates to; a layer of cubes is
+# one slab deep
+_BLOCK = SLAB
 _LEAF = 4
 
 
@@ -131,43 +143,74 @@ def make_grid(
     return GridSpec(origin=origin, spacing=spacing, dims=dims)
 
 
+def piecewise_slabs(mol: Molecule, grid: GridSpec) -> Iterator[np.ndarray]:
+    """rasterize_piecewise's values as consecutive SLAB-plane slabs along axis 0.
+
+    The atoms are drawn in order of their window's first plane into a
+    rolling boolean buffer of planes that starts at the current slab and
+    reaches as far as the deepest window; the slab is complete, and
+    leaves the buffer as a fresh float64 array, once every atom whose
+    window starts in it is drawn. So each atom is drawn once and whole,
+    and the buffer holds SLAB plus one window depth of planes at 1 B per
+    voxel.
+    """
+    h, dims = grid.spacing, grid.dims
+    centers, radii = mol.centers, mol.radii
+    # each atom's window per axis, [lo, hi), clipped to the grid
+    lo = np.empty((len(radii), 3), dtype=np.int64)
+    hi = np.empty_like(lo)
+    for a in range(3):
+        first = np.ceil((centers[:, a] - radii - grid.origin[a]) / h - 1e-12)
+        last = np.floor((centers[:, a] + radii - grid.origin[a]) / h + 1e-12)
+        lo[:, a] = np.clip(first, 0, dims[a])
+        hi[:, a] = np.clip(last, -1, dims[a] - 1) + 1
+    drawn = np.flatnonzero(np.all(lo < hi, axis=1))
+    drawn = drawn[np.argsort(lo[drawn, 0], kind="stable")]
+    depth = SLAB + int((hi[drawn, 0] - lo[drawn, 0]).max(initial=0))
+    # per drawn atom, in drawing order, as Python numbers for the loop
+    atoms = list(zip(lo[drawn].tolist(), hi[drawn].tolist(), centers[drawn].tolist(),
+                     radii[drawn].tolist()))
+    return _piecewise_slabs(grid.axes(), atoms, depth)
+
+
+def _piecewise_slabs(axes, atoms, depth):
+    n0, n1, n2 = (len(x) for x in axes)
+    outside = np.ones((depth, n1, n2), dtype=bool)
+    k = 0
+    for base in range(0, n0, SLAB):
+        while k < len(atoms) and atoms[k][0][0] < base + SLAB:
+            (x0, y0, z0), (x1, y1, z1), c, r = atoms[k]
+            k += 1
+            dx = axes[0][x0:x1] - c[0]
+            dy = axes[1][y0:y1] - c[1]
+            dz = axes[2][z0:z1] - c[2]
+            d2 = (
+                dx[:, None, None] ** 2
+                + dy[None, :, None] ** 2
+                + dz[None, None, :] ** 2
+            )
+            inside = d2 <= r * r
+            block = outside[x0 - base : x1 - base, y0:y1, z0:z1]  # a view
+            block[inside] = False
+        yield outside[: min(SLAB, n0 - base)].astype(np.float64)  # 1.0 and 0.0
+        outside[:-SLAB] = outside[SLAB:]
+        outside[-SLAB:] = True
+
+
 def rasterize_piecewise(mol: Molecule, grid: GridSpec) -> ScalarField3:
     """Binary inside/outside field: 0 within any atom sphere, 1 elsewhere.
 
     A voxel center exactly on a sphere boundary counts as inside. Each
     atom only touches the voxels in its bounding window, so cost is
-    O(atoms * window), not O(atoms * grid).
+    O(atoms * window), not O(atoms * grid). The slabs come from
+    piecewise_slabs.
     """
-    values = np.ones(grid.dims)
-    h = grid.spacing
-    axes = grid.axes()
-    for atom in mol.atoms:
-        c, r = atom.center, atom.radius
-        sl = []
-        for a in range(3):
-            first = int(np.ceil((c[a] - r - grid.origin[a]) / h - 1e-12))
-            last = int(np.floor((c[a] + r - grid.origin[a]) / h + 1e-12))
-            sl.append(slice(max(first, 0), min(last, grid.dims[a] - 1) + 1))
-        if any(s.start >= s.stop for s in sl):
-            continue
-        dx = axes[0][sl[0]] - c[0]
-        dy = axes[1][sl[1]] - c[1]
-        dz = axes[2][sl[2]] - c[2]
-        d2 = (
-            dx[:, None, None] ** 2
-            + dy[None, :, None] ** 2
-            + dz[None, None, :] ** 2
-        )
-        inside = d2 <= r * r
-        block = values[sl[0], sl[1], sl[2]]  # a view: writes reach values
-        block[inside] = 0.0
-    return ScalarField3(grid, values)
+    return ScalarField3.from_slabs(grid, piecewise_slabs(mol, grid))
 
 
 def rasterize_piecewise_swapped(mol: Molecule, grid: GridSpec) -> ScalarField3:
     """The complementary binary field: 1 inside the spheres, 0 outside."""
-    base = rasterize_piecewise(mol, grid)
-    return ScalarField3(grid, 1.0 - base.values)
+    return ScalarField3.from_slabs(grid, (1.0 - slab for slab in piecewise_slabs(mol, grid)))
 
 
 def rasterize_gaussian(
@@ -177,6 +220,20 @@ def rasterize_gaussian(
     r_e: float = DEFAULT_BUMP_DECAY,
 ) -> ScalarField3:
     """Smooth-bump field: max over atoms of s*exp(-(d^2 - r^2)/r_e^2).
+
+    The slabs come from gaussian_slabs, which says how they are computed
+    and what memory they take besides the returned field (8 B/voxel).
+    """
+    return ScalarField3.from_slabs(grid, gaussian_slabs(mol, grid, s=s, r_e=r_e))
+
+
+def gaussian_slabs(
+    mol: Molecule,
+    grid: GridSpec,
+    s: float = DEFAULT_BUMP_HEIGHT,
+    r_e: float = DEFAULT_BUMP_DECAY,
+) -> Iterator[np.ndarray]:
+    """rasterize_gaussian's values as consecutive SLAB-plane slabs, one per layer of cubes.
 
     Computed through the power-distance identity
         max_b exp(-(d_b^2 - r_b^2)/r_e^2) = exp(-min_b(d_b^2 - r_b^2)/r_e^2),
@@ -215,16 +272,23 @@ def rasterize_gaussian(
     keep 17.95 candidates per cube (at most 34) and 5.13 per leaf (at
     most 14): 7.2M atom-voxel values where cubes alone take 25.2M. 3000
     atoms at 108^3 keep 66.1 per cube and 15.1 per leaf (at most 36):
-    19.8M values instead of 92.8M. Besides the field, memory is six
-    arrays of atoms x cubes per axis (no atoms x voxels array), arrays
-    over one layer of cubes' candidate pairs, and four arrays of one
-    leaf layer. The traced peak is 10.0 B/voxel for 300 atoms at 112^3
-    and 14.9 for 3000 atoms at 108^3.
+    19.8M values instead of 92.8M. Memory is the slab, six arrays of
+    atoms x cubes per axis (no atoms x voxels array), arrays over one
+    layer of cubes' candidate pairs, and four arrays of one leaf layer,
+    none of them the size of the grid. Traced peaks while the slabs are
+    consumed one at a time: 2.5 B/voxel (3.6 MB) for 300 atoms at 112^3,
+    and 7.5 (9.4 MB) for 3000 atoms at 108^3, most of it the candidate
+    pairs of one layer of cubes. rasterize_gaussian, which assembles the
+    field, peaks at 11.1 and 16.0.
     """
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
     if not r_e > 0:
         raise ValueError(f"r_e must be positive, got {r_e}")
+    return _gaussian_slabs(mol, grid, s, r_e)
+
+
+def _gaussian_slabs(mol, grid, s, r_e):
     dims, centers = grid.dims, mol.centers.T
     r2 = mol.radii * mol.radii
     nb = [-(-n // _BLOCK) for n in dims]
@@ -304,9 +368,8 @@ def rasterize_gaussian(
     j, k = np.ogrid[: dims[1], : dims[2]]
     in_leaf = (j % _LEAF * _LEAF + k % _LEAF) * n_layer
     leaf_of = j // _LEAF * n_leaves[1] + k // _LEAF
-    power = np.empty(dims)  # the leaf layers tile it: each voxel is set once
 
-    def fill_layer(lo, leaf, atoms):
+    def fill_layer(planes, lo, leaf, atoms):
         # leaves by candidate count, most first, each in a slot: rank r
         # takes each leaf's r-th candidate, and the leaves that have one
         # form a prefix of the slots. Every leaf keeps the candidate with
@@ -333,22 +396,24 @@ def rasterize_gaussian(
             np.subtract(out, c2[at], out=out)
             if r:
                 np.minimum(acc[..., :n], out, out=acc[..., :n])
-        rows = min(_LEAF, dims[0] - lo)
         where = in_leaf + slot[leaf_of]
         # in range by construction; "clip" spares the copy "raise" makes of out
-        np.take(acc.reshape(_LEAF, -1)[:rows], where, axis=1, out=power[lo : lo + rows], mode="clip")
+        np.take(acc.reshape(_LEAF, -1)[: len(planes)], where, axis=1, out=planes, mode="clip")
 
     for bi in range(nb[0]):
+        # the block layer's leaf layers tile the slab: each voxel is set once
+        power = np.empty((min(_BLOCK, dims[0] - bi * _BLOCK),) + dims[1:])
         for u, (leaf, atoms) in enumerate(leaf_pairs(bi)):
-            lo = (per_block * bi + u) * _LEAF
-            if lo < dims[0]:
-                fill_layer(lo, leaf, atoms)
-    # s * exp(-power / r_e^2), operation for operation, in place
-    np.negative(power, out=power)
-    power /= r_e * r_e
-    np.exp(power, out=power)
-    power *= s
-    return ScalarField3(grid, power)
+            lo = u * _LEAF
+            if lo < len(power):
+                fill_layer(power[lo : lo + _LEAF], bi * _BLOCK + lo, leaf, atoms)
+        # s * exp(-power / r_e^2), operation for operation, in place
+        np.negative(power, out=power)
+        power /= r_e * r_e
+        np.exp(power, out=power)
+        power *= s
+        yield power
+        del power  # before the next slab is allocated
 
 
 def _require_exportable(field: ScalarField3):
@@ -356,42 +421,98 @@ def _require_exportable(field: ScalarField3):
         raise ValueError("field contains NaN or Inf, refusing to export")
 
 
+class VolumeWriter:
+    """A volume file written from consecutive slabs of axis-0 planes, as a context manager.
+
+    fmt "dx" writes export_opendx's layout and "raw" export_raw's, byte
+    for byte: the OpenDX rows of three values may span two slabs, so the
+    one or two values left at the end of a slab are carried to the next.
+    A slab with a NaN or an infinity raises ValueError. A context left by
+    an exception removes the partial file; one left normally finishes it.
+    """
+
+    def __init__(self, grid: GridSpec, path, fmt: str):
+        if fmt not in ("dx", "raw"):
+            raise ValueError(f"volume format must be dx or raw, got {fmt}")
+        self.path, self.fmt = path, fmt
+        self._carry = np.empty(0)
+        if fmt == "raw":
+            self._fh = open(path, "wb")
+            self._fh.write(np.asarray(grid.dims, dtype="<i8").tobytes())
+            self._fh.write(np.asarray(grid.origin, dtype="<f8").tobytes())
+            self._fh.write(np.float64(grid.spacing).astype("<f8").tobytes())
+            return
+        nx, ny, nz = grid.dims
+        h = grid.spacing
+        ox, oy, oz = grid.origin
+        header = [
+            f"object 1 class gridpositions counts {nx} {ny} {nz}",
+            f"origin {ox:.6e} {oy:.6e} {oz:.6e}",
+            f"delta {h:.6e} 0.000000e+00 0.000000e+00",
+            f"delta 0.000000e+00 {h:.6e} 0.000000e+00",
+            f"delta 0.000000e+00 0.000000e+00 {h:.6e}",
+            f"object 2 class gridconnections counts {nx} {ny} {nz}",
+            f"object 3 class array type double rank 0 items {nx * ny * nz} data follows",
+        ]
+        self._fh = open(path, "w", newline="\n")
+        self._fh.write("\n".join(header) + "\n")
+
+    def write(self, slab: np.ndarray) -> None:
+        if not (np.isfinite(slab.min()) and np.isfinite(slab.max())):  # a NaN reaches both
+            raise ValueError("field contains NaN or Inf, refusing to export")
+        if self.fmt == "raw":
+            # a view of the values when they are already little-endian
+            # float64 and C-ordered; a copy only where the dtype or layout
+            # needs one
+            self._fh.write(np.ascontiguousarray(slab, dtype="<f8").data)
+            return
+        flat = slab.ravel()  # C order: z fastest
+        if self._carry.size:
+            flat = np.concatenate([self._carry, flat])
+        full = flat.size - flat.size % 3
+        write_rows(self._fh, "%.6e %.6e %.6e\n", flat[:full].reshape(-1, 3))
+        self._carry = flat[full:].copy()
+
+    def __enter__(self) -> "VolumeWriter":
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        try:
+            if kind is None and self.fmt == "dx":
+                if self._carry.size:  # one or two values on the last data line
+                    last = self._carry[None]
+                    write_rows(self._fh, " ".join(["%.6e"] * last.size) + "\n", last)
+                trailer = [
+                    'attribute "dep" string "positions"',
+                    'object "regular positions regular connections" class field',
+                    'component "positions" value 1',
+                    'component "connections" value 2',
+                    'component "data" value 3',
+                ]
+                self._fh.write("\n".join(trailer) + "\n")
+        finally:
+            self._fh.close()
+            if kind is not None:
+                with contextlib.suppress(OSError):
+                    os.remove(self.path)
+
+
+def _export(field: ScalarField3, path, fmt: str) -> None:
+    _require_exportable(field)
+    with VolumeWriter(field.grid, path, fmt) as writer:
+        for slab in slabs(field.values):
+            writer.write(slab)
+
+
 def export_opendx(field: ScalarField3, path) -> None:
     """Write the field as an OpenDX scalar map (the electrostatics-tool layout).
 
     Header: gridpositions counts, origin, three axis-aligned deltas,
     gridconnections, then the data array three values per line with the
-    z index varying fastest, then the field trailer.
+    z index varying fastest, then the field trailer. A field with a NaN
+    or an infinity is refused before the file is opened.
     """
-    _require_exportable(field)
-    nx, ny, nz = field.grid.dims
-    h = field.grid.spacing
-    ox, oy, oz = field.grid.origin
-    header = [
-        f"object 1 class gridpositions counts {nx} {ny} {nz}",
-        f"origin {ox:.6e} {oy:.6e} {oz:.6e}",
-        f"delta {h:.6e} 0.000000e+00 0.000000e+00",
-        f"delta 0.000000e+00 {h:.6e} 0.000000e+00",
-        f"delta 0.000000e+00 0.000000e+00 {h:.6e}",
-        f"object 2 class gridconnections counts {nx} {ny} {nz}",
-        f"object 3 class array type double rank 0 items {nx * ny * nz} data follows",
-    ]
-    trailer = [
-        'attribute "dep" string "positions"',
-        'object "regular positions regular connections" class field',
-        'component "positions" value 1',
-        'component "connections" value 2',
-        'component "data" value 3',
-    ]
-    flat = field.values.ravel(order="C")  # C order: z fastest
-    full = flat.size - flat.size % 3
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(header) + "\n")
-        write_rows(fh, "%.6e %.6e %.6e\n", flat[:full].reshape(-1, 3))
-        if full < flat.size:  # one or two values on the last data line
-            last = flat[full:]
-            write_rows(fh, " ".join(["%.6e"] * last.size) + "\n", last[None])
-        fh.write("\n".join(trailer) + "\n")
+    _export(field, path, "dx")
 
 
 def export_raw(field: ScalarField3, path) -> None:
@@ -400,11 +521,4 @@ def export_raw(field: ScalarField3, path) -> None:
     Layout, all little-endian: dims as 3 int64, origin as 3 float64,
     spacing as 1 float64, then the values as float64 with z fastest.
     """
-    _require_exportable(field)
-    with open(path, "wb") as fh:
-        fh.write(np.asarray(field.grid.dims, dtype="<i8").tobytes())
-        fh.write(np.asarray(field.grid.origin, dtype="<f8").tobytes())
-        fh.write(np.float64(field.grid.spacing).astype("<f8").tobytes())
-        # a view of the values when they are already little-endian float64
-        # and C-ordered; a copy only where the dtype or layout needs one
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").data)
+    _export(field, path, "raw")

@@ -33,7 +33,7 @@ from cliffsurf.cli import (
     main,
     sweep,
 )
-from cliffsurf.grids import SpectralGrid
+from cliffsurf.grids import SLAB, SpectralGrid
 from cliffsurf.molecule import parse_xyzr
 from cliffsurf.pdefilter import (
     FilterParams,
@@ -773,19 +773,19 @@ def test_execute_returns_manifest_text(three_atom_file):
 
 
 def test_execute_keeps_no_mesh_alive(three_atom_file, tmp_path, monkeypatch):
-    # the CLI path streams its surfaces: by the time a mesh is extracted,
-    # every mesh extracted before it has been written and released
-    extract = cli.marching_cubes
+    # the CLI path streams its surfaces: by the time a mesh is finished,
+    # every mesh finished before it has been written and released
     meshes, alive = [], []
 
-    def recording(field, iso):
-        gc.collect()
-        alive.append(sum(ref() is not None for ref in meshes))
-        mesh = extract(field, iso)
-        meshes.append(weakref.ref(mesh))
-        return mesh
+    class Recording(cli.SlabMarcher):
+        def finish(self):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in meshes))
+            mesh = super().finish()
+            meshes.append(weakref.ref(mesh))
+            return mesh
 
-    monkeypatch.setattr(cli, "marching_cubes", recording)
+    monkeypatch.setattr(cli, "SlabMarcher", Recording)
     execute(
         RunConfig(
             three_atom_file,
@@ -944,9 +944,11 @@ def test_cli_highband_energy_is_full_fft_band_energy(three_atom_file, tmp_path, 
 
 def test_filter_stage_fft_count(three_atom_file, monkeypatch):
     # per run, the last-axis rfft takes every voxel once, one axis-0 plane
-    # at a time, whatever the number of times; per time, one last-axis
-    # irfft over n0 * n1 lines; every complex pass takes band lines only;
-    # no n-D transform at all, whatever the number of peel-off passes
+    # at a time, whatever the number of times, and each slab of planes
+    # then takes the axis-1 fft; per time, one axis-0 ifft of the band and
+    # per slab one axis-1 ifft and one last-axis irfft over its n1 lines;
+    # every complex pass takes band lines only; no n-D transform at all,
+    # whatever the number of peel-off passes
     calls: list[tuple[str, tuple[int, ...], int, int | None]] = []
 
     def recording(name, fn):
@@ -971,15 +973,15 @@ def test_filter_stage_fft_count(three_atom_file, monkeypatch):
     params = [FilterParams(m=6, d=default_coefficients(6), epsilon=0.0, t=t) for t in times]
     b0, b1, bz = SpectralBand.of(grid, params).shape
     assert b0 < n0 and b1 < n1 and bz < nz // 2 + 1  # the band prunes every axis
-    assert calls[:n0] == [("rfft", (n1, nz), 1, None)] * n0
-    assert calls[n0:] == [
-        ("fft", (n0, n1, bz), 1, None),
-        ("fft", (n0, b1, bz), 0, None),
-    ] + [
-        ("ifft", (n0, b1, bz), 0, None),
-        ("ifft", (n0, n1, bz), 1, None),
-        ("irfft", (n0, n1, bz), 2, nz),
-    ] * len(times)
+    rows = [min(SLAB, n0 - lo) for lo in range(0, n0, SLAB)]
+    assert n0 % SLAB  # a short last slab
+    forward = []
+    for r in rows:
+        forward += [("rfft", (n1, nz), 1, None)] * r + [("fft", (r, n1, bz), 1, None)]
+    inverse = [("ifft", (n0, b1, bz), 0, None)]
+    for r in rows:
+        inverse += [("ifft", (r, n1, bz), 1, None), ("irfft", (r, n1, bz), 2, nz)]
+    assert calls == forward + [("fft", (n0, b1, bz), 0, None)] + inverse * len(times)
 
 
 def test_energy_failure_is_tagged_filter(three_atom_file, monkeypatch, capsys):
@@ -1016,3 +1018,28 @@ def test_traced_peak_within_memory_estimate(three_atom_file, tmp_path, times):
     assert all(c["metrics"].boundary_edge_count == 0 for c in combos)
     n_voxels = make_grid(parse_xyzr(Path(three_atom_file).read_text()), spacing=0.25).n_voxels
     assert peak <= n_voxels * _BYTES_PER_VOXEL
+
+
+def test_streamed_gaussian_run_holds_no_grid_array(three_atom_file, tmp_path, capsys):
+    # a traced run at 108 x 135 x 135 with every writer stays under
+    # 6 B/voxel + 200 B/triangle: less than one float64 array of the grid
+    # (8 B/voxel) beside the mesh (about 50 B/triangle), mesh_metrics (100)
+    # and the slabs, so no stage may hold a field or spectrum whole
+    args = ["--input", three_atom_file, "--init", "gaussian", "--spacing", "0.13",
+            "--mesh-out", str(tmp_path / "m.obj"), "--volume-out", str(tmp_path / "v.dx"),
+            "--metrics-out", str(tmp_path / "r.txt")]
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    m = manifest_dict(out)
+    dims = [int(n) for n in m["grid.dims"].split()]
+    assert min(dims) >= 100
+    n_voxels = dims[0] * dims[1] * dims[2]
+    triangles = int(m["run[t=100,iso=0.8].mesh.triangles"])
+    assert m["run[t=100,iso=0.8].mesh.boundary_edge_count"] == "0"
+    assert peak <= 6 * n_voxels + 200 * triangles
