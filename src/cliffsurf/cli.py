@@ -35,8 +35,12 @@ array the size of the grid is alive. Each rasterized slab goes straight
 into the forward transform of the band. Per time, one pass inverts the
 band slab by slab and feeds each slab to the field's range, the volume
 file, and the marching cubes of every isovalue, which carry the vertex
-ids of the plane they share with the next slab. The range checks of
-extraction wait for the end of the pass and fail in isovalue order. So
+ids of the plane they share with the next slab. The checks of
+extraction wait for the end of the pass and fail in isovalue order: the
+field must be finite, the isovalue inside its open range, and outside
+the range of the box faces, (face_min, face_max]. An isovalue in that
+range cuts a box face, and its mesh would be open, so the run fails at
+stage extract and names the fixes, more padding or a smaller time. So
 a run holds the band, a few slabs' arrays, and the meshes of one time,
 one per isovalue, while they grow; each surface is then finished,
 measured and written before the next, and only sweep(), which returns
@@ -192,8 +196,12 @@ class RunConfig:
             raise ValueError(f"volume format must be dx or raw, got {self.volume_format}")
         if not 0 < self.mem_cap_gib < np.inf:
             raise ValueError(f"mem-cap must be positive and finite, got {self.mem_cap_gib}")
-        # constructing one parameter set validates m, d, epsilon jointly
-        FilterParams(m=self.m, d=self.d, epsilon=self.epsilon, t=self.times[0])
+        if self.m < 1:
+            raise ValueError(f"m must be >= 1, got {self.m}")
+        if len(self.d) != self.m:
+            raise ValueError(f"need m={self.m} coefficients, got {len(self.d)}")
+        # constructing one parameter set validates d and epsilon
+        FilterParams(d=self.d, epsilon=self.epsilon, t=self.times[0])
 
     def _output_path(self, base: str, t: float, iso: float | None = None) -> str:
         """The file written from base at time t (and isovalue iso for a surface)."""
@@ -269,7 +277,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
     except ValueError as exc:
         raise StageError("config", str(exc)) from exc
 
-    timings: list[tuple[str, float]] = []
+    timings: dict[str, float] = {}  # seconds per stage
 
     @contextlib.contextmanager
     def stage(name):
@@ -281,7 +289,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
         except Exception as exc:
             raise StageError(name, str(exc)) from exc
         finally:
-            timings.append((name, time.perf_counter() - start))
+            timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
     def staged(name, parts):
         # the slabs of parts, each one produced under stage(name); a slab is
@@ -320,8 +328,9 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
 
     # each slab of the initial field goes straight into the forward
     # transform over the band of every time, which serves them all
-    per_time = [FilterParams(m=cfg.m, d=cfg.d, epsilon=cfg.epsilon, t=t) for t in cfg.times]
-    forward = None
+    per_time = [FilterParams(d=cfg.d, epsilon=cfg.epsilon, t=t) for t in cfg.times]
+    with stage("filter"):
+        forward = BandForward(SpectralBand.of(grid, per_time))
     initial = SlabRange(n0)
     # the check below reports an overflow; numpy's warnings would repeat it
     with np.errstate(all="ignore"):
@@ -329,8 +338,6 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             with stage("rasterize"):
                 initial.add(part)
             with stage("filter"):
-                if forward is None:  # built here, so the stage timings keep pipeline order
-                    forward = BandForward(grid, SpectralBand.of(grid, per_time))
                 forward.add(part)
             del part
     with stage("rasterize"):
@@ -378,14 +385,14 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
         with stage("filter"):
             # the peel-off passes fold into the closed-form gain 1 - (1 - L)^K;
             # the smoothness indicator is read off the retained band
-            gain = filter_gain(params, grid, cfg.passes, band)
+            gain = filter_gain(params, band, cfg.passes)
             zero_gain_frac = 1.0 - np.count_nonzero(gain) / half_bins
             retained = spectrum * gain
             del gain
             if i == len(cfg.times) - 1:
                 del spectrum  # keep it out of the last extraction's peak
-            energy = spectral_energy(retained, grid, ENERGY_W2_THRESHOLD, band)
-            parts = field_slabs(retained, grid, band)
+            energy = spectral_energy(retained, band, ENERGY_W2_THRESHOLD)
+            parts = field_slabs(retained, band)
             del retained
             field = SlabRange(n0)
         volume = None
@@ -428,6 +435,13 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             key = f"run[t={t:g},iso={iso:g}]"
             with stage("extract"):
                 mesh = marcher.finish()
+                # the mesh is open exactly when the isovalue cuts the box faces
+                if field.face_min < iso <= field.face_max:
+                    raise ValueError(
+                        f"isovalue {iso} lies in the box-face range ({field.face_min}, "
+                        f"{field.face_max}]; the surface reaches the box and would be open: "
+                        "use more --padding or a smaller --time"
+                    )
                 metrics = mesh_metrics(mesh)
             combo = {"t": t, "isovalue": iso, "mesh": mesh, "metrics": metrics}
             # one list renders both the manifest's mesh block and the report
@@ -451,10 +465,8 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             yield combo
             del combo, mesh, metrics  # else it lives through the next extraction
 
-    agg: dict[str, float] = {}
-    for name, dt in timings:
-        agg[name] = agg.get(name, 0.0) + dt
-    manifest += [f"timing.{name}_s: {dt:.3f}" for name, dt in agg.items()]
+    ran = [name for name in _STAGE_EXIT if name in timings]  # in pipeline order
+    manifest += [f"timing.{name}_s: {timings[name]:.3f}" for name in ran]
 
 
 def execute(config: RunConfig) -> str:

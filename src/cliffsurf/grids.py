@@ -132,17 +132,6 @@ class ScalarField3:
     def max(self) -> float:
         return float(self.values.max())
 
-    def face_range(self) -> tuple[float, float]:
-        """Min and max over the six box faces, read through views.
-
-        The mesh marching_cubes extracts at an isovalue iso is closed
-        exactly when not face_min < iso <= face_max: a sample equal to iso
-        counts as above it.
-        """
-        r = SlabRange(self.grid.dims[0])
-        r.add(self.values)
-        return float(r.face_min), float(r.face_max)
-
     def is_finite(self) -> bool:
         # no per-voxel mask: a NaN reaches both extremes, an infinity is one
         v = self.values

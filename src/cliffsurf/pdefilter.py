@@ -35,7 +35,8 @@ bin outside the band's box is past the clamp and gets gain 0, and so
 does 1 - (1 - L)^K. The band transforms compute every kept line as the
 full np.fft.rfftn / irfftn do, so their values are bit-identical. With
 eps > 0 no gain is 0 and the band is every bin: the same code then does
-the full transforms.
+the full transforms. A band holds its grid, so the functions that take
+one take no grid beside it.
 
 Both transforms take the field as slabs of axis-0 planes: BandForward
 gathers the band's lines slab by slab and transforms axis 0 at the end,
@@ -69,22 +70,16 @@ def default_coefficients(m: int = DEFAULT_HALF_ORDER) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class FilterParams:
-    """Half-order m (PDE order 2m), coefficients d_1..d_m, fidelity eps, time t."""
+    """Coefficients d_1..d_m (PDE order 2m, m = len(d)), fidelity eps, time t."""
 
-    m: int
     d: tuple[float, ...]
     epsilon: float
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "d", tuple(float(v) for v in self.d))
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "t", float(self.t))
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if len(self.d) != self.m:
-            raise ValueError(f"need m={self.m} coefficients, got {len(self.d)}")
         if any(v < 0 or not np.isfinite(v) for v in self.d):
             raise ValueError(f"coefficients must be finite and >= 0, got {self.d}")
         if not any(v > 0 for v in self.d):
@@ -104,7 +99,7 @@ class FilterParams:
     ) -> "FilterParams":
         d = list(default_coefficients(m))
         d[-1] = float(d_m)
-        return cls(m=m, d=tuple(d), epsilon=epsilon, t=t)
+        return cls(d=tuple(d), epsilon=epsilon, t=t)
 
 
 def _symbol_poly(params: FilterParams, w2: np.ndarray) -> np.ndarray:
@@ -126,8 +121,9 @@ def frequency_response(params: FilterParams, w2) -> np.ndarray | float:
     w2_arr = np.asarray(w2, dtype=np.float64)
     if np.any(w2_arr < 0):
         raise ValueError("w2 must be nonnegative")
-    p = _symbol_poly(params, w2_arr)
-    exponent = (p + params.epsilon) * params.t
+    with np.errstate(over="ignore"):  # an exponent that overflows is past the clamp
+        p = _symbol_poly(params, w2_arr)
+        exponent = (p + params.epsilon) * params.t
     decay = np.where(
         exponent > _EXP_CLAMP, 0.0, np.exp(-np.minimum(exponent, _EXP_CLAMP))
     )
@@ -141,37 +137,33 @@ def frequency_response(params: FilterParams, w2) -> np.ndarray | float:
     return resp
 
 
-def _require_finite(X: ScalarField3):
-    if not X.is_finite():
-        raise ValueError("field contains NaN or Inf")
-
-
 @dataclass(frozen=True, eq=False)
 class SpectralBand:
-    """A box of bins of the real-FFT half spectrum: sorted bin indices per axis.
+    """A box of bins of a grid's real-FFT half spectrum: sorted bin indices per axis.
 
     index[0] and index[1] are bin positions in the FFT layout of axes 0
     and 1; index[2] is a prefix of the nonnegative half of the last axis.
     The band functions below transform, weight and invert only the bins
-    of the box; full() is every bin, of() is the bins a filter can keep.
+    of the box, on the band's grid; full() is every bin, of() is the bins
+    a filter can keep.
     """
 
-    spectral: SpectralGrid
+    grid: GridSpec
     index: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return tuple(len(i) for i in self.index)
 
-    def w2(self) -> np.ndarray:
-        """|w|^2 over the band's box."""
-        return self.spectral.w2(half=True, index=self.index)
+    def w2(self, planes: slice = slice(None)) -> np.ndarray:
+        """|w|^2 over the band's box, or over a slice of its axis-0 planes."""
+        ix, iy, iz = self.index
+        return SpectralGrid.from_grid(self.grid).w2(half=True, index=(ix[planes], iy, iz))
 
     @classmethod
     def full(cls, grid: GridSpec) -> "SpectralBand":
         n0, n1, nz = grid.dims
-        index = (np.arange(n0), np.arange(n1), np.arange(nz // 2 + 1))
-        return cls(SpectralGrid.from_grid(grid), index)
+        return cls(grid, (np.arange(n0), np.arange(n1), np.arange(nz // 2 + 1)))
 
     @classmethod
     def of(cls, grid: GridSpec, params: Sequence[FilterParams]) -> "SpectralBand":
@@ -180,31 +172,22 @@ class SpectralBand:
         Every bin outside the box gets a gain of exactly 0 (see the module
         docstring); with eps > 0 the band is every bin.
         """
-        spectral = SpectralGrid.from_grid(grid)
         index = []
-        for w in spectral.w_axes(half=True):
+        for w in SpectralGrid.from_grid(grid).w_axes(half=True):
             keep = np.zeros(w.shape, dtype=bool)
             for p in params:
                 keep |= frequency_response(p, w * w) > 0
             index.append(np.flatnonzero(keep))
         # the half axis's w^2 grows with the bin, so its kept bins are a prefix
         index[2] = np.arange(index[2][-1] + 1)
-        return cls(spectral, tuple(index))
+        return cls(grid, tuple(index))
 
 
-def _band(grid: GridSpec, band: SpectralBand | None) -> SpectralBand:
-    if band is None:
-        return SpectralBand.full(grid)
-    if band.spectral != SpectralGrid.from_grid(grid):
-        raise ValueError(f"band of {band.spectral} does not match grid {grid}")
-    return band
-
-
-def _check_spectrum(spectrum: np.ndarray, grid: GridSpec, band: SpectralBand):
+def _check_spectrum(spectrum: np.ndarray, band: SpectralBand):
     if spectrum.shape != band.shape:
         raise ValueError(
             f"spectrum shape {spectrum.shape} does not match the band {band.shape} "
-            f"of grid {grid.dims}"
+            f"of grid {band.grid.dims}"
         )
 
 
@@ -225,32 +208,30 @@ def _pad(a: np.ndarray, index: np.ndarray, n: int, axis: int) -> np.ndarray:
 
 
 class BandForward:
-    """forward_spectrum of a field fed in consecutive slabs of axis-0 planes.
+    """forward_spectrum of a field on the band's grid, fed in consecutive slabs of axis-0 planes.
 
-    Each slab gets the last-axis rfft one plane at a time and then the
-    axis-1 fft, keeping only the band's bins after each; spectrum() runs
-    the axis-0 fft once all n0 planes are in. Only the band's n0 x b1 x bz
-    lines and one slab's n1 x bz lines are alive, never a full grid.
+    Each slab gets the last-axis rfft and then the axis-1 fft, keeping
+    only the band's bins after each; spectrum() runs the axis-0 fft once
+    all n0 planes are in. Only the band's n0 x b1 x bz lines and one
+    slab's arrays are alive, never a full grid.
     """
 
-    def __init__(self, grid: GridSpec, band: SpectralBand | None = None):
-        self.grid = grid
-        self.band = _band(grid, band)
-        _, iy, iz = self.band.index
-        self._lines = np.empty((grid.dims[0], iy.size, iz.size), dtype=np.complex128)
+    def __init__(self, band: SpectralBand):
+        self.band = band
+        _, iy, iz = band.index
+        self._lines = np.empty((band.grid.dims[0], iy.size, iz.size), dtype=np.complex128)
         self._planes = 0
 
     def add(self, slab: np.ndarray) -> None:
         _, iy, iz = self.band.index
-        half = np.empty(slab.shape[:2] + (iz.size,), dtype=np.complex128)
-        for i, plane in enumerate(slab):
-            half[i] = np.fft.rfft(plane)[:, : iz.size]
+        half = np.fft.rfft(slab, axis=2)[:, :, : iz.size]
         lo, self._planes = self._planes, self._planes + len(slab)
         self._lines[lo : self._planes] = _take(np.fft.fft(half, axis=1), iy, 1)
 
     def spectrum(self) -> np.ndarray:
-        if self._planes != self.grid.dims[0]:
-            raise ValueError(f"fed {self._planes} of {self.grid.dims[0]} planes")
+        n0 = self.band.grid.dims[0]
+        if self._planes != n0:
+            raise ValueError(f"fed {self._planes} of {n0} planes")
         return _take(np.fft.fft(self._lines, axis=0), self.band.index[0], 0)
 
 
@@ -261,7 +242,7 @@ def forward_spectrum(X: ScalarField3, band: SpectralBand | None = None) -> np.nd
     transform (cft3_forward of the field's scalar embedding) restricted to
     the nonnegative half of the last axis; the other half is its complex
     conjugate mirror and carries no extra information. band defaults to
-    every bin.
+    every bin, and must be of a grid with the field's dims and spacing.
 
     The passes are rfftn's, in its order (last axis, then axis 1, then
     axis 0), each keeping only the band's bins; every line is transformed
@@ -269,58 +250,62 @@ def forward_spectrum(X: ScalarField3, band: SpectralBand | None = None) -> np.nd
     The field goes through BandForward one slab at a time, so no full
     half spectrum is ever alive.
     """
-    _require_finite(X)
-    forward = BandForward(X.grid, band)
+    if not X.is_finite():
+        raise ValueError("field contains NaN or Inf")
+    if band is None:
+        band = SpectralBand.full(X.grid)
+    elif SpectralGrid.from_grid(band.grid) != SpectralGrid.from_grid(X.grid):
+        raise ValueError(f"band of grid {band.grid} does not match the field's grid {X.grid}")
+    forward = BandForward(band)
     for slab in slabs(X.values):
         forward.add(slab)
     return forward.spectrum()
 
 
-def filter_gain(
-    params: FilterParams, grid: GridSpec, passes: int = 1, band: SpectralBand | None = None
-) -> np.ndarray:
+def filter_gain(params: FilterParams, band: SpectralBand, passes: int = 1) -> np.ndarray:
     """Bin gain over a band of the half spectrum of `passes` summed peel-off modes.
 
     Pass k extracts the low pass of the k-th residue, L (1 - L)^(k-1) X,
     because every pass applies the same linear gain L; the modes of K
-    passes therefore sum to (1 - (1 - L)^K) X in closed form. band
-    defaults to every bin.
+    passes therefore sum to (1 - (1 - L)^K) X in closed form. The gain is
+    evaluated one axis-0 plane of the band at a time and the passes fold
+    in place, so besides the gain only one plane's arrays are alive.
     """
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
-    gain = frequency_response(params, _band(grid, band).w2())
-    if passes == 1:
-        return gain
-    return 1.0 - (1.0 - gain) ** passes
+    gain = np.empty(band.shape)
+    for i in range(len(gain)):
+        plane = gain[i : i + 1]
+        plane[...] = frequency_response(params, band.w2(slice(i, i + 1)))
+        if passes > 1:
+            np.subtract(1.0, plane, out=plane)
+            plane **= passes
+            np.subtract(1.0, plane, out=plane)
+    return gain
 
 
-def field_slabs(
-    spectrum: np.ndarray, grid: GridSpec, band: SpectralBand | None = None
-) -> Iterator[np.ndarray]:
+def field_slabs(spectrum: np.ndarray, band: SpectralBand) -> Iterator[np.ndarray]:
     """field_from_spectrum's values as consecutive slabs of SLAB axis-0 planes.
 
     The axis-0 ifft of the band runs once, at the first slab; each slab
     then takes the axis-1 ifft of its zero-filled band lines and the
     last-axis irfft. Besides the band, one slab's lines are alive.
     """
-    band = _band(grid, band)
-    _check_spectrum(spectrum, grid, band)
-    return _field_slabs(spectrum, grid, band)
+    _check_spectrum(spectrum, band)
+    return _field_slabs(spectrum, band)
 
 
-def _field_slabs(spectrum, grid, band):
+def _field_slabs(spectrum, band):
     ix, iy, _ = band.index
-    n0, n1, nz = grid.dims
+    n0, n1, nz = band.grid.dims
     lines = np.fft.ifft(_pad(spectrum, ix, n0, 0), axis=0)
     del spectrum
     for part in slabs(lines):
         yield np.fft.irfft(np.fft.ifft(_pad(part, iy, n1, 1), axis=1), n=nz, axis=2)
 
 
-def field_from_spectrum(
-    spectrum: np.ndarray, grid: GridSpec, band: SpectralBand | None = None
-) -> ScalarField3:
-    """Inverse real FFT of a band of the half spectrum back onto the grid (1/N included).
+def field_from_spectrum(spectrum: np.ndarray, band: SpectralBand) -> ScalarField3:
+    """Inverse real FFT of a band of the half spectrum back onto the band's grid (1/N included).
 
     The bins outside the band are zero. The passes are irfftn's, in its
     order: axis 0 and then axis 1 on zero-filled band lines, then the
@@ -328,7 +313,7 @@ def field_from_spectrum(
     irfftn's of the zero-filled half spectrum bit for bit. The slabs come
     from field_slabs.
     """
-    return ScalarField3.from_slabs(grid, field_slabs(spectrum, grid, band))
+    return ScalarField3.from_slabs(band.grid, field_slabs(spectrum, band))
 
 
 def lowpass_apply(X: ScalarField3, params: FilterParams) -> ScalarField3:
@@ -338,8 +323,8 @@ def lowpass_apply(X: ScalarField3, params: FilterParams) -> ScalarField3:
     preserved exactly up to rounding because L(0) = 1.
     """
     band = SpectralBand.of(X.grid, [params])
-    retained = forward_spectrum(X, band) * filter_gain(params, X.grid, band=band)
-    return field_from_spectrum(retained, X.grid, band)
+    retained = forward_spectrum(X, band) * filter_gain(params, band)
+    return field_from_spectrum(retained, band)
 
 
 @dataclass(frozen=True)
@@ -362,34 +347,23 @@ class ModeDecomposition:
         return ScalarField3(self.final_residue.grid, total)
 
 
-def mode_decompose(
-    X: ScalarField3,
-    passes: int,
-    params: FilterParams | Sequence[FilterParams],
-) -> ModeDecomposition:
-    """Extract `passes` low-pass modes, each from the residue of the last.
+def mode_decompose(X: ScalarField3, per_pass: Sequence[FilterParams]) -> ModeDecomposition:
+    """Extract one low-pass mode per parameter set, each from the residue of the last.
 
-    params may be a single FilterParams (reused each pass) or one per pass.
     The k-th residue's spectrum is S (1 - L_1) ... (1 - L_(k-1)) for the
     input's spectrum S, so one forward transform over the band of every
     pass serves all modes, and each mode is one inverse transform.
     """
-    K = int(passes)
-    if K < 1:
-        raise ValueError(f"passes must be >= 1, got {passes}")
-    if isinstance(params, FilterParams):
-        per_pass = (params,) * K
-    else:
-        per_pass = tuple(params)
-        if len(per_pass) != K:
-            raise ValueError(f"need {K} parameter sets, got {len(per_pass)}")
+    per_pass = tuple(per_pass)
+    if not per_pass:
+        raise ValueError("need at least one parameter set")
     band = SpectralBand.of(X.grid, per_pass)
     rest = forward_spectrum(X, band)
     modes = []
     residue = X.values
     for p in per_pass:
-        gain = filter_gain(p, X.grid, band=band)
-        mode = field_from_spectrum(rest * gain, X.grid, band)
+        gain = filter_gain(p, band)
+        mode = field_from_spectrum(rest * gain, band)
         rest = rest * (1.0 - gain)
         modes.append(mode)
         residue = residue - mode.values
@@ -398,26 +372,20 @@ def mode_decompose(
     )
 
 
-def spectral_energy(
-    spectrum: np.ndarray,
-    grid: GridSpec,
-    w2_threshold: float,
-    band: SpectralBand | None = None,
-) -> float:
+def spectral_energy(spectrum: np.ndarray, band: SpectralBand, w2_threshold: float) -> float:
     """Full-spectrum energy above a squared-wavenumber threshold, from a band of a half spectrum.
 
     Sum of |X_hat|^2 over the bins of the complete unnormalized DFT with
     w^2 > w2_threshold, read off the real-FFT half spectrum, whose bins
-    outside the band (default: none) are zero: an interior bin of the last
-    axis stands for itself and its conjugate mirror and counts twice; the
-    k_z = 0 plane and, for even N_z, the Nyquist plane are their own
-    mirrors and count once. An energy beyond the float range reads inf,
-    without a warning.
+    outside the band are zero: an interior bin of the last axis stands
+    for itself and its conjugate mirror and counts twice; the k_z = 0
+    plane and, for even N_z, the Nyquist plane are their own mirrors and
+    count once. An energy beyond the float range reads inf, without a
+    warning.
     """
     if not w2_threshold > 0:
         raise ValueError(f"w2_threshold must be positive, got {w2_threshold}")
-    band = _band(grid, band)
-    _check_spectrum(spectrum, grid, band)
+    _check_spectrum(spectrum, band)
     with np.errstate(over="ignore"):
         power = np.abs(spectrum)
         power *= power
@@ -426,7 +394,7 @@ def spectral_energy(
         # the full half spectrum adds them (zero rows add nothing); sum() on
         # a small box may pair its terms in another order. The dot spans the
         # whole half axis, so it too adds what the full half spectrum's would.
-        nz = grid.dims[-1]
+        nz = band.grid.dims[-1]
         rows = power.reshape(-1, power.shape[-1]).cumsum(axis=0)[-1]
         planes = _pad(rows, band.index[2], nz // 2 + 1, 0)
         weight = np.full(planes.size, 2.0)
@@ -445,4 +413,4 @@ def highband_energy(X: ScalarField3, w2_threshold: float) -> float:
     Useful as a smoothness diagnostic: filtering with growing t drives
     it down monotonically.
     """
-    return spectral_energy(forward_spectrum(X), X.grid, w2_threshold)
+    return spectral_energy(forward_spectrum(X), SpectralBand.full(X.grid), w2_threshold)

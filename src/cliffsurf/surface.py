@@ -242,8 +242,8 @@ class SlabMarcher:
                 f"isovalue {iso} outside the open field range ({vmin}, {vmax}); "
                 "the surface would be empty"
             )
-        if not self._triangles:
-            raise ValueError(f"isovalue {iso} crosses no cell; the surface would be empty")
+        # so some cell has corners on both sides, and every such case of
+        # TRI_TABLE draws a triangle: the mesh is not empty
         vertices, triangles = self._vertices, self._triangles
         self._vertices, self._triangles = [], []
         return TriangleMesh(vertices=np.concatenate(vertices), triangles=np.concatenate(triangles))

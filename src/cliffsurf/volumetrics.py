@@ -48,30 +48,19 @@ DEFAULT_BUMP_HEIGHT = 1.0
 DEFAULT_BUMP_DECAY = 3.0
 DEFAULT_MEM_CAP = 4 * 1024**3
 
-# Traced (tracemalloc) peak of a whole CLI run per grid voxel. A run streams
-# the grid in slabs of SLAB axis-0 planes: each rasterized slab goes into the
-# forward transform of the band of bins the filter keeps, and per time each
-# inverted slab goes to the range, the volume writer and every isovalue's
-# marching cubes. So no array the size of the grid is alive: only the band's
-# n0 x b1 x bz lines, a few slabs' arrays (O(n^2) each) and the meshes of
-# one time, one per isovalue, while they grow. mesh_metrics holds about 100 B
-# per triangle besides its mesh. Seeded globules (bench seed 0), whole run,
-# then the largest traced total inside one stage: 5.6 B/voxel for 300
-# atoms at 135^3 with every writer (mesh_metrics 5.7, the OpenDX writer 5.3,
-# marching cubes 3.3, the inverse 2.9, rasterize 1.4, forward 1.1); 5.0 at
-# 112^3 with gaussian init (mesh_metrics 5.2, marching cubes 3.6, rasterize
-# 3.5); 11.2 for 3000 atoms, two times and two isovalues at 108^3, where two
-# meshes grow at once (mesh writer 11.5, mesh_metrics 11.3). The slab terms
-# grow as n^2, so the smaller the grid, the more B/voxel: the three-atom fixture at h = 0.25
-# (every writer) reads 10.1, 10.2, 10.2, 10.3 with 1, 2, 6, 12 times, and
-# sweep(), which returns its meshes, 10.1, 11.8, 18.4, 27.9; at h = 0.5
-# (37.8k voxels, two times) it reads 17.0. With eps > 0 the band is the
-# whole half spectrum (8 B/voxel complex, and a copy of it per transform
-# pass): --epsilon 0.05 --passes 3 with two times at 112^3 reads 33.2, the
-# highest measured. 72 is about twice that. It stays a flat per-voxel
-# estimate, though the streamed run needs O(n^2) plus the band plus the
-# meshes; a model of those is an open item. Used only to refuse grids
-# before allocating.
+# Estimated peak of a whole CLI run per grid voxel, used only to refuse
+# grids before allocating. A run streams the grid in slabs of SLAB axis-0
+# planes, so no array the size of the grid is alive: it holds the band of
+# bins the filter keeps, a few slabs' arrays (O(n^2) each), and the meshes of
+# one time while they grow, plus about 100 B per triangle in mesh_metrics.
+# Traced (tracemalloc) peaks of whole runs on seeded globules (bench seed 0):
+# 5.7 B/voxel at 135^3 with every writer, 5.2 at 112^3 with gaussian init,
+# 11.5 at 108^3 with two times and two isovalues. With eps > 0 the band is
+# the whole half spectrum: --epsilon 0.05 --passes 3 with two times at 112^3
+# reads 25.2, the most at that size. The slab terms grow as n^2, so small
+# grids read more: the three-atom fixture at h = 0.5 (37.8k voxels) reads 42
+# with that filter, two times and every writer. 72 stays a flat estimate; a
+# model of slabs, band and meshes is an open item.
 _BYTES_PER_VOXEL = 72
 
 # edges, in voxels, of the cubes rasterize_gaussian prunes atoms over and

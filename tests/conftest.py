@@ -331,10 +331,6 @@ def marching_cubes_loop(field, isovalue):
             a, b, c3 = (cell_vertex[int(row[s + o])] for o in range(3))
             tri_rows.append((a, c3, b))
 
-    if not tri_rows:
-        raise ValueError(
-            f"isovalue {iso} crosses no cell; the surface would be empty"
-        )
     return TriangleMesh(
         vertices=np.array(positions), triangles=np.array(tri_rows, dtype=np.int64)
     )

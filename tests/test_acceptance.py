@@ -256,18 +256,18 @@ def test_criterion_4_filter_suite(capfd):
         for m in range(1, 7):
             d = (0.0,) * (m - 1) + (1.0,)
             for eps in (0.0, 0.01, 3.0):
-                params = FilterParams(m=m, d=d, epsilon=eps, t=7.3)
+                params = FilterParams(d=d, epsilon=eps, t=7.3)
                 assert frequency_response(params, 0.0) == 1.0
 
         # vanishing propagation time is the identity
         field = _bandlimited_field((16, 16, 16), 1.0, 2, rng)
-        params = FilterParams(m=6, d=(0.0,) * 5 + (1.0,), epsilon=0.0, t=1e-15)
+        params = FilterParams(d=(0.0,) * 5 + (1.0,), epsilon=0.0, t=1e-15)
         out = lowpass_apply(field, params)
         assert np.abs(out.values - field.values).max() <= 1e-6
 
         # order 2 (m=1) agrees with a time-stepped heat-equation integrator
         field = _bandlimited_field((32, 32, 32), 1.0, 2, rng)
-        params = FilterParams(m=1, d=(1.0,), epsilon=0.0, t=0.1)
+        params = FilterParams(d=(1.0,), epsilon=0.0, t=0.1)
         ours = lowpass_apply(field, params)
         ref = heat_rk4(field.values, 1.0, 0.1, steps=100)
         assert np.abs(ours.values - ref).max() <= 1e-4
@@ -275,7 +275,7 @@ def test_criterion_4_filter_suite(capfd):
         # pure-decay semigroup: filtering 30 then 70 equals filtering 100
         field = _bandlimited_field((16, 16, 16), 0.5, 3, rng)
         d6 = (0.0,) * 5 + (1e-6,)
-        step = lambda f, t: lowpass_apply(f, FilterParams(m=6, d=d6, epsilon=0.0, t=t))
+        step = lambda f, t: lowpass_apply(f, FilterParams(d=d6, epsilon=0.0, t=t))
         twice = step(step(field, 30.0), 70.0)
         once = step(field, 100.0)
         scale = max(1.0, np.abs(once.values).max())
@@ -283,9 +283,9 @@ def test_criterion_4_filter_suite(capfd):
 
         # peel-off decomposition reconstructs the input
         field = _bandlimited_field((16, 16, 16), 0.5, 4, rng)
-        params = FilterParams(m=3, d=(0.1, 0.0, 1.0), epsilon=0.2, t=2.0)
+        params = FilterParams(d=(0.1, 0.0, 1.0), epsilon=0.2, t=2.0)
         for passes in (1, 2, 5):
-            dec = mode_decompose(field, passes, params)
+            dec = mode_decompose(field, [params] * passes)
             total = sum(m.values for m in dec.modes) + dec.final_residue.values
             assert np.abs(total - field.values).max() <= 1e-10
 
@@ -302,7 +302,7 @@ def test_criterion_5_three_atom_reproduction(capfd):
         d = (0.0,) * 5 + (1.0,)  # 2m = 12
 
         filtered = {
-            t: lowpass_apply(init, FilterParams(m=6, d=d, epsilon=0.0, t=t))
+            t: lowpass_apply(init, FilterParams(d=d, epsilon=0.0, t=t))
             for t in (1e1, 1e2, 1e3, 1e4, 1e5)
         }
 

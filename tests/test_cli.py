@@ -557,6 +557,11 @@ def test_run_config_validation_direct():
         RunConfig("x", isovalues=()).resolved()
     with pytest.raises(ValueError, match="volume format"):
         RunConfig("x", volume_format="vtk").resolved()
+    # the order m is a flag of its own, so the config checks d against it
+    with pytest.raises(ValueError, match="need m=2 coefficients, got 1"):
+        RunConfig("x", m=2, d=(1.0,)).resolved()
+    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
+        RunConfig("x", m=0, d=()).resolved()
     # gaussian fields are not capped at 1, larger levels are legal
     RunConfig("x", init_kind="gaussian", isovalues=(1.3,)).resolved()
 
@@ -865,8 +870,8 @@ def test_cli_passes_field_is_sum_of_peeled_modes(three_atom_file, tmp_path, caps
     )
     assert code == EXIT_OK, err
     _, _, _, got = read_raw(vol)
-    params = FilterParams(m=6, d=default_coefficients(6), epsilon=0.05, t=20.0)
-    modes = mode_decompose(_cli_initial_field(three_atom_file, 0.5), passes, params).modes
+    params = FilterParams(d=default_coefficients(6), epsilon=0.05, t=20.0)
+    modes = mode_decompose(_cli_initial_field(three_atom_file, 0.5), [params] * passes).modes
     want = sum(mode.values for mode in modes)
     assert np.abs(got - want).max() <= 1e-12
 
@@ -878,21 +883,29 @@ def test_cli_passes_field_is_sum_of_peeled_modes(three_atom_file, tmp_path, caps
 )
 def test_face_range_tells_whether_the_mesh_is_closed(three_atom_file, tmp_path, capsys,
                                                      flags, closed):
-    vol = str(tmp_path / "v.raw")
-    code, out, err = run_cli(["--input", three_atom_file, *flags, "--volume-out", vol], capsys)
-    assert code == EXIT_OK, err
-    m = manifest_dict(out)
-    _, _, _, values = read_raw(vol)
-    faces = [values[[0, -1]], values[:, [0, -1]], values[:, :, [0, -1]]]
-    lo = float(m["run[t=100].field.face_min"])
-    hi = float(m["run[t=100].field.face_max"])
-    assert lo == min(f.min() for f in faces) and hi == max(f.max() for f in faces)
     # the mesh is closed exactly when no box-face sample is below the
     # isovalue or none is above it; at 0.5 A of padding the surface
-    # reaches the box
+    # reaches the box, and the run refuses it at stage extract
+    vol, mesh = str(tmp_path / "v.raw"), tmp_path / "m.obj"
+    code, out, err = run_cli(
+        ["--input", three_atom_file, *flags, "--volume-out", vol, "--mesh-out", str(mesh)], capsys
+    )
+    _, _, _, values = read_raw(vol)
+    faces = [values[[0, -1]], values[:, [0, -1]], values[:, :, [0, -1]]]
+    lo, hi = float(min(f.min() for f in faces)), float(max(f.max() for f in faces))
     assert (not lo < 0.9 <= hi) == closed
-    boundary = int(m["run[t=100,iso=0.9].mesh.boundary_edge_count"])
-    assert (boundary == 0) == closed
+    if not closed:
+        assert code == EXIT_COMPUTE
+        assert err.count("\n") == 1 and err.startswith("error[stage=extract]: isovalue 0.9 ")
+        assert f"({lo!r}, {hi!r}]" in err
+        assert "--padding" in err and "--time" in err
+        assert not mesh.exists()
+        return
+    assert code == EXIT_OK, err
+    m = manifest_dict(out)
+    assert float(m["run[t=100].field.face_min"]) == lo
+    assert float(m["run[t=100].field.face_max"]) == hi
+    assert m["run[t=100,iso=0.9].mesh.boundary_edge_count"] == "0"
 
 
 def test_overflowing_highband_energy_reads_inf_without_warning(three_atom_file, capsys):
@@ -901,7 +914,9 @@ def test_overflowing_highband_energy_reads_inf_without_warning(three_atom_file, 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(
-            ["--input", three_atom_file, "--init", "gaussian", "--s", "1e290"], capsys
+            ["--input", three_atom_file, "--init", "gaussian", "--s", "1e290",
+             "--isovalue", "8e289"],
+            capsys,
         )
     assert code == EXIT_OK, err
     assert err == ""
@@ -921,7 +936,8 @@ def test_manifest_zero_gain_frac_counts_the_full_half_spectrum(three_atom_file, 
     got = manifest_dict(out)
     grid = make_grid(parse_xyzr(Path(three_atom_file).read_text()), spacing=0.5)
     for t in times:
-        gain = filter_gain(FilterParams.single_term(t=t, epsilon=eps), grid, passes)
+        params = FilterParams.single_term(t=t, epsilon=eps)
+        gain = filter_gain(params, SpectralBand.full(grid), passes)
         want = float(1.0 - np.count_nonzero(gain) / gain.size)
         assert got[f"run[t={t:g}].filter.zero_gain_frac"] == repr(want)
         assert (want == 0.0) == (eps > 0)
@@ -943,8 +959,8 @@ def test_cli_highband_energy_is_full_fft_band_energy(three_atom_file, tmp_path, 
 
 
 def test_filter_stage_fft_count(three_atom_file, monkeypatch):
-    # per run, the last-axis rfft takes every voxel once, one axis-0 plane
-    # at a time, whatever the number of times, and each slab of planes
+    # per run, the last-axis rfft takes every voxel once, one slab of
+    # axis-0 planes at a time, whatever the number of times, and each slab
     # then takes the axis-1 fft; per time, one axis-0 ifft of the band and
     # per slab one axis-1 ifft and one last-axis irfft over its n1 lines;
     # every complex pass takes band lines only; no n-D transform at all,
@@ -970,14 +986,14 @@ def test_filter_stage_fft_count(three_atom_file, monkeypatch):
 
     grid = make_grid(parse_xyzr(Path(three_atom_file).read_text()), spacing=0.5)
     n0, n1, nz = grid.dims
-    params = [FilterParams(m=6, d=default_coefficients(6), epsilon=0.0, t=t) for t in times]
+    params = [FilterParams(d=default_coefficients(6), epsilon=0.0, t=t) for t in times]
     b0, b1, bz = SpectralBand.of(grid, params).shape
     assert b0 < n0 and b1 < n1 and bz < nz // 2 + 1  # the band prunes every axis
     rows = [min(SLAB, n0 - lo) for lo in range(0, n0, SLAB)]
     assert n0 % SLAB  # a short last slab
     forward = []
     for r in rows:
-        forward += [("rfft", (n1, nz), 1, None)] * r + [("fft", (r, n1, bz), 1, None)]
+        forward += [("rfft", (r, n1, nz), 2, None), ("fft", (r, n1, bz), 1, None)]
     inverse = [("ifft", (n0, b1, bz), 0, None)]
     for r in rows:
         inverse += [("ifft", (r, n1, bz), 1, None), ("irfft", (r, n1, bz), 2, nz)]

@@ -94,6 +94,9 @@ def test_edge_corner_tables_consistent():
     # each table row uses exactly the edges whose corners differ in sign
     for case in range(256):
         assert {int(v) for v in TRI_TABLE[case] if v >= 0} == _cut_edges(case)
+    # so every mixed case draws a triangle: a field with samples on both
+    # sides of the isovalue has a cell of mixed corners, and a nonempty mesh
+    assert (TRI_TABLE[1:255, 0] >= 0).all()
 
 
 def test_case_table_is_face_consistent():
@@ -374,7 +377,7 @@ def _three_atom_field(three_atoms):
     grid = make_grid(three_atoms, spacing=0.25, padding=5.0)
     init = rasterize_piecewise(three_atoms, grid)
     d = (0.0,) * 5 + (1.0,)
-    return lowpass_apply(init, FilterParams(m=6, d=d, epsilon=0.0, t=1e2))
+    return lowpass_apply(init, FilterParams(d=d, epsilon=0.0, t=1e2))
 
 
 def test_three_atom_fixture_matches_loop_oracle(three_atoms):

@@ -475,5 +475,5 @@ def test_one_nonfinite_sample_is_rejected_everywhere(tmp_path, bad):
     with pytest.raises(ValueError, match="NaN or Inf"):
         export_raw(field, tmp_path / "x.raw")
     with pytest.raises(ValueError, match="NaN or Inf"):
-        mode_decompose(field, 2, FilterParams.single_term(t=1.0))
+        mode_decompose(field, [FilterParams.single_term(t=1.0)] * 2)
     assert not any(tmp_path.iterdir())
