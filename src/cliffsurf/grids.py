@@ -7,13 +7,13 @@ the slab conventions of the streamed pipeline: the CLI rasterizes,
 transforms, writes and extracts a grid SLAB planes of axis 0 at a time,
 and no stage of a run holds an array the size of the grid.
 
-write_rows formats numbers as arrays, not one Python float at a time: it
-fills columns of ASCII bytes from integer digit arithmetic, and its
-%.6e, %.6f and %d text is byte-identical to Python's `%` and C printf.
-The rounding is proven per value (one correctly rounded scaling by an
-exact power of ten, away from a rounding half); a row with a value it
-cannot prove, such as an exact tie, a 3-digit exponent or a NaN, is
-formatted by Python's `%` instead.
+write_rows formats numbers as arrays, not one Python float at a time:
+integer arithmetic picks each value's 4-byte texts from digit tables,
+np.take stores them in a fixed byte record per value, and the bytes go
+to a binary file handle. Its %.6e, %.6f and %d text is byte-identical to
+Python's `%` and C printf: the rounding is proven per value, and a row
+with a value it cannot prove (an exact tie, a 3-digit exponent, a NaN)
+is formatted by Python's `%` instead.
 
 Conventions fixed here once for the whole package:
 
@@ -262,214 +262,202 @@ class SpectralGrid:
         return reduce(np.add, (m * m for m in meshes))
 
 
-# rows formatted per write_rows chunk: a few MB of text at a time
-_ROWS_PER_WRITE = 1 << 16
+# rows per write_rows chunk: its arrays stay in the CPU caches
+_ROWS_PER_WRITE = 4096
 
-# 10^0 .. 10^22, every power of ten float64 holds exactly (exact products)
+# 10^0 .. 10^22, every power of ten float64 holds exactly, and the factor and
+# divisor of s = |x| * 10^k for k = -22 .. 22, by k + 22 (exact scalings)
 _POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])
+_UP = _POW10[np.maximum(np.arange(-22, 23), 0)]
+_DOWN = _POW10[np.maximum(np.arange(22, -23, -1), 0)]
+_EXP_AT = 60 - np.arange(45)  # the exponent 6 - k, as an index of _EXP
 
 
-def _put_digits(out: np.ndarray, n: np.ndarray) -> None:
-    """Write nonnegative integers n as zero-padded ASCII digits into out (..., width)."""
-    # floor division by a scalar is fast in numpy; divmod is not. Narrow
-    # integers make it faster still. Each digit is stored as a whole column:
-    # numpy loops over a narrow last axis row by row.
-    n = n.astype(np.uint32 if 10 ** out.shape[-1] <= 2**32 else np.uint64)
-    ten, zero, rest = n.dtype.type(10), n.dtype.type(ord("0")), np.empty_like(n)
-    for k in range(out.shape[-1] - 1, -1, -1):
-        q = n // ten
-        np.subtract(n, np.multiply(q, ten, out=rest), out=rest)
-        rest += zero
-        out[..., k] = rest
-        n = q
+def _digits(width: int) -> np.ndarray:
+    """ASCII digits of 0 .. 10^width - 1, zero-padded, as (10^width, width) uint8."""
+    return np.indices((10,) * width, dtype=np.uint8).reshape(width, -1).T + np.uint8(48)
 
 
-def _leading_digits(out, keep, n) -> None:
-    """ASCII digits of n into out (..., W); keep drops the leading zeros but one."""
-    _put_digits(out, n)
-    width = out.shape[-1]
-    for k in range(width - 1):
-        keep[..., k] = n >= 10 ** (width - 1 - k)
+def _words(chars: np.ndarray) -> np.ndarray:
+    """Each row of 4 ASCII bytes as the uint32 that holds those bytes in memory."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view(np.uint32).ravel()
 
 
-def _trim_sign(chars, keep):
-    """Drop the sign slot when no value needs it; keep is None when nothing drops.
-
-    The leading digit slot is always used (the width is the widest
-    value's), so the sign slot is the only one that can be dropped
-    from every row.
-    """
-    kept = np.count_nonzero(keep)  # counted while keep is contiguous
-    if not keep[..., 0].any():
-        chars, keep = chars[..., 1:], keep[..., 1:]
-    return chars, (None if kept == keep.size else keep)
+# digit tables of 4-byte texts: "dddd" for 0 .. 9999, then the same with the
+# leading zeros as NUL bytes (0 has none left); "d.dd" for 0 .. 999; "e+dd" or
+# "e-dd" for the exponents -32 .. 31. A NUL byte is text left out.
+_quads = _digits(4)
+_QUADS = _words(np.vstack([_quads, _quads * np.maximum.accumulate(_quads > ord("0"), axis=1)]))
+_LEAD = _words(np.insert(_digits(3), 1, ord("."), axis=1))
+_exps = np.arange(-32, 32)
+_signs = np.where(_exps < 0, ord("-"), ord("+"))
+_EXP = _words(np.c_[np.full(64, ord("e")), _signs, _digits(2)[abs(_exps)]])
 
 
 def _round_scaled(s: np.ndarray, fast: np.ndarray) -> np.ndarray:
-    """Where fast, rint(s) if that provably equals the rounded exact value.
+    """rint(s) as integers; fast is narrowed in place to the values where that is proven.
 
-    s is one correctly rounded product or quotient, within half an ulp
-    (at most s * 2^-53) of the exact scaled value, so both round to the
-    same integer unless s lies within s * 2^-52 of a half-integer; exact
-    ties (round-half-even in printf) land there too. fast is narrowed in
-    place to the values whose rounding is proven; the others read 0.
+    s is one correctly rounded product or quotient, within s * 2^-53 of
+    the exact scaled value, so both round alike unless s lies within
+    s * 2^-52 of a half-integer (exact ties among them): the test is
+    |s - rint(s)| + s * 2^-52 < 0.5, whose rounded sum can only fail more.
     """
-    s = np.where(fast, s, 0.0)  # no inf or NaN past this point
-    frac = s - np.floor(s)  # exact
-    fast &= np.abs(frac - 0.5) > s * 2.0**-52
-    return np.where(fast, np.rint(s), 0.0)
+    m = np.rint(s)
+    off = np.abs(s - m)  # NaN for inf and NaN
+    off += s * 2.0**-52
+    fast &= off < 0.5
+    return m.astype(np.intp)
+
+
+def _groups(q: np.ndarray) -> list:
+    """Slots of the digits of integers q >= 0, 4 per slot; leading zeros are NUL, 0 has none."""
+    top = int(q.max(initial=0))
+    count = -(-len(str(top)) // 4) if top else 0
+    # the trimmed texts in the top slot, and below it where no higher slot has a digit
+    trim = [np.where(q < 10 ** (4 * g + 4), 10**4, 0) for g in range(count - 1)] + [10**4]
+    return [_QUADS.take(q // 10 ** (4 * g) % 10**4 + trim[g]) for g in range(count - 1, -1, -1)]
+
+
+# each maps n values to (slots, neg, gaps, bad): a uint8 or uint32 array of
+# n per text field, the values that take a "-" first, whether the slots hold
+# NUL bytes, and the indices of the values whose text is not proven
 
 
 def _format_e(x: np.ndarray):
-    """%.6e: [sign][d].[dddddd]e[+-][dd], 13 slots."""
+    """%.6e: [-]d.dd|dddd|e+dd, -0.0 as -0.000000e+00."""
     x = x.astype(np.float64, copy=False)
     ax = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.floor(np.log10(ax))  # a guess, checked by the range of s below
-    k = 6.0 - e  # s = |x| * 10^k, kept only while 10^|k| is exact
-    fast = np.abs(k) <= 22.0  # False for 0, inf and NaN
-    k = np.where(fast, k, 0.0).astype(np.int64)
-    s = ax * _POW10[np.maximum(k, 0)] / _POW10[np.maximum(-k, 0)]
-    # seven significant digits, so e was right; log10 can round across a
-    # power of ten, and such values fall back
-    fast &= (s >= 1e6) & (s < 1e7)
-    m = _round_scaled(s, fast).astype(np.int64)
-    carry = m == 10**7
-    m[carry] = 10**6
-    exp = np.where(fast, 6 - k, 0) + carry  # |exp| <= 29: always two digits
-    chars = np.empty(x.shape + (13,), np.uint8)
-    lead, tail = np.divmod(m, 10**6)
-    _put_digits(chars[..., 1:2], lead)
-    _put_digits(chars[..., 3:9], tail)
-    _put_digits(chars[..., 11:13], np.abs(exp))
-    chars[..., 0] = ord("-")
-    chars[..., 2] = ord(".")
-    chars[..., 9] = ord("e")
-    chars[..., 10] = np.where(exp < 0, ord("-"), ord("+"))
-    keep = np.ones(chars.shape, bool)
-    keep[..., 0] = np.signbit(x)  # -0.0 prints as -0.000000e+00
-    return (*_trim_sign(chars, keep), (ax != 0) & ~fast)  # zeros are exact
+    e = np.log10(ax)  # a guess, checked by the range of s below
+    np.floor(e, out=e)
+    k = (28.0 - e).astype(np.intp)  # k + 22 for s = |x| * 10^k; out of range is clipped
+    s = _UP.take(k, mode="clip") * ax
+    if k.min() < 22:  # scale down
+        s /= _DOWN.take(k, mode="clip")
+    # seven significant digits, so 6 - k is the exponent; log10 can round
+    # across a power of ten, and such values fall back
+    fast = (s >= 1e6) & (s < 1e7)
+    m = _round_scaled(s, fast)
+    ei = _EXP_AT.take(k, mode="clip")
+    slow = np.flatnonzero(~fast) if not fast.all() else np.empty(0, np.intp)
+    m[slow], ei[slow] = 0, 32  # the text of zeros, which are exact
+    if m.max() == 10**7:  # rounded up to the next power of ten
+        carry = m == 10**7
+        m[carry] = 10**6
+        ei[carry] += 1
+    lead = m // 10**4
+    m -= lead * 10**4
+    slots = [_LEAD.take(lead), _QUADS.take(m), _EXP.take(ei)]
+    return slots, np.signbit(x), False, slow[ax[slow] != 0]
 
 
 def _format_f(x: np.ndarray):
-    """%.6f: [sign][integer digits].[dddddd], leading zeros dropped."""
+    """%.6f: [-][integer digits but the last]d.dd|dddd; values rounding to 0 keep the sign."""
     x = x.astype(np.float64, copy=False)
-    with np.errstate(over="ignore"):
-        s = np.abs(x) * 1e6  # exact scale; s >= 2^52 fails the half-integer test
+    s = np.abs(x) * 1e6  # exact scale; s >= 2^52 fails the half-integer test
     fast = np.isfinite(s)
-    m = _round_scaled(s, fast).astype(np.int64)
-    whole, tail = np.divmod(m, 10**6)
-    width = len(str(whole.max())) if whole.size else 1
-    chars = np.empty(x.shape + (width + 8,), np.uint8)
-    keep = np.ones(chars.shape, bool)
-    chars[..., 0] = ord("-")
-    keep[..., 0] = np.signbit(x)  # values that round to zero keep the sign
-    _leading_digits(chars[..., 1 : width + 1], keep[..., 1 : width + 1], whole)
-    chars[..., width + 1] = ord(".")
-    _put_digits(chars[..., width + 2 :], tail)
-    return (*_trim_sign(chars, keep), ~fast)
+    m = _round_scaled(s, fast)
+    slow = np.flatnonzero(~fast)
+    m[slow] = 0
+    lead = m // 10**4
+    m -= lead * 10**4
+    slots = _groups(lead // 1000) + [_LEAD.take(lead % 1000), _QUADS.take(m)]
+    return slots, np.signbit(x), len(slots) > 2, slow
 
 
 def _format_d(x: np.ndarray):
-    """%d: [sign][digits], leading zeros dropped; integer dtypes only."""
+    """%d: [-][digits but the last]d; integer dtypes only."""
     neg = x < 0
     mag = x.astype(np.uint64)  # two's complement: -mag is |x| for negatives
     mag = np.where(neg, -mag, mag)
-    width = len(str(mag.max())) if mag.size else 1
-    chars = np.empty(x.shape + (width + 1,), np.uint8)
-    keep = np.ones(chars.shape, bool)
-    chars[..., 0] = ord("-")
-    keep[..., 0] = neg
-    _leading_digits(chars[..., 1:], keep[..., 1:], mag)
-    return (*_trim_sign(chars, keep), np.zeros(x.shape, bool))
+    q = mag // 10
+    slots = _groups(q.astype(np.intp)) + [(mag - q * 10).astype(np.uint8) + np.uint8(48)]
+    return slots, neg, len(slots) > 1, np.empty(0, np.intp)
 
 
-# each maps a column of n values to (chars, keep, bad): their ASCII slots
-# (n, width), the slots to keep (None: all of them), and the values whose
-# text is not proven, whose rows go through `%`
 _FORMATTERS = {"%.6e": _format_e, "%.6f": _format_f, "%d": _format_d}
 
 
 def _parse_row_format(row_format: str):
-    """Split a row template into its literal texts and its conversions."""
+    """A row template's start, the literal after each value, and its conversions.
+
+    The literal after the last value ends the row and starts the next one.
+    """
     pieces = re.split(r"(%\.6e|%\.6f|%d)", row_format)
-    literals, conversions = pieces[0::2], pieces[1::2]
-    if any("%" in lit for lit in literals):
+    literals, conversions = [lit.encode() for lit in pieces[0::2]], pieces[1::2]
+    if any(b"%" in lit for lit in literals):
         raise ValueError(
             f"row template {row_format!r}: only %.6e, %.6f and %d are supported"
         )
-    return [lit.encode() for lit in literals], conversions
+    return literals[0], literals[1:-1] + [literals[-1] + literals[0]], conversions
 
 
-def _format_block(row_format, literals, conversions, block) -> bytes:
-    """The text of one chunk of rows, as the `%` of each row would give it."""
-    if block.dtype.kind not in ("biu" if "%d" in conversions else "biuf"):
-        # e.g. %d of floats, which Python truncates: every row through `%`
-        return "".join(row_format % tuple(r) for r in block.tolist()).encode()
-    columns = [_FORMATTERS[c](block[:, j]) for j, c in enumerate(conversions)]
-    n = len(block)
-    width = sum(map(len, literals)) + sum(ch.shape[1] for ch, _, _ in columns)
-    buf = np.empty((n, width), np.uint8)
-    keep = None
-    if any(kp is not None for _, kp, _ in columns):
-        keep = np.ones((n, width), bool)
-    at = 0
-    for lit, column in zip(literals, columns + [None]):
-        buf[:, at : at + len(lit)] = np.frombuffer(lit, np.uint8)
-        at += len(lit)
-        if column is not None:
-            w = column[0].shape[1]
-            buf[:, at : at + w] = column[0]
-            if column[1] is not None:
-                keep[:, at : at + w] = column[1]
-            at += w
-    slow = np.flatnonzero(np.any([bad for _, _, bad in columns], axis=0))
-    del columns  # the chunk's largest arrays: freed before the compaction
-    text = (buf if keep is None else buf[keep]).tobytes()
-    if not slow.size:
-        return text
-    # splice in the exact `%` text of each row the arrays could not prove
-    lens = np.full(n, width) if keep is None else keep.sum(axis=1)
+def _write_block(fh, row_format, start, seps, conversion, block) -> None:
+    """Write one chunk of rows."""
+    n, ncols = block.shape
+    with np.errstate(all="ignore"):  # inf and NaN are not proven, and fall back
+        slots, neg, gaps, bad = _FORMATTERS[conversion](block.ravel())
+    # one record per value: its slots, then the literal after it
+    width = max(map(len, seps))
+    gaps |= any(len(sep) < width for sep in seps)  # padded with NUL
+    if neg.any():  # a sign slot for every value, "-" or NUL
+        slots.insert(0, neg.view(np.uint8) * np.uint8(ord("-")))
+        gaps = True
+    fields = [(f"f{i}", slot.dtype) for i, slot in enumerate(slots)]
+    rec = np.empty(block.size, fields + [("sep", f"S{width}")])
+    rec["sep"].reshape(n, ncols)[:] = seps
+    for i, slot in enumerate(slots):
+        rec[f"f{i}"] = slot
+    text = rec.view(np.uint8)
+    if gaps:
+        text = text[text != 0]
+    if not bad.size:
+        fh.write(start)
+        fh.write(text[: text.size - len(start)])
+        return
+    # row i is whole[ends[i] - lens[i] : ends[i]]: splice in `%` rows for the unproven
+    lens = np.count_nonzero(rec.view(np.uint8).reshape(n, -1), axis=1)
     ends = np.cumsum(lens).tolist()
+    whole = start + text.tobytes()
     pieces, at = [], 0
-    for i in slow.tolist():
-        pieces.append(text[at : ends[i] - int(lens[i])])
-        pieces.append((row_format % tuple(block[i].tolist())).encode())
+    for i in np.unique(bad // ncols).tolist():
+        pieces += [whole[at : ends[i] - lens[i]], (row_format % tuple(block[i].tolist())).encode()]
         at = ends[i]
-    pieces.append(text[at:])
-    return b"".join(pieces)
+    fh.write(b"".join(pieces) + whole[at : len(whole) - len(start)])
 
 
 def write_rows(fh, row_format: str, rows: np.ndarray) -> None:
-    """Write every row of a 2D array through one printf-style row template.
+    """Write every row of a 2D array through one printf-style row template, to a binary handle.
 
-    The text is byte for byte what `row_format % tuple(row)` gives for each
-    row, which for %.6e, %.6f and %d is also what C printf gives. The
-    template is parsed once into literal texts and conversions; any other
-    conversion raises ValueError. Each chunk of _ROWS_PER_WRITE rows is
-    formatted as arrays: every conversion fills fixed-width uint8 columns of
-    ASCII characters, the literals are constant columns, and one boolean
-    compaction drops the unused sign and leading-digit slots (skipped when
-    nothing is dropped, e.g. a chunk without negatives).
+    The bytes are those of `row_format % tuple(row)` for each row, which
+    for %.6e, %.6f and %d is also C printf's; any other conversion raises
+    ValueError. Chunks of _ROWS_PER_WRITE rows are formatted as flat
+    arrays (see the module docstring). NUL bytes stand for unused sign
+    slots and leading zeros, and a boolean compaction drops them; a chunk
+    gets a sign slot only when it holds a negative value, so a %.6e chunk
+    without one is written as it is.
 
-    Rounding is exact by construction. %.6e takes e = floor(log10|x|) and
-    s = |x| * 10^(6 - e) in one correctly rounded operation with an exact
-    power of ten (at most 1e22); %.6f takes s = |x| * 1e6. Either way s is
-    within half an ulp of the exact value, so rint(s) is the printed
+    Rounding is exact by construction: %.6e scales s = |x| * 10^(6 -
+    floor(log10|x|)) and %.6f s = |x| * 1e6, each one correctly rounded
+    operation with an exact power of ten, so rint(s) is the printed
     integer unless s lies within s * 2^-52 of a half-integer. A row goes
-    through Python's `%` instead when one of its values is not proven that
-    way: near a half-integer (exact ties among them), a power of ten past
-    1e22 (every 3-digit exponent is), a log10 guess that leaves s outside
-    [1e6, 1e7), |x| * 1e6 of 2^52 or more, or inf or NaN. A whole chunk
-    does when the dtype is not numeric, or is float under %d. Only one
-    chunk's arrays and text are alive at a time.
+    through Python's `%` when one of its values is not proven that way:
+    near a half-integer (exact ties among them), a power of ten past 1e22
+    (every 3-digit exponent is), a log10 guess that leaves s outside
+    [1e6, 1e7), |x| * 1e6 of 2^52 or more, inf or NaN. All rows do for a
+    non-numeric dtype, floats under %d, mixed conversions or a NUL byte
+    in a literal. Only one chunk's arrays and text are alive at a time.
     """
-    literals, conversions = _parse_row_format(row_format)
+    start, seps, conversions = _parse_row_format(row_format)
     if rows.ndim != 2 or rows.shape[1] != len(conversions):
         raise ValueError(
             f"rows of shape {rows.shape} do not fit the {len(conversions)} "
             f"conversions of {row_format!r}"
         )
-    for start in range(0, len(rows), _ROWS_PER_WRITE):
-        block = rows[start : start + _ROWS_PER_WRITE]
-        fh.write(_format_block(row_format, literals, conversions, block).decode())
+    arrays = len(set(conversions)) == 1 and b"\0" not in start + b"".join(seps)
+    arrays = arrays and rows.dtype.kind in ("biu" if "%d" in conversions else "biuf")
+    for at in range(0, len(rows), _ROWS_PER_WRITE):
+        block = rows[at : at + _ROWS_PER_WRITE]
+        if arrays:
+            _write_block(fh, row_format, start, seps, conversions[0], block)
+        else:  # e.g. %d of floats, which Python truncates
+            fh.write("".join(row_format % tuple(r) for r in block.tolist()).encode())

@@ -386,16 +386,20 @@ def spectral_energy(spectrum: np.ndarray, band: SpectralBand, w2_threshold: floa
     if not w2_threshold > 0:
         raise ValueError(f"w2_threshold must be positive, got {w2_threshold}")
     _check_spectrum(spectrum, band)
+    # |X_hat|^2 one axis-0 plane of the band at a time, its rows added to
+    # the running sum row after row in C order, as a cumsum over the full
+    # half spectrum adds them (zero rows add nothing); sum() on a small box
+    # may pair its terms in another order. The dot spans the whole half
+    # axis, so it too adds what the full half spectrum's would.
+    rows = np.zeros(spectrum.shape[-1])
     with np.errstate(over="ignore"):
-        power = np.abs(spectrum)
-        power *= power
-        power[band.w2() <= w2_threshold] = 0.0
-        # per-plane sums added row after row in C order, as a reduction over
-        # the full half spectrum adds them (zero rows add nothing); sum() on
-        # a small box may pair its terms in another order. The dot spans the
-        # whole half axis, so it too adds what the full half spectrum's would.
+        for i in range(len(spectrum)):
+            power = np.abs(spectrum[i])
+            power *= power
+            power[band.w2(slice(i, i + 1))[0] <= w2_threshold] = 0.0
+            power[0] += rows
+            rows = np.cumsum(power, axis=0, out=power)[-1]
         nz = band.grid.dims[-1]
-        rows = power.reshape(-1, power.shape[-1]).cumsum(axis=0)[-1]
         planes = _pad(rows, band.index[2], nz // 2 + 1, 0)
         weight = np.full(planes.size, 2.0)
         weight[0] = 1.0

@@ -417,7 +417,7 @@ def write_obj(mesh: TriangleMesh, path) -> None:
     """Write vertices then 1-based faces, coordinates with 6 decimals."""
     if mesh.n_triangles == 0:
         raise ValueError("refusing to write an empty mesh")
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "wb") as fh:
         write_rows(fh, "v %.6f %.6f %.6f\n", mesh.vertices)
         write_rows(fh, "f %d %d %d\n", mesh.triangles + 1)
 
@@ -427,7 +427,7 @@ def write_off(mesh: TriangleMesh, path) -> None:
     if mesh.n_triangles == 0:
         raise ValueError("refusing to write an empty mesh")
     _, starts, _ = _edge_runs(mesh.triangles, mesh.n_vertices)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_triangles} {len(starts)}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_triangles} {len(starts)}\n".encode())
         write_rows(fh, "%.6f %.6f %.6f\n", mesh.vertices)
         write_rows(fh, "3 %d %d %d\n", mesh.triangles)

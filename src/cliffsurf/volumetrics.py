@@ -443,8 +443,8 @@ class VolumeWriter:
             f"object 2 class gridconnections counts {nx} {ny} {nz}",
             f"object 3 class array type double rank 0 items {nx * ny * nz} data follows",
         ]
-        self._fh = open(path, "w", newline="\n")
-        self._fh.write("\n".join(header) + "\n")
+        self._fh = open(path, "wb")
+        self._fh.write(("\n".join(header) + "\n").encode())
 
     def write(self, slab: np.ndarray) -> None:
         if not (np.isfinite(slab.min()) and np.isfinite(slab.max())):  # a NaN reaches both
@@ -478,7 +478,7 @@ class VolumeWriter:
                     'component "connections" value 2',
                     'component "data" value 3',
                 ]
-                self._fh.write("\n".join(trailer) + "\n")
+                self._fh.write(("\n".join(trailer) + "\n").encode())
         finally:
             self._fh.close()
             if kind is not None:

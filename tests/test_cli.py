@@ -6,6 +6,7 @@ documented stage map (0 ok, 2 input, 3 config, 4 compute, 5 output).
 """
 
 import gc
+import importlib.util
 import os
 import tracemalloc
 import warnings
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliffsurf import cli
+from cliffsurf import cli, pdefilter
 from cliffsurf.cli import (
     ENERGY_W2_THRESHOLD,
     EXIT_COMPUTE,
@@ -1034,6 +1035,40 @@ def test_traced_peak_within_memory_estimate(three_atom_file, tmp_path, times):
     assert all(c["metrics"].boundary_edge_count == 0 for c in combos)
     n_voxels = make_grid(parse_xyzr(Path(three_atom_file).read_text()), spacing=0.25).n_voxels
     assert peak <= n_voxels * _BYTES_PER_VOXEL
+
+
+def test_eps_run_weighs_its_energy_one_plane_at_a_time(tmp_path, monkeypatch, capsys):
+    # with eps > 0 the band is the whole half spectrum, 16 bytes per bin.
+    # spectral_energy runs beside the spectrum kept for the next time and
+    # the retained one, and used to add |X|^2, the band's w^2 and a mask
+    # to them (25.25 B/voxel). The bench's G300 globule, seed 0.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    path = tmp_path / "g300.xyzr"
+    inputs.write_globule("G300", 0, str(path))
+    energy_peaks = []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        energy = pdefilter.spectral_energy(*args)
+        energy_peaks.append(tracemalloc.get_traced_memory()[1])
+        return energy
+
+    monkeypatch.setattr(cli, "spectral_energy", traced)
+    args = ["--input", str(path), "--init", "gaussian", "--spacing", "0.3", "--epsilon",
+            "0.05", "--passes", "3", "--time", "100", "--time", "200"]
+    tracemalloc.start()
+    try:
+        code = main(args)
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    dims = [int(n) for n in manifest_dict(capsys.readouterr().out)["grid.dims"].split()]
+    assert len(energy_peaks) == 2
+    assert max(energy_peaks) <= 17 * dims[0] * dims[1] * dims[2]
 
 
 def test_streamed_gaussian_run_holds_no_grid_array(three_atom_file, tmp_path, capsys):

@@ -75,10 +75,10 @@ def _rows(values, template, dtype):
 
 def _assert_matches_percent(template, rows, chunk):
     with mock.patch.object(grids, "_ROWS_PER_WRITE", chunk):
-        got, want = io.StringIO(), io.StringIO()
+        got, want = io.BytesIO(), io.StringIO()
         grids.write_rows(got, template, rows)
         conftest.write_rows_percent(want, template, rows)
-    assert got.getvalue() == want.getvalue()
+    assert got.getvalue() == want.getvalue().encode()
 
 
 @pytest.mark.parametrize("template", FLOAT_TEMPLATES)
@@ -124,8 +124,60 @@ def test_write_rows_any_numeric_dtype_matches_percent(template, dtype):
     _assert_matches_percent(template, values.astype(dtype).reshape(-1, 3), 2)
 
 
+def _signed_chunks(chunk, ncols, dtype):
+    """Six chunks of positive values; chunks 1, 3, 4 and 5 get negatives.
+
+    One at the chunk's start, one in its middle, one at its end, and three
+    spread from its first value to its last.
+    """
+    rng = np.random.default_rng(5)
+    n = chunk * ncols
+    if dtype == np.int64:
+        parts = [rng.integers(0, 10**7, n) for _ in range(6)]
+    else:
+        parts = [rng.uniform(0.0, 1e3, n) * 10.0 ** rng.integers(-8, 8, n) for _ in range(6)]
+    for part, at in ((1, [0]), (3, [n // 2]), (4, [n - 1]), (5, [0, n // 3, n - 1])):
+        parts[part][at] *= -1
+    return np.concatenate(parts).astype(dtype).reshape(-1, ncols)
+
+
+@pytest.mark.parametrize("template", FLOAT_TEMPLATES + INT_TEMPLATES)
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+def test_write_rows_chunks_with_and_without_negatives_match_percent(template, chunk):
+    # a sign slot exists only in a chunk with a negative value, and %.6e
+    # compacts only the span from its first negative value to its last
+    dtype = np.int64 if "%d" in template else np.float64
+    rows = _signed_chunks(chunk, template.count("%"), dtype)
+    _assert_matches_percent(template, rows, chunk)
+
+
+@pytest.mark.parametrize("template", FLOAT_TEMPLATES)
+@pytest.mark.parametrize(
+    "value",
+    [1048576.5, -2.5e-7, 5e-7, 1e-100, -1e200, 2.0**53, float("nan"), float("-inf")],
+)
+def test_write_rows_unprovable_value_mid_chunk_matches_percent(template, value):
+    # a tie, values near a 6-decimal half, 3-digit exponents, |x| * 1e6
+    # past 2^52, NaN and an infinity, each in the middle of a chunk of
+    # mixed-sign values that the arrays do prove
+    ncols = template.count("%")
+    rows = np.random.default_rng(7).standard_normal((2 * 4096, ncols)) * 100.0
+    for col in range(ncols):
+        rows[4096 + 2048 + col, col] = value
+    _assert_matches_percent(template, rows, 4096)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("template", ["%d %.6e %.6f\n", "%d\0%d %d\n", "v\0%.6e\n"])
+def test_write_rows_mixed_or_nul_templates_match_percent(template, dtype):
+    # rows of mixed conversions, and of a literal with a NUL byte (which
+    # the arrays use for text left out), go through `%` whole
+    values = np.array([0, 1, -7, 10, 99, -100, 127, 250, 255, 3, 2, 1])
+    _assert_matches_percent(template, values.astype(dtype).reshape(-1, 3)[:, : template.count("%")], 2)
+
+
 def test_write_rows_refuses_other_conversions_and_shapes():
-    fh = io.StringIO()
+    fh = io.BytesIO()
     for template in ("%g\n", "%.3f\n", "%s\n", "%5d\n", "100%\n", "%%d\n"):
         with pytest.raises(ValueError, match="supported"):
             grids.write_rows(fh, template, np.zeros((2, 1)))
@@ -133,7 +185,7 @@ def test_write_rows_refuses_other_conversions_and_shapes():
         grids.write_rows(fh, "%d %d\n", np.zeros((2, 3), dtype=int))
     with pytest.raises(ValueError, match="do not fit"):
         grids.write_rows(fh, "%d\n", np.zeros(3, dtype=int))
-    assert fh.getvalue() == ""
+    assert fh.getvalue() == b""
 
 
 def _next_smooth_by_counting(n):

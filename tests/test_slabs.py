@@ -279,3 +279,21 @@ def test_write_rows_chunks_do_not_matter_to_streamed_dx(tmp_path, monkeypatch):
         for slab in slabs(values, 3):
             writer.write(slab)
     assert (tmp_path / "v.dx").read_bytes() == _dx_oracle(values, grid)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 4096])
+def test_streamed_dx_of_a_mixed_sign_field_matches_percent(tmp_path, monkeypatch, chunk):
+    # negative blobs in a positive field, so slabs and chunks come with
+    # and without negatives; rows span slabs, and the last line is short
+    monkeypatch.setattr(grids, "_ROWS_PER_WRITE", chunk)
+    rng = np.random.default_rng(12)
+    grid = GridSpec(origin=(-1.5, 0.25, 3.0), spacing=0.3, dims=(23, 31, 37))
+    x, y, z = np.meshgrid(*(np.linspace(0, 6, n) for n in grid.dims), indexing="ij")
+    values = rng.uniform(0.5, 2.0, grid.dims) * 10.0 ** rng.integers(-12, 12, grid.dims)
+    values[np.sin(x) * np.cos(y) * np.sin(z) > 0.3] *= -1
+    values[0, 0, :3] = [0.0, -0.0, 1e-300]
+    with VolumeWriter(grid, tmp_path / "v.dx", "dx") as writer:
+        for slab in slabs(values, 11):
+            writer.write(slab)
+    assert values.size % 3 and (values < 0).mean() > 0.05
+    assert (tmp_path / "v.dx").read_bytes() == _dx_oracle(values, grid)

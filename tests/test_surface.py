@@ -1,6 +1,7 @@
 """Isosurface extraction: per-case cell behavior, welding, topology and
 geometry metrics, mesh file formats."""
 
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -97,6 +98,14 @@ def test_edge_corner_tables_consistent():
     # so every mixed case draws a triangle: a field with samples on both
     # sides of the isovalue has a cell of mixed corners, and a nonempty mesh
     assert (TRI_TABLE[1:255, 0] >= 0).all()
+
+
+def test_case_table_is_the_listed_one():
+    # the packed hex literal holds exactly the widely circulated listing:
+    # these are the sha256 of its 256 x 16 int8 bytes
+    assert TRI_TABLE.shape == (256, 16) and TRI_TABLE.dtype == np.int64
+    digest = hashlib.sha256(TRI_TABLE.astype(np.int8).tobytes()).hexdigest()
+    assert digest == "19bf7699e214903d72c94c296546f2e31337d637a1e4b118c3108a0f428e809b"
 
 
 def test_case_table_is_face_consistent():
