@@ -9,6 +9,7 @@ protonation and charge assignment stay upstream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,9 +54,9 @@ class Atom:
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(v) for v in self.center))
         object.__setattr__(self, "radius", float(self.radius))
-        if len(self.center) != 3 or not all(np.isfinite(self.center)):
+        if len(self.center) != 3 or not all(map(math.isfinite, self.center)):
             raise ValueError(f"center must be 3 finite coordinates, got {self.center}")
-        if not (self.radius > 0 and np.isfinite(self.radius)):
+        if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError(f"radius must be positive and finite, got {self.radius}")
 
 
@@ -100,7 +101,7 @@ def _finite_floats(tokens, line_no):
         vals = [float(tok) for tok in tokens]
     except ValueError:
         raise ParseError(f"non-numeric field in {tokens!r}", line_no) from None
-    if not all(np.isfinite(vals)):
+    if not all(map(math.isfinite, vals)):
         raise ParseError(f"non-finite value in {tokens!r}", line_no)
     return vals
 

@@ -2,7 +2,7 @@
 geometry metrics, mesh file formats."""
 
 import hashlib
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -106,6 +106,66 @@ def test_case_table_is_the_listed_one():
     assert TRI_TABLE.shape == (256, 16) and TRI_TABLE.dtype == np.int64
     digest = hashlib.sha256(TRI_TABLE.astype(np.int8).tobytes()).hexdigest()
     assert digest == "19bf7699e214903d72c94c296546f2e31337d637a1e4b118c3108a0f428e809b"
+
+
+def _grid_edge(cell, e):
+    """A cell edge as a grid edge: its axis and its lower grid point."""
+    a, b = (_CORNERS[c] for c in EDGE_CORNERS[e])
+    axis = next(i for i in range(3) if a[i] != b[i])
+    return axis, tuple(c + min(u, v) for c, u, v in zip(cell, a, b))
+
+
+def _box_class(cell):
+    """A cell's box-boundary class: bit b set when it is at 0 on axis b."""
+    return sum(1 << b for b in range(3) if cell[b] == 0)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 4), (3, 2, 4), (4, 3, 2), (4, 4, 5)])
+def test_every_grid_edge_has_one_owner_the_first_cell_that_holds_it(dims):
+    # brute force over the cell edges of grids one cell across on some
+    # axes and several on others, so every box-boundary class occurs: the
+    # marcher's tables give each grid edge exactly one owner, the first
+    # cell in row-major order that holds it, and every cell that holds
+    # the edge steps back to that owner and names the same edge there
+    holders = defaultdict(list)
+    for cell in np.ndindex(*(n - 1 for n in dims)):  # row-major order
+        for e in range(12):
+            holders[_grid_edge(cell, e)].append((cell, e))
+    nx, ny, nz = dims
+    assert len(holders) == (nx - 1) * ny * nz + nx * (ny - 1) * nz + nx * ny * (nz - 1)
+    classes = set()
+    for edge, held in holders.items():
+        first = held[0][0]
+        assert [cell for cell, e in held if surface._OWNS[_box_class(cell), e]] == [first]
+        for cell, e in held:
+            j = 12 * _box_class(cell) + e
+            owner = tuple(int(c) for c in np.subtract(cell, surface._SHIFT[j]))
+            assert owner == first
+            assert _grid_edge(owner, surface._OWNER_EDGE[j]) == edge
+            classes.add(_box_class(cell))
+    # every class a grid of these dims has: an axis one cell across is always at 0
+    assert classes == {c for c in range(8) if all(c >> b & 1 for b in range(3) if dims[b] == 2)}
+
+
+def test_marcher_rows_list_owned_edges_in_first_appearance_order():
+    # row 256 * class + code: the edges a cell of that class owns, in the
+    # order its case's TRI_TABLE row first meets them, and the row's
+    # corners as 12 * class + edge, each triangle reversed; the code has
+    # bit 4 dx + 2 dy + dz set for a below corner at offset (dx, dy, dz)
+    for code in range(256):
+        below = [code >> (4 * x + 2 * y + z) & 1 for x, y, z in _CORNERS]
+        case = sum(bit << i for i, bit in enumerate(below))
+        edges = [int(v) for v in TRI_TABLE[case] if v >= 0]
+        corners = [v for a, b, c in zip(*[iter(edges)] * 3) for v in (a, c, b)]
+        for cls in range(8):
+            row = 256 * cls + code
+            owned = [e for e in dict.fromkeys(edges) if surface._OWNS[cls, e]]
+            assert [int(v) for v in surface._NEW_EDGES[row] if v != 255] == owned
+            assert surface._N_NEW[row] == len(owned)
+            assert [int(v) for v in surface._TRI_SLOTS[row] if v != 255] == [
+                12 * cls + e for e in corners
+            ]
+            assert surface._N_SLOTS[row] == len(corners)
 
 
 def test_case_table_is_face_consistent():
