@@ -35,12 +35,13 @@ array the size of the grid is alive. Each rasterized slab goes straight
 into the forward transform of the band. Per time, one pass inverts the
 band slab by slab and feeds each slab to the field's range, the volume
 file, and the marching cubes of every isovalue, which carry the vertex
-ids of the plane they share with the next slab. The checks of
-extraction wait for the end of the pass and fail in isovalue order: the
-field must be finite, the isovalue inside its open range, and outside
-the range of the box faces, (face_min, face_max]. An isovalue in that
-range cuts a box face, and its mesh would be open, so the run fails at
-stage extract and names the fixes, more padding or a smaller time. So
+ids of the plane they share with the next slab. Only the range scans the
+field's extremes: a NaN or an infinity fails at stage extract before the
+volume file or a marcher sees its slab. At the end of the pass, in
+isovalue order, each isovalue must lie inside the open range and outside
+the box faces' range, (face_min, face_max], where it would cut a box face
+and give an open mesh; else the run fails at stage extract and names the
+fixes, more padding or a smaller time. So
 a run holds the band, a few slabs' arrays, and the meshes of one time,
 one per isovalue, while they grow; each surface is then finished,
 measured and written before the next, and only sweep(), which returns
@@ -407,6 +408,8 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             for part in staged("filter", parts):
                 with stage("filter"):
                     field.add(part)
+                if not (np.isfinite(field.min) and np.isfinite(field.max)):  # a NaN reaches both
+                    raise StageError("extract", "field contains NaN or Inf")
                 if volume is not None:
                     with stage("output"), _writing(path):
                         volume.write(part)
@@ -434,7 +437,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
         for iso, marcher in zip(cfg.isovalues, marchers):
             key = f"run[t={t:g},iso={iso:g}]"
             with stage("extract"):
-                mesh = marcher.finish()
+                mesh = marcher.finish(field)
                 # the mesh is open exactly when the isovalue cuts the box faces
                 if field.face_min < iso <= field.face_max:
                     raise ValueError(

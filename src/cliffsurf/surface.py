@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField3, SlabRange, slabs, write_rows
+from .grids import GridSpec, ScalarField3, slabs, write_rows
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
 # each cell edge's two corners, its first corner, and its step from the
@@ -179,8 +179,8 @@ class SlabMarcher:
     arrays scale with the slab's points or its active cells; none is as
     large as the grid.
 
-    The checks of the whole field's range wait for finish(), which raises
-    them as marching_cubes does.
+    The marcher scans no slab for its range: finish(field) reads the
+    caller's range of the same slabs, a grids.SlabRange or the field.
     """
 
     def __init__(self, grid: GridSpec, isovalue: float):
@@ -188,7 +188,7 @@ class SlabMarcher:
         if not np.isfinite(iso):
             raise ValueError(f"isovalue must be finite, got {isovalue}")
         self.grid, self.iso = grid, iso
-        self._range = SlabRange(grid.dims[0])
+        self._planes = 0  # planes fed
         self._last = None  # the last plane fed
         # the last layer of cells marched: each active cell's place in the
         # layer and its row of 12 edge ids, read where it owns the edge
@@ -200,10 +200,8 @@ class SlabMarcher:
     def add(self, slab: np.ndarray) -> None:
         if slab.shape[1:] != self.grid.dims[1:]:
             raise ValueError(f"slab of shape {slab.shape} does not fit grid {self.grid.dims}")
-        first = self._range.planes - (self._last is not None)  # plane of the cells' corner 0
-        self._range.add(slab)
-        if not (np.isfinite(self._range.min) and np.isfinite(self._range.max)):
-            return  # finish() refuses the field
+        first = self._planes - (self._last is not None)  # plane of the cells' corner 0
+        self._planes += len(slab)
         last, self._last = self._last, slab[-1].copy()
         if last is not None or len(slab) > 1:
             self._march(last, slab, first)
@@ -283,7 +281,8 @@ class SlabMarcher:
         fb = _sample(last, slab, pa + (_EDGE_STEP @ (plane, nz, 1)).take(e))
         for f in (fa, fb):
             f[f == iso] = iso + 4.0 * np.spacing(max(abs(iso), 1.0))
-        t = (iso - fa) / (fb - fa)
+        with np.errstate(invalid="ignore"):  # inf / inf at an infinite sample, refused by finish
+            t = (iso - fa) / (fb - fa)
         del fa, fb
         step = _EDGE_STEP.take(e, axis=0)
         del e
@@ -320,11 +319,11 @@ class SlabMarcher:
         last = np.searchsorted(cells, (nx - 1) * plane)
         self._carry = (cells[last:] - (nx - 1) * plane, ids[m + last :].copy())
 
-    def finish(self) -> TriangleMesh:
-        """The mesh of the whole field; raises ValueError as marching_cubes does."""
-        vmin, vmax, iso = self._range.min, self._range.max, self.iso
-        if self._range.planes != self.grid.dims[0]:
-            raise ValueError(f"fed {self._range.planes} of {self.grid.dims[0]} planes")
+    def finish(self, field) -> TriangleMesh:
+        """The mesh of the slabs fed, given their range; raises as marching_cubes does."""
+        vmin, vmax, iso = field.min, field.max, self.iso
+        if self._planes != self.grid.dims[0]:
+            raise ValueError(f"fed {self._planes} of {self.grid.dims[0]} planes")
         if not (np.isfinite(vmin) and np.isfinite(vmax)):  # a NaN reaches both
             raise ValueError("field contains NaN or Inf")
         if not (vmin < iso < vmax):
@@ -360,9 +359,11 @@ def marching_cubes(field: ScalarField3, isovalue: float) -> TriangleMesh:
     The field goes through SlabMarcher one slab at a time.
     """
     marcher = SlabMarcher(field.grid, isovalue)
+    if not field.is_finite():  # refused before marching, as by the exporters
+        raise ValueError("field contains NaN or Inf")
     for slab in slabs(field.values):
         marcher.add(slab)
-    return marcher.finish()
+    return marcher.finish(field)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:

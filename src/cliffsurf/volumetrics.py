@@ -405,25 +405,23 @@ def _gaussian_slabs(mol, grid, s, r_e):
         del power  # before the next slab is allocated
 
 
-def _require_exportable(field: ScalarField3):
-    if not field.is_finite():
-        raise ValueError("field contains NaN or Inf, refusing to export")
-
-
 class VolumeWriter:
     """A volume file written from consecutive slabs of axis-0 planes, as a context manager.
 
     fmt "dx" writes export_opendx's layout and "raw" export_raw's, byte
     for byte: the OpenDX rows of three values may span two slabs, so the
     one or two values left at the end of a slab are carried to the next.
-    A slab with a NaN or an infinity raises ValueError. A context left by
-    an exception removes the partial file; one left normally finishes it.
+    No value is scanned: callers refuse a NaN or an infinity first. A slab
+    that does not fit the grid raises ValueError, and so does a context
+    left normally after other than the grid's planes; an exception or a
+    refusal removes the partial file, and a normal exit finishes it.
     """
 
     def __init__(self, grid: GridSpec, path, fmt: str):
         if fmt not in ("dx", "raw"):
             raise ValueError(f"volume format must be dx or raw, got {fmt}")
-        self.path, self.fmt = path, fmt
+        self.grid, self.path, self.fmt = grid, path, fmt
+        self._planes = 0  # planes written
         self._carry = np.empty(0)
         if fmt == "raw":
             self._fh = open(path, "wb")
@@ -447,8 +445,9 @@ class VolumeWriter:
         self._fh.write(("\n".join(header) + "\n").encode())
 
     def write(self, slab: np.ndarray) -> None:
-        if not (np.isfinite(slab.min()) and np.isfinite(slab.max())):  # a NaN reaches both
-            raise ValueError("field contains NaN or Inf, refusing to export")
+        if slab.shape[1:] != self.grid.dims[1:]:
+            raise ValueError(f"slab of shape {slab.shape} does not fit grid {self.grid.dims}")
+        self._planes += len(slab)
         if self.fmt == "raw":
             # a view of the values when they are already little-endian
             # float64 and C-ordered; a copy only where the dtype or layout
@@ -466,7 +465,10 @@ class VolumeWriter:
         return self
 
     def __exit__(self, kind, exc, tb):
+        refused = kind is None and self._planes != self.grid.dims[0]
         try:
+            if refused:
+                raise ValueError(f"fed {self._planes} of {self.grid.dims[0]} planes")
             if kind is None and self.fmt == "dx":
                 if self._carry.size:  # one or two values on the last data line
                     last = self._carry[None]
@@ -481,13 +483,14 @@ class VolumeWriter:
                 self._fh.write(("\n".join(trailer) + "\n").encode())
         finally:
             self._fh.close()
-            if kind is not None:
+            if kind is not None or refused:
                 with contextlib.suppress(OSError):
                     os.remove(self.path)
 
 
 def _export(field: ScalarField3, path, fmt: str) -> None:
-    _require_exportable(field)
+    if not field.is_finite():
+        raise ValueError("field contains NaN or Inf, refusing to export")
     with VolumeWriter(field.grid, path, fmt) as writer:
         for slab in slabs(field.values):
             writer.write(slab)

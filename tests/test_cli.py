@@ -8,6 +8,7 @@ documented stage map (0 ok, 2 input, 3 config, 4 compute, 5 output).
 import gc
 import importlib.util
 import os
+import sys
 import tracemalloc
 import warnings
 import weakref
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliffsurf import cli, pdefilter
+from cliffsurf import cli, grids, pdefilter
 from cliffsurf.cli import (
     ENERGY_W2_THRESHOLD,
     EXIT_COMPUTE,
@@ -784,10 +785,10 @@ def test_execute_keeps_no_mesh_alive(three_atom_file, tmp_path, monkeypatch):
     meshes, alive = [], []
 
     class Recording(cli.SlabMarcher):
-        def finish(self):
+        def finish(self, field):
             gc.collect()
             alive.append(sum(ref() is not None for ref in meshes))
-            mesh = super().finish()
+            mesh = super().finish(field)
             meshes.append(weakref.ref(mesh))
             return mesh
 
@@ -804,6 +805,79 @@ def test_execute_keeps_no_mesh_alive(three_atom_file, tmp_path, monkeypatch):
     gc.collect()
     assert alive == [0, 0, 0, 0]
     assert all(ref() is None for ref in meshes)
+
+
+@pytest.mark.parametrize("volume", [None, "v.dx", "v.raw"])
+def test_nonfinite_filtered_field_fails_at_extract(
+    three_atom_file, tmp_path, capsys, monkeypatch, volume
+):
+    # a NaN in the second filtered slab: the pass's range refuses it before
+    # the volume file or any marcher sees the slab, with or without a
+    # volume, and no file is left
+    def poisoned(spectrum, band):
+        for i, part in enumerate(pdefilter.field_slabs(spectrum, band)):
+            if i == 1:
+                part[0, 0, 0] = np.nan
+            yield part
+
+    fed = []
+
+    class Recording(cli.SlabMarcher):
+        def add(self, slab):
+            fed.append(bool(np.isnan(slab).any()))
+            super().add(slab)
+
+    monkeypatch.setattr(cli, "field_slabs", poisoned)
+    monkeypatch.setattr(cli, "SlabMarcher", Recording)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["--input", three_atom_file, "--spacing", "0.5", "--mesh-out", str(out_dir / "m.obj")]
+    if volume:
+        argv += ["--volume-out", str(out_dir / volume)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_COMPUTE
+    assert out == ""
+    assert err == "error[stage=extract]: field contains NaN or Inf\n"
+    assert not any(out_dir.iterdir())
+    assert fed == [False]  # the first slab only
+
+
+def test_one_range_per_pass(three_atom_file, tmp_path, monkeypatch):
+    # each filtered slab's range is read once per pass: one SlabRange for
+    # the initial field and one per time, each fed every slab once; the
+    # marchers and the volume writer keep none of their own
+    original = grids.SlabRange
+    ranges = []
+
+    class Spy(original):
+        def __init__(self, n0):
+            super().__init__(n0)
+            self.added = []
+            ranges.append(self)
+
+        def add(self, slab):
+            self.added.append(len(slab))
+            super().add(slab)
+
+    # every module's binding of the class, wherever it is imported
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("cliffsurf") and getattr(module, "SlabRange", None) is original:
+            monkeypatch.setattr(module, "SlabRange", Spy)
+    times = (50.0, 100.0)
+    text = execute(
+        RunConfig(
+            three_atom_file,
+            spacing=0.5,
+            times=times,
+            isovalues=(0.8, 0.9),
+            volume_out=str(tmp_path / "v.dx"),
+        )
+    )
+    n0 = int(manifest_dict(text)["grid.dims"].split()[0])
+    assert len(ranges) == 1 + len(times)
+    for r in ranges:
+        assert sum(r.added) == n0
+        assert len(r.added) == -(-n0 // SLAB)
 
 
 def test_sweep_returns_one_entry_per_combo(three_atom_file):

@@ -6,6 +6,7 @@ import io
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ def test_slab_marching_matches_loop_oracle(field, rows, quantiles):
         for marcher in marchers:
             marcher.add(slab)
     for iso, marcher in zip(isos, marchers):
-        got = _error(marcher.finish)
+        got = _error(marcher.finish, field)
         want = _error(marching_cubes_loop, field, iso)
         if isinstance(want, str):
             assert got == want
@@ -84,7 +85,7 @@ def test_slab_marching_carries_vertices_across_every_boundary():
         marcher = SlabMarcher(field.grid, 1.8)
         for slab in slabs(field.values, rows):
             marcher.add(slab)
-        got = marcher.finish()
+        got = marcher.finish(field)
         assert np.array_equal(got.vertices, want.vertices)
         assert np.array_equal(got.triangles, want.triangles)
         assert mesh_metrics(got).boundary_edge_count == 0
@@ -108,7 +109,7 @@ def test_slab_marcher_peak_per_slab_voxel():
             worst = max(worst, (tracemalloc.get_traced_memory()[1] - before) / slab.size)
     finally:
         tracemalloc.stop()
-    assert marcher.finish().n_triangles >= 50_000
+    assert marcher.finish(field).n_triangles >= 50_000
     assert worst <= 33.0
 
 
@@ -117,9 +118,27 @@ def test_slab_marcher_refuses_a_partial_field():
     marcher = SlabMarcher(field.grid, 1.0)
     marcher.add(field.values[:3])
     with pytest.raises(ValueError, match="fed 3 of"):
-        marcher.finish()
+        marcher.finish(field)
     with pytest.raises(ValueError, match="does not fit"):
         marcher.add(field.values[:, :2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_slab_marcher_marches_a_nonfinite_slab_quietly(bad):
+    # the marcher scans no slab for its range: it marches one with a NaN or
+    # an infinity without a warning, and finish refuses the field on the
+    # caller's range of the same slabs
+    values = np.random.default_rng(1).standard_normal((10, 6, 6))
+    values[4, 2, 2] = bad
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=values.shape)
+    marcher, r = SlabMarcher(grid, 0.0), SlabRange(len(values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for slab in slabs(values, 3):
+            marcher.add(slab)
+            r.add(slab)
+    with pytest.raises(ValueError, match="field contains NaN or Inf"):
+        marcher.finish(r)
 
 
 def test_slab_range_matches_whole_array():
@@ -229,14 +248,38 @@ def test_streamed_volume_writers_match_whole_array_bytes(tmp_path_factory, dims,
 
 def test_volume_writer_removes_a_refused_file(tmp_path):
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(4, 2, 2))
-    values = np.zeros((4, 2, 2))
-    values[3, 1, 1] = np.nan
     path = tmp_path / "v.dx"
-    with pytest.raises(ValueError, match="NaN or Inf"):
+    with pytest.raises(ValueError, match="does not fit"):
         with VolumeWriter(grid, path, "dx") as writer:
-            for slab in slabs(values, 2):
-                writer.write(slab)
+            writer.write(np.zeros((2, 2, 2)))
+            writer.write(np.zeros((2, 2, 3)))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["dx", "raw"])
+def test_volume_writer_refuses_a_short_or_misshapen_field(tmp_path, fmt):
+    # 3 of 4 planes would leave a DX header promising 16 items over 12, and
+    # a (4, 3, 3) slab 36 values in a raw file of a 16-voxel grid; too few
+    # or too many planes, or a slab of the wrong shape, are refused, and the
+    # partial file is removed
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(4, 2, 2))
+    path = tmp_path / f"v.{fmt}"
+    with pytest.raises(ValueError, match="fed 3 of 4 planes"):
+        with VolumeWriter(grid, path, fmt) as writer:
+            writer.write(np.zeros((3, 2, 2)))
+    assert not path.exists()
+    with pytest.raises(ValueError, match=r"slab of shape \(4, 3, 3\) does not fit"):
+        with VolumeWriter(grid, path, fmt) as writer:
+            writer.write(np.zeros((4, 3, 3)))
+    assert not path.exists()
+    with pytest.raises(ValueError, match="fed 6 of 4 planes"):
+        with VolumeWriter(grid, path, fmt) as writer:
+            for _ in range(3):
+                writer.write(np.zeros((2, 2, 2)))
+    assert not path.exists()
+    with VolumeWriter(grid, path, fmt) as writer:
+        writer.write(np.zeros((4, 2, 2)))
+    assert path.exists()
 
 
 def test_mesh_metrics_peak_per_triangle():
