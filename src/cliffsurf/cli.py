@@ -123,8 +123,7 @@ class RunConfig:
     padding: float = volumetrics.DEFAULT_PADDING
     s: float = volumetrics.DEFAULT_BUMP_HEIGHT
     r_e: float = volumetrics.DEFAULT_BUMP_DECAY
-    m: int = DEFAULT_HALF_ORDER
-    d: tuple[float, ...] | None = None  # None: single highest-order term
+    d: tuple[float, ...] = default_coefficients()  # PDE order 2 * len(d)
     epsilon: float = 0.0
     times: tuple[float, ...] = (100.0,)
     isovalues: tuple[float, ...] | None = None  # None: per-init default
@@ -136,8 +135,7 @@ class RunConfig:
     mem_cap_gib: float = volumetrics.DEFAULT_MEM_CAP / 1024**3
 
     def resolved(self) -> "RunConfig":
-        """Fill derived defaults and validate cross-field consistency."""
-        d = tuple(self.d) if self.d is not None else default_coefficients(self.m)
+        """Fill the per-init isovalue default and validate cross-field consistency."""
         isovalues = self.isovalues
         if isovalues is None:
             # the swapped binary field is the complement of the piecewise
@@ -145,7 +143,7 @@ class RunConfig:
             isovalues = {"gaussian": (0.8,), "piecewise-swapped": (0.1,)}.get(
                 self.init_kind, (0.9,)
             )
-        cfg = replace(self, d=d, isovalues=tuple(isovalues))
+        cfg = replace(self, isovalues=tuple(isovalues))
         cfg.validate()
         return cfg
 
@@ -197,10 +195,6 @@ class RunConfig:
             raise ValueError(f"volume format must be dx or raw, got {self.volume_format}")
         if not 0 < self.mem_cap_gib < np.inf:
             raise ValueError(f"mem-cap must be positive and finite, got {self.mem_cap_gib}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if len(self.d) != self.m:
-            raise ValueError(f"need m={self.m} coefficients, got {len(self.d)}")
         # constructing one parameter set validates d and epsilon
         FilterParams(d=self.d, epsilon=self.epsilon, t=self.times[0])
 
@@ -364,7 +358,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
         f"grid.dims: {_fmt(grid.dims)}",
         f"grid.origin: {_fmt(grid.origin)}",
         f"grid.mem_cap_gib: {_fmt(cfg.mem_cap_gib)}",
-        f"filter.order: {2 * cfg.m}",
+        f"filter.order: {2 * len(cfg.d)}",
         f"filter.d: {_fmt(cfg.d)}",
         f"filter.epsilon: {_fmt(cfg.epsilon)}",
         f"filter.passes: {cfg.passes}",
@@ -517,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The one option table, for flags and config files alike.
 
     Each dest is the RunConfig field it sets; only order and dcoeff are
-    translated, into m and d.
+    translated, into d.
     """
     p = _Parser(
         prog="cliffsurf",
@@ -628,18 +622,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise StageError("config", f"--order must be a positive even integer, got {order}")
         m = order // 2
 
-    d = None
-    dcoeff_entries = values.pop("dcoeff", None)
-    if dcoeff_entries is not None:
-        try:
-            d = _parse_dcoeff(dcoeff_entries, m)
-        except ValueError as exc:
-            raise StageError("config", str(exc)) from exc
+    try:
+        d = _parse_dcoeff(values.pop("dcoeff", []), m)
+    except ValueError as exc:
+        raise StageError("config", str(exc)) from exc
 
     for key in ("times", "isovalues"):
         if key in values:
             values[key] = tuple(values[key])
-    return RunConfig(m=m, d=d, **values)
+    return RunConfig(d=d, **values)
 
 
 # glibc mallopt parameters (malloc.h)

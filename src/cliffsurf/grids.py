@@ -28,6 +28,7 @@ Conventions fixed here once for the whole package:
 
 from __future__ import annotations
 
+import math
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -57,7 +58,7 @@ class GridSpec:
 
     @property
     def n_voxels(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def axes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-axis voxel center coordinates."""
@@ -116,12 +117,16 @@ class ScalarField3:
 
     @classmethod
     def from_slabs(cls, grid: GridSpec, parts: Iterable[np.ndarray]) -> "ScalarField3":
-        """The field whose consecutive slabs along axis 0 are parts."""
+        """The field whose consecutive slabs along axis 0 are parts, which must fill the grid."""
         values = np.empty(grid.dims)
         lo = 0
         for part in parts:
+            if part.shape[1:] != grid.dims[1:]:
+                raise ValueError(f"slab of shape {part.shape} does not fit grid {grid.dims}")
             values[lo : lo + len(part)] = part
             lo += len(part)
+        if lo != len(values):
+            raise ValueError(f"fed {lo} of {len(values)} planes")
         return cls(grid, values)
 
     @property
@@ -249,17 +254,15 @@ class SpectralGrid:
         """Broadcastable (sparse) wavenumber components, Nyquist bins zeroed."""
         return np.meshgrid(*self.w_axes(zero_nyquist=True), indexing="ij", sparse=True)
 
-    def w2(self, half: bool = False, index=None) -> np.ndarray:
-        """|w|^2 over the full (or real-FFT half) spectrum, Nyquist bins included.
+    def w2(self, half: bool = False) -> np.ndarray:
+        """|w|^2 over the full (or real-FFT half) spectrum, Nyquist bins included."""
+        return squared_norm(self.w_axes(half=half))
 
-        index, one array of bin indices per axis, restricts it to the box
-        of those bins, with the same values as the full array has there.
-        """
-        axes = self.w_axes(half=half)
-        if index is not None:
-            axes = [w[i] for w, i in zip(axes, index)]
-        meshes = np.meshgrid(*axes, indexing="ij", sparse=True)
-        return reduce(np.add, (m * m for m in meshes))
+
+def squared_norm(axes) -> np.ndarray:
+    """|w|^2 over the box of the per-axis wavenumbers axes, the axis squares summed in order."""
+    meshes = np.meshgrid(*axes, indexing="ij", sparse=True)
+    return reduce(np.add, (m * m for m in meshes))
 
 
 # rows per write_rows chunk: its arrays stay in the CPU caches
@@ -429,11 +432,14 @@ def write_rows(fh, row_format: str, rows: np.ndarray) -> None:
     """Write every row of a 2D array through one printf-style row template, to a binary handle.
 
     The bytes are those of `row_format % tuple(row)` for each row, which
-    for %.6e, %.6f and %d is also C printf's; any other conversion raises
-    ValueError. Chunks of _ROWS_PER_WRITE rows are formatted as flat
-    arrays (see the module docstring). NUL bytes stand for unused sign
-    slots and leading zeros, and a boolean compaction drops them; a chunk
-    gets a sign slot only when it holds a negative value, so a %.6e chunk
+    for %.6e, %.6f and %d is also C printf's. The template holds one of
+    those conversions, as often as the rows have columns, and literals
+    without a NUL byte; %d takes an integer or boolean dtype, the others
+    a numeric one. Anything else raises ValueError before a byte is
+    written. Chunks of _ROWS_PER_WRITE rows are formatted as flat arrays
+    (see the module docstring). NUL bytes stand for unused sign slots and
+    leading zeros, and a boolean compaction drops them; a chunk gets a
+    sign slot only when it holds a negative value, so a %.6e chunk
     without one is written as it is.
 
     Rounding is exact by construction: %.6e scales s = |x| * 10^(6 -
@@ -443,9 +449,8 @@ def write_rows(fh, row_format: str, rows: np.ndarray) -> None:
     through Python's `%` when one of its values is not proven that way:
     near a half-integer (exact ties among them), a power of ten past 1e22
     (every 3-digit exponent is), a log10 guess that leaves s outside
-    [1e6, 1e7), |x| * 1e6 of 2^52 or more, inf or NaN. All rows do for a
-    non-numeric dtype, floats under %d, mixed conversions or a NUL byte
-    in a literal. Only one chunk's arrays and text are alive at a time.
+    [1e6, 1e7), |x| * 1e6 of 2^52 or more, inf or NaN. Only one chunk's
+    arrays and text are alive at a time.
     """
     start, seps, conversions = _parse_row_format(row_format)
     if rows.ndim != 2 or rows.shape[1] != len(conversions):
@@ -453,11 +458,11 @@ def write_rows(fh, row_format: str, rows: np.ndarray) -> None:
             f"rows of shape {rows.shape} do not fit the {len(conversions)} "
             f"conversions of {row_format!r}"
         )
-    arrays = len(set(conversions)) == 1 and b"\0" not in start + b"".join(seps)
-    arrays = arrays and rows.dtype.kind in ("biu" if "%d" in conversions else "biuf")
+    if len(set(conversions)) != 1 or b"\0" in start + b"".join(seps):
+        raise ValueError(
+            f"row template {row_format!r}: need one kind of conversion and no NUL byte"
+        )
+    if rows.dtype.kind not in ("biu" if conversions[0] == "%d" else "biuf"):
+        raise ValueError(f"rows of dtype {rows.dtype} do not fit {conversions[0]}")
     for at in range(0, len(rows), _ROWS_PER_WRITE):
-        block = rows[at : at + _ROWS_PER_WRITE]
-        if arrays:
-            _write_block(fh, row_format, start, seps, conversions[0], block)
-        else:  # e.g. %d of floats, which Python truncates
-            fh.write("".join(row_format % tuple(r) for r in block.tolist()).encode())
+        _write_block(fh, row_format, start, seps, conversions[0], rows[at : at + _ROWS_PER_WRITE])

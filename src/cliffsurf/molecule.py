@@ -4,7 +4,8 @@ Parsing is deterministic and locale-independent (decimal points only, no
 thousands separators). Radii come from the file when the format carries
 them (PQR, XYZR); bare PDB input falls back to an embedded per-element
 van der Waals table. No hydrogens are added and no charges are assigned;
-protonation and charge assignment stay upstream.
+protonation and charge assignment stay upstream. A Molecule builds its
+atoms' centers and radii once, as read-only arrays, for every later read.
 """
 
 from __future__ import annotations
@@ -69,26 +70,25 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Molecule:
-    """Nonempty list of atoms plus where they came from."""
+    """Nonempty list of atoms plus where they came from; centers and radii are read-only."""
 
     atoms: tuple[Atom, ...]
     source: Provenance = field(default_factory=Provenance)
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if len(self.atoms) == 0:
             raise ParseError("no atoms")
+        centers = np.array([a.center for a in self.atoms])
+        radii = np.array([a.radius for a in self.atoms])
+        for name, array in (("centers", centers), ("radii", radii)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     def __len__(self) -> int:
         return len(self.atoms)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([a.center for a in self.atoms])
-
-    @property
-    def radii(self) -> np.ndarray:
-        return np.array([a.radius for a in self.atoms])
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) corners of the tightest box containing every sphere."""

@@ -36,7 +36,8 @@ does 1 - (1 - L)^K. The band transforms compute every kept line as the
 full np.fft.rfftn / irfftn do, so their values are bit-identical. With
 eps > 0 no gain is 0 and the band is every bin: the same code then does
 the full transforms. A band holds its grid, so the functions that take
-one take no grid beside it.
+one take no grid beside it, and the wavenumbers of its bins, computed
+once when it is built, so weighting it builds no wavenumber grid.
 
 Both transforms take the field as slabs of axis-0 planes: BandForward
 gathers the band's lines slab by slab and transforms axis 0 at the end,
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField3, SpectralGrid, slabs
+from .grids import GridSpec, ScalarField3, SpectralGrid, slabs, squared_norm
 
 # exp(-x) stays a normal double up to x ~ 708.4; past that the gain is
 # indistinguishable from zero, so clamp there and avoid underflow flags
@@ -145,11 +146,13 @@ class SpectralBand:
     and 1; index[2] is a prefix of the nonnegative half of the last axis.
     The band functions below transform, weight and invert only the bins
     of the box, on the band's grid; full() is every bin, of() is the bins
-    a filter can keep.
+    a filter can keep. w[a] holds the angular wavenumbers of the bins
+    index[a], taken once from the grid's SpectralGrid.w_axes(half=True).
     """
 
     grid: GridSpec
     index: tuple[np.ndarray, np.ndarray, np.ndarray]
+    w: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -157,13 +160,13 @@ class SpectralBand:
 
     def w2(self, planes: slice = slice(None)) -> np.ndarray:
         """|w|^2 over the band's box, or over a slice of its axis-0 planes."""
-        ix, iy, iz = self.index
-        return SpectralGrid.from_grid(self.grid).w2(half=True, index=(ix[planes], iy, iz))
+        wx, wy, wz = self.w
+        return squared_norm((wx[planes], wy, wz))
 
     @classmethod
     def full(cls, grid: GridSpec) -> "SpectralBand":
-        n0, n1, nz = grid.dims
-        return cls(grid, (np.arange(n0), np.arange(n1), np.arange(nz // 2 + 1)))
+        axes = tuple(SpectralGrid.from_grid(grid).w_axes(half=True))
+        return cls(grid, tuple(np.arange(w.size) for w in axes), axes)
 
     @classmethod
     def of(cls, grid: GridSpec, params: Sequence[FilterParams]) -> "SpectralBand":
@@ -172,15 +175,16 @@ class SpectralBand:
         Every bin outside the box gets a gain of exactly 0 (see the module
         docstring); with eps > 0 the band is every bin.
         """
+        axes = SpectralGrid.from_grid(grid).w_axes(half=True)
         index = []
-        for w in SpectralGrid.from_grid(grid).w_axes(half=True):
+        for w in axes:
             keep = np.zeros(w.shape, dtype=bool)
             for p in params:
                 keep |= frequency_response(p, w * w) > 0
             index.append(np.flatnonzero(keep))
         # the half axis's w^2 grows with the bin, so its kept bins are a prefix
         index[2] = np.arange(index[2][-1] + 1)
-        return cls(grid, tuple(index))
+        return cls(grid, tuple(index), tuple(w[i] for w, i in zip(axes, index)))
 
 
 def _check_spectrum(spectrum: np.ndarray, band: SpectralBand):
@@ -223,6 +227,8 @@ class BandForward:
         self._planes = 0
 
     def add(self, slab: np.ndarray) -> None:
+        if slab.shape[1:] != self.band.grid.dims[1:]:
+            raise ValueError(f"slab of shape {slab.shape} does not fit grid {self.band.grid.dims}")
         _, iy, iz = self.band.index
         half = np.fft.rfft(slab, axis=2)[:, :, : iz.size]
         lo, self._planes = self._planes, self._planes + len(slab)

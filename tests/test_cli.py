@@ -300,7 +300,7 @@ def test_flag_parsing_round_trip():
     assert cfg.padding == 6.0
     assert cfg.s == 1.5
     assert cfg.r_e == 2.5
-    assert cfg.m == 4
+    assert len(cfg.d) == 4
     assert cfg.epsilon == 0.25
     assert cfg.times == (50.0, 100.0)
     assert cfg.isovalues == (0.7,)
@@ -559,11 +559,9 @@ def test_run_config_validation_direct():
         RunConfig("x", isovalues=()).resolved()
     with pytest.raises(ValueError, match="volume format"):
         RunConfig("x", volume_format="vtk").resolved()
-    # the order m is a flag of its own, so the config checks d against it
-    with pytest.raises(ValueError, match="need m=2 coefficients, got 1"):
-        RunConfig("x", m=2, d=(1.0,)).resolved()
-    with pytest.raises(ValueError, match="m must be >= 1, got 0"):
-        RunConfig("x", m=0, d=()).resolved()
+    # d alone sets the order, and needs a positive coefficient
+    with pytest.raises(ValueError, match="at least one diffusion coefficient"):
+        RunConfig("x", d=()).resolved()
     # gaussian fields are not capped at 1, larger levels are legal
     RunConfig("x", init_kind="gaussian", isovalues=(1.3,)).resolved()
 

@@ -1,5 +1,5 @@
-"""The array text formatter (grids.write_rows) against Python's `%`, and
-grids.next_smooth against counting up."""
+"""The array text formatter (grids.write_rows) against Python's `%`,
+grids.next_smooth against counting up, and GridSpec's voxel count."""
 
 import io
 from unittest import mock
@@ -115,11 +115,17 @@ def test_write_rows_hard_values_match_percent(template, chunk):
 
 
 @pytest.mark.parametrize(
-    "dtype", [np.int64, np.int32, np.uint8, np.uint64, np.float32, np.float64, bool]
+    "template, dtype",
+    [
+        (template, dtype)
+        for template in ["f %d %d %d\n", "%.6e %.6e %.6e\n", "%.6f %.6f %.6f\n"]
+        for dtype in [np.int64, np.int32, np.uint8, np.uint64, np.float32, np.float64, bool]
+        if "%d" not in template or dtype not in (np.float32, np.float64)
+    ],
 )
-@pytest.mark.parametrize("template", ["f %d %d %d\n", "%.6e %.6e %.6e\n", "%.6f %.6f %.6f\n"])
 def test_write_rows_any_numeric_dtype_matches_percent(template, dtype):
-    # %d of floats truncates in Python: those rows go through `%` whole
+    # every dtype a template takes: integers and booleans under %d, any
+    # numeric dtype under %.6e and %.6f
     values = np.array([0, 1, 7, 10, 99, 100, 127, 250, 255, 3, 2, 1])
     _assert_matches_percent(template, values.astype(dtype).reshape(-1, 3), 2)
 
@@ -169,11 +175,27 @@ def test_write_rows_unprovable_value_mid_chunk_matches_percent(template, value):
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64])
 @pytest.mark.parametrize("template", ["%d %.6e %.6f\n", "%d\0%d %d\n", "v\0%.6e\n"])
-def test_write_rows_mixed_or_nul_templates_match_percent(template, dtype):
-    # rows of mixed conversions, and of a literal with a NUL byte (which
-    # the arrays use for text left out), go through `%` whole
+def test_write_rows_refuses_mixed_or_nul_templates(template, dtype):
+    # mixed conversions, and a literal with a NUL byte (which the arrays
+    # use for text left out), are refused before a byte is written
+    fh = io.BytesIO()
     values = np.array([0, 1, -7, 10, 99, -100, 127, 250, 255, 3, 2, 1])
-    _assert_matches_percent(template, values.astype(dtype).reshape(-1, 3)[:, : template.count("%")], 2)
+    rows = values.astype(dtype).reshape(-1, 3)[:, : template.count("%")]
+    with pytest.raises(ValueError, match="one kind of conversion and no NUL byte"):
+        grids.write_rows(fh, template, rows)
+    assert fh.getvalue() == b""
+
+
+@pytest.mark.parametrize(
+    "template, dtype",
+    [("f %d %d %d\n", np.float32), ("f %d %d %d\n", np.float64), ("%.6e %.6e %.6e\n", object)],
+)
+def test_write_rows_refuses_dtypes_it_cannot_format(template, dtype):
+    # Python's %d truncates a float, and only numbers have a %.6e
+    fh = io.BytesIO()
+    with pytest.raises(ValueError, match="do not fit"):
+        grids.write_rows(fh, template, np.ones((2, 3), dtype=dtype))
+    assert fh.getvalue() == b""
 
 
 def test_write_rows_refuses_other_conversions_and_shapes():
@@ -211,3 +233,10 @@ def test_next_smooth_is_fast_on_huge_counts():
     assert grids.next_smooth(3 * 10**17) == 3 * 10**17
     n = grids.next_smooth(3 * 10**17 + 1)
     assert n > 3 * 10**17 and _next_smooth_by_counting(n) == n
+
+
+def test_grid_voxel_count_is_exact_past_int64():
+    # 2^66 voxels: a product in int64 wraps to 0
+    grid = grids.GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(2**22,) * 3)
+    assert grid.n_voxels == 2**66
+    assert grids.GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(3, 4, 5)).n_voxels == 60

@@ -203,6 +203,17 @@ def test_molecule_accessors(three_atoms):
         Molecule(())
 
 
+def test_molecule_arrays_are_built_once_and_read_only(three_atoms):
+    centers, radii = three_atoms.centers, three_atoms.radii
+    assert three_atoms.centers is centers and three_atoms.radii is radii
+    assert not centers.flags.writeable and not radii.flags.writeable
+    with pytest.raises(ValueError):
+        centers[0, 0] = 1.0
+    assert np.array_equal(centers, [a.center for a in three_atoms.atoms])
+    assert np.array_equal(radii, [a.radius for a in three_atoms.atoms])
+    assert Molecule(three_atoms.atoms) == Molecule(three_atoms.atoms)
+
+
 def test_bounding_box_uses_per_atom_radii():
     mol = Molecule(
         (

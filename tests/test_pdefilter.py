@@ -436,6 +436,41 @@ def test_band_of_sharp_filter_keeps_the_low_bins():
     assert np.array_equal(iz, [0, 1, 2, 3])
 
 
+@pytest.mark.parametrize("dims, spacing", [((12, 9, 10), 0.25), ((7, 8, 5), 1.3)])
+def test_band_w2_is_the_half_spectrum_w2_over_its_box(dims, spacing):
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=spacing, dims=dims)
+    half = SpectralGrid.from_grid(grid).w2(half=True)
+    kept = SpectralBand.of(grid, [FilterParams.single_term(t=1e-3)])
+    for band in (SpectralBand.full(grid), kept):
+        box = half[np.ix_(*band.index)]
+        assert band.w2().tobytes() == box.tobytes()
+        for i in range(band.shape[0]):
+            assert band.w2(slice(i, i + 1)).tobytes() == box[i : i + 1].tobytes()
+
+
+def test_weighting_a_band_builds_no_spectral_grid(monkeypatch, rng):
+    X = _random_field(rng, (12, 9, 10))
+    params = FilterParams.single_term(t=10.0)
+    bands = [SpectralBand.of(X.grid, [params]), SpectralBand.full(X.grid)]
+    assert 1 < bands[0].shape[0] < bands[1].shape[0]
+    spectra = [forward_spectrum(X, band) for band in bands]
+    built = []
+    post_init = SpectralGrid.__post_init__
+
+    def counting(self):
+        post_init(self)
+        built.append(self.dims)
+
+    monkeypatch.setattr(SpectralGrid, "__post_init__", counting)
+    for band, spectrum in zip(bands, spectra):
+        gain = filter_gain(params, band, passes=3)
+        spectral_energy(spectrum * gain, band, 0.25)
+    assert built == []
+    # a band computes its wavenumbers once, when it is built
+    SpectralBand.of(X.grid, [params])
+    assert len(built) == 1
+
+
 def test_band_functions_reject_a_foreign_band_or_spectrum(rng):
     X = _random_field(rng, (6, 7, 8))
     for dims, spacing in (((6, 7, 9), 0.5), ((6, 7, 8), 0.25)):

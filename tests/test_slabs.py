@@ -193,6 +193,29 @@ def test_band_forward_refuses_a_partial_field():
         forward.spectrum()
 
 
+def test_band_forward_refuses_a_slab_that_does_not_fit_the_grid():
+    # a wider slab would otherwise be cut to the band's bins, and its DC
+    # bin would sum voxels outside the grid
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(4, 6, 6))
+    forward = BandForward(SpectralBand.full(grid))
+    refusal = r"slab of shape \(4, 9, 10\) does not fit grid \(4, 6, 6\)"
+    with pytest.raises(ValueError, match=refusal):
+        forward.add(np.ones((4, 9, 10)))
+    forward.add(np.ones((4, 6, 6)))
+    assert forward.spectrum()[0, 0, 0] == 144.0
+
+
+def test_field_from_slabs_refuses_a_partial_field():
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(4, 6, 6))
+    with pytest.raises(ValueError, match="fed 3 of 4 planes"):
+        ScalarField3.from_slabs(grid, slabs(np.ones((3, 6, 6)), 2))
+    # a slab numpy would broadcast into the planes
+    with pytest.raises(ValueError, match=r"slab of shape \(4, 1, 6\) does not fit grid"):
+        ScalarField3.from_slabs(grid, [np.ones((4, 1, 6))])
+    field = ScalarField3.from_slabs(grid, slabs(np.ones((4, 6, 6)), 3))
+    assert np.array_equal(field.values, np.ones((4, 6, 6)))
+
+
 def _dx_oracle(values, grid):
     """export_opendx's bytes through Python's `%`, the whole array at once."""
     nx, ny, nz = grid.dims
