@@ -326,7 +326,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
     per_time = [FilterParams(d=cfg.d, epsilon=cfg.epsilon, t=t) for t in cfg.times]
     with stage("filter"):
         forward = BandForward(SpectralBand.of(grid, per_time))
-    initial = SlabRange(n0)
+    initial = SlabRange(grid.dims)
     # the check below reports an overflow; numpy's warnings would repeat it
     with np.errstate(all="ignore"):
         for part in staged("rasterize", _rasterize(cfg, mol, grid)):
@@ -389,7 +389,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             energy = spectral_energy(retained, band, ENERGY_W2_THRESHOLD)
             parts = field_slabs(retained, band)
             del retained
-            field = SlabRange(n0)
+            field = SlabRange(grid.dims)
         volume = None
         # a pass that fails removes its partial volume file
         with contextlib.ExitStack() as files:

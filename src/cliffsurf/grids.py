@@ -117,16 +117,12 @@ class ScalarField3:
 
     @classmethod
     def from_slabs(cls, grid: GridSpec, parts: Iterable[np.ndarray]) -> "ScalarField3":
-        """The field whose consecutive slabs along axis 0 are parts, which must fill the grid."""
-        values = np.empty(grid.dims)
-        lo = 0
+        """The field whose consecutive slabs along axis 0 are parts."""
+        values, feed = np.empty(grid.dims), PlaneFeed(grid.dims)
         for part in parts:
-            if part.shape[1:] != grid.dims[1:]:
-                raise ValueError(f"slab of shape {part.shape} does not fit grid {grid.dims}")
+            lo = feed.add(part)
             values[lo : lo + len(part)] = part
-            lo += len(part)
-        if lo != len(values):
-            raise ValueError(f"fed {lo} of {len(values)} planes")
+        feed.finish()
         return cls(grid, values)
 
     @property
@@ -152,6 +148,29 @@ def slabs(values: np.ndarray) -> Iterator[np.ndarray]:
     return (values[lo : lo + SLAB] for lo in range(0, len(values), SLAB))
 
 
+class PlaneFeed:
+    """The count of axis-0 planes fed toward a grid of dims, kept by every slab consumer.
+
+    add returns the index of a slab's first plane, and refuses a slab that
+    does not fit the grid or runs past its last plane; finish a short feed.
+    """
+
+    def __init__(self, dims: tuple[int, int, int]):
+        self.dims, self.planes = tuple(dims), 0
+
+    def add(self, slab: np.ndarray) -> int:
+        if slab.shape[1:] != self.dims[1:]:
+            raise ValueError(f"slab of shape {slab.shape} does not fit grid {self.dims}")
+        lo, self.planes = self.planes, self.planes + len(slab)
+        if self.planes > self.dims[0]:
+            self.finish()
+        return lo
+
+    def finish(self) -> None:
+        if self.planes != self.dims[0]:
+            raise ValueError(f"fed {self.planes} of {self.dims[0]} planes")
+
+
 class SlabRange:
     """Min and max of a field fed in consecutive slabs along axis 0, overall and on the box faces.
 
@@ -159,18 +178,17 @@ class SlabRange:
     face_max are those of the whole array; a NaN reaches all four.
     """
 
-    def __init__(self, n0: int):
-        self.n0 = n0
-        self.planes = 0
+    def __init__(self, dims: tuple[int, int, int]):
+        self._feed = PlaneFeed(dims)
         self.min = self.face_min = np.float64(np.inf)
         self.max = self.face_max = np.float64(-np.inf)
 
     def add(self, slab: np.ndarray) -> None:
+        lo = self._feed.add(slab)
         faces = [slab[:, 0], slab[:, -1], slab[:, :, 0], slab[:, :, -1]]
-        if self.planes == 0:
+        if lo == 0:
             faces.append(slab[0])
-        self.planes += len(slab)
-        if self.planes == self.n0:
+        if self._feed.planes == self._feed.dims[0]:
             faces.append(slab[-1])
         self.min = np.minimum(self.min, slab.min())
         self.max = np.maximum(self.max, slab.max())

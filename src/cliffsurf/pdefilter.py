@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField3, SpectralGrid, slabs, squared_norm
+from .grids import GridSpec, PlaneFeed, ScalarField3, SpectralGrid, slabs, squared_norm
 
 # exp(-x) stays a normal double up to x ~ 708.4; past that the gain is
 # indistinguishable from zero, so clamp there and avoid underflow flags
@@ -224,20 +224,16 @@ class BandForward:
         self.band = band
         _, iy, iz = band.index
         self._lines = np.empty((band.grid.dims[0], iy.size, iz.size), dtype=np.complex128)
-        self._planes = 0
+        self._feed = PlaneFeed(band.grid.dims)
 
     def add(self, slab: np.ndarray) -> None:
-        if slab.shape[1:] != self.band.grid.dims[1:]:
-            raise ValueError(f"slab of shape {slab.shape} does not fit grid {self.band.grid.dims}")
+        lo = self._feed.add(slab)
         _, iy, iz = self.band.index
         half = np.fft.rfft(slab, axis=2)[:, :, : iz.size]
-        lo, self._planes = self._planes, self._planes + len(slab)
-        self._lines[lo : self._planes] = _take(np.fft.fft(half, axis=1), iy, 1)
+        self._lines[lo : lo + len(slab)] = _take(np.fft.fft(half, axis=1), iy, 1)
 
     def spectrum(self) -> np.ndarray:
-        n0 = self.band.grid.dims[0]
-        if self._planes != n0:
-            raise ValueError(f"fed {self._planes} of {n0} planes")
+        self._feed.finish()
         return _take(np.fft.fft(self._lines, axis=0), self.band.index[0], 0)
 
 

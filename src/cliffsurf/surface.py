@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, ScalarField3, slabs, write_rows
+from .grids import GridSpec, PlaneFeed, ScalarField3, slabs, write_rows
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
 # each cell edge's two corners, its first corner, and its step from the
@@ -188,7 +188,7 @@ class SlabMarcher:
         if not np.isfinite(iso):
             raise ValueError(f"isovalue must be finite, got {isovalue}")
         self.grid, self.iso = grid, iso
-        self._planes = 0  # planes fed
+        self._feed = PlaneFeed(grid.dims)
         self._last = None  # the last plane fed
         # the last layer of cells marched: each active cell's place in the
         # layer and its row of 12 edge ids, read where it owns the edge
@@ -198,10 +198,8 @@ class SlabMarcher:
         self._n_vertices = 0
 
     def add(self, slab: np.ndarray) -> None:
-        if slab.shape[1:] != self.grid.dims[1:]:
-            raise ValueError(f"slab of shape {slab.shape} does not fit grid {self.grid.dims}")
-        first = self._planes - (self._last is not None)  # plane of the cells' corner 0
-        self._planes += len(slab)
+        lo = self._feed.add(slab)
+        first = lo - (lo > 0)  # plane of the cells' corner 0
         last, self._last = self._last, slab[-1].copy()
         if last is not None or len(slab) > 1:
             self._march(last, slab, first)
@@ -322,8 +320,7 @@ class SlabMarcher:
     def finish(self, field) -> TriangleMesh:
         """The mesh of the slabs fed, given their range; raises as marching_cubes does."""
         vmin, vmax, iso = field.min, field.max, self.iso
-        if self._planes != self.grid.dims[0]:
-            raise ValueError(f"fed {self._planes} of {self.grid.dims[0]} planes")
+        self._feed.finish()
         if not (np.isfinite(vmin) and np.isfinite(vmax)):  # a NaN reaches both
             raise ValueError("field contains NaN or Inf")
         if not (vmin < iso < vmax):
@@ -359,8 +356,6 @@ def marching_cubes(field: ScalarField3, isovalue: float) -> TriangleMesh:
     The field goes through SlabMarcher one slab at a time.
     """
     marcher = SlabMarcher(field.grid, isovalue)
-    if not field.is_finite():  # refused before marching, as by the exporters
-        raise ValueError("field contains NaN or Inf")
     for slab in slabs(field.values):
         marcher.add(slab)
     return marcher.finish(field)

@@ -39,7 +39,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .grids import SLAB, GridSpec, ScalarField3, next_smooth, slabs, write_rows
+from .grids import SLAB, GridSpec, PlaneFeed, ScalarField3, next_smooth, slabs, write_rows
 from .molecule import Molecule
 
 DEFAULT_SPACING = 0.25
@@ -103,9 +103,10 @@ def make_grid(
 
     Dims are rounded up to {2,3,5,7}-smooth sizes for the FFT stages; the
     rounding grows the box symmetrically about its center (the origin is
-    recentered, never clipped). Periodic wraparound across the padded
-    faces is what the padding is for; 5 Angstrom keeps it far below
-    isovalue scale for the default filter strengths. The memory cap is
+    recentered, never clipped). The padding holds off periodic wraparound,
+    but not far at 5 Angstrom: tests/golden/fixture.xyzr at the defaults
+    meshes to area 264.14 and volume 397.47, 3.3% and 3.6% over 255.81
+    and 383.66 at 40 Angstrom (ROADMAP item 1). The memory cap is
     checked against the estimated peak of a whole run, _BYTES_PER_VOXEL
     per voxel, on the sample counts and again on the rounded dims; with
     or without a cap, more voxels than a float64 array can hold are
@@ -411,17 +412,15 @@ class VolumeWriter:
     fmt "dx" writes export_opendx's layout and "raw" export_raw's, byte
     for byte: the OpenDX rows of three values may span two slabs, so the
     one or two values left at the end of a slab are carried to the next.
-    No value is scanned: callers refuse a NaN or an infinity first. A slab
-    that does not fit the grid raises ValueError, and so does a context
-    left normally after other than the grid's planes; an exception or a
-    refusal removes the partial file, and a normal exit finishes it.
+    No value is scanned: callers refuse a NaN or an infinity first. A
+    normal exit finishes the file, and any failure removes it.
     """
 
     def __init__(self, grid: GridSpec, path, fmt: str):
         if fmt not in ("dx", "raw"):
             raise ValueError(f"volume format must be dx or raw, got {fmt}")
         self.grid, self.path, self.fmt = grid, path, fmt
-        self._planes = 0  # planes written
+        self._feed = PlaneFeed(grid.dims)
         self._carry = np.empty(0)
         if fmt == "raw":
             self._fh = open(path, "wb")
@@ -445,9 +444,7 @@ class VolumeWriter:
         self._fh.write(("\n".join(header) + "\n").encode())
 
     def write(self, slab: np.ndarray) -> None:
-        if slab.shape[1:] != self.grid.dims[1:]:
-            raise ValueError(f"slab of shape {slab.shape} does not fit grid {self.grid.dims}")
-        self._planes += len(slab)
+        self._feed.add(slab)
         if self.fmt == "raw":
             # a view of the values when they are already little-endian
             # float64 and C-ordered; a copy only where the dtype or layout
@@ -465,25 +462,26 @@ class VolumeWriter:
         return self
 
     def __exit__(self, kind, exc, tb):
-        refused = kind is None and self._planes != self.grid.dims[0]
+        finished = False
         try:
-            if refused:
-                raise ValueError(f"fed {self._planes} of {self.grid.dims[0]} planes")
-            if kind is None and self.fmt == "dx":
-                if self._carry.size:  # one or two values on the last data line
-                    last = self._carry[None]
-                    write_rows(self._fh, " ".join(["%.6e"] * last.size) + "\n", last)
-                trailer = [
-                    'attribute "dep" string "positions"',
-                    'object "regular positions regular connections" class field',
-                    'component "positions" value 1',
-                    'component "connections" value 2',
-                    'component "data" value 3',
-                ]
-                self._fh.write(("\n".join(trailer) + "\n").encode())
+            with self._fh:  # closing flushes, and can fail too
+                if kind is None:
+                    self._feed.finish()
+                if kind is None and self.fmt == "dx":
+                    if self._carry.size:  # one or two values on the last data line
+                        last = self._carry[None]
+                        write_rows(self._fh, " ".join(["%.6e"] * last.size) + "\n", last)
+                    trailer = [
+                        'attribute "dep" string "positions"',
+                        'object "regular positions regular connections" class field',
+                        'component "positions" value 1',
+                        'component "connections" value 2',
+                        'component "data" value 3',
+                    ]
+                    self._fh.write(("\n".join(trailer) + "\n").encode())
+            finished = kind is None
         finally:
-            self._fh.close()
-            if kind is not None or refused:
+            if not finished:
                 with contextlib.suppress(OSError):
                     os.remove(self.path)
 

@@ -848,8 +848,8 @@ def test_one_range_per_pass(three_atom_file, tmp_path, monkeypatch):
     ranges = []
 
     class Spy(original):
-        def __init__(self, n0):
-            super().__init__(n0)
+        def __init__(self, dims):
+            super().__init__(dims)
             self.added = []
             ranges.append(self)
 

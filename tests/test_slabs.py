@@ -2,6 +2,7 @@
 volume writers fed in slabs of axis-0 planes give the whole-array results
 bit for bit, wherever the slab boundaries fall."""
 
+import errno
 import io
 import subprocess
 import sys
@@ -131,7 +132,7 @@ def test_slab_marcher_marches_a_nonfinite_slab_quietly(bad):
     values = np.random.default_rng(1).standard_normal((10, 6, 6))
     values[4, 2, 2] = bad
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=values.shape)
-    marcher, r = SlabMarcher(grid, 0.0), SlabRange(len(values))
+    marcher, r = SlabMarcher(grid, 0.0), SlabRange(values.shape)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for slab in slabs(values, 3):
@@ -144,7 +145,7 @@ def test_slab_marcher_marches_a_nonfinite_slab_quietly(bad):
 def test_slab_range_matches_whole_array():
     rng = np.random.default_rng(3)
     values = rng.standard_normal((11, 4, 5))
-    r = SlabRange(11)
+    r = SlabRange(values.shape)
     for slab in slabs(values, 3):
         r.add(slab)
     faces = [values[0], values[-1], values[:, 0], values[:, -1], values[:, :, 0], values[:, :, -1]]
@@ -303,6 +304,102 @@ def test_volume_writer_refuses_a_short_or_misshapen_field(tmp_path, fmt):
     with VolumeWriter(grid, path, fmt) as writer:
         writer.write(np.zeros((4, 2, 2)))
     assert path.exists()
+
+
+class Unrefused(Exception):
+    """Raised by a feed below that took every slab it was given."""
+
+
+def _feed_each(add, parts):
+    for part in parts:
+        add(part)
+    raise Unrefused
+
+
+def _then_unrefused(parts):
+    yield from parts
+    raise Unrefused
+
+
+def _write_dx(grid, path, parts):
+    with VolumeWriter(grid, path, "dx") as writer:
+        _feed_each(writer.write, parts)
+
+
+# the five consumers of a slab stream, each fed parts as far as it takes them
+CONSUMERS = {
+    "SlabRange": lambda grid, path, parts: _feed_each(SlabRange(grid.dims).add, parts),
+    "BandForward": lambda grid, path, parts: _feed_each(
+        BandForward(SpectralBand.full(grid)).add, parts
+    ),
+    "SlabMarcher": lambda grid, path, parts: _feed_each(SlabMarcher(grid, 0.0).add, parts),
+    "VolumeWriter": _write_dx,
+    "from_slabs": lambda grid, path, parts: ScalarField3.from_slabs(grid, _then_unrefused(parts)),
+}
+# every consumer refuses a slab past the last plane at that slab; the others'
+# misshapen slabs have their own tests above
+REFUSALS = [
+    pytest.param(name, (n, 6, 6), f"fed {4 + n} of 4 planes", id=f"{name}-{n}-past")
+    for name in CONSUMERS
+    for n in (1, 2)
+]
+REFUSALS.append(
+    pytest.param(
+        "SlabRange", (4, 9, 9), r"slab of shape \(4, 9, 9\) does not fit grid \(4, 6, 6\)",
+        id="SlabRange-misshapen",
+    )
+)
+
+
+@pytest.mark.parametrize("consumer, shape, refusal", REFUSALS)
+def test_slab_consumers_refuse_the_slab_that_breaks_the_feed(tmp_path, consumer, shape, refusal):
+    # a whole grid, then one slab more: the marcher would march it and the
+    # writer write it, a range would read it and a transform drop or
+    # broadcast it, were it not refused where it is added
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(4, 6, 6))
+    rng = np.random.default_rng(5)
+    parts = [rng.standard_normal(grid.dims), rng.standard_normal(shape)]
+    with pytest.raises(ValueError, match=refusal):
+        CONSUMERS[consumer](grid, tmp_path / "v.dx", parts)
+    assert not (tmp_path / "v.dx").exists()
+
+
+class _FullDisk:
+    """A file handle whose writes (fail "write") or close (fail "close") raise ENOSPC."""
+
+    def __init__(self, fh, fail):
+        self.fh, self.fail = fh, fail
+
+    def _raise(self, call):
+        if call == self.fail:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def write(self, data):
+        self._raise("write")
+        return self.fh.write(data)
+
+    def close(self):
+        self.fh.close()
+        self._raise("close")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+@pytest.mark.parametrize("fmt, fail", [("dx", "write"), ("dx", "close"), ("raw", "close")])
+def test_volume_writer_removes_a_file_it_fails_to_finish(tmp_path, fmt, fail):
+    # every plane is written, then the OpenDX trailer or the closing flush
+    # fails: the truncated file goes too
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(4, 2, 2))
+    path = tmp_path / f"v.{fmt}"
+    with pytest.raises(OSError, match="No space left"):
+        with VolumeWriter(grid, path, fmt) as writer:
+            writer.write(np.zeros((4, 2, 2)))
+            writer._fh = _FullDisk(writer._fh, fail)
+    assert not path.exists()
 
 
 def test_mesh_metrics_peak_per_triangle():
