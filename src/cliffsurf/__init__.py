@@ -37,7 +37,7 @@ _MODULE_EXPORTS = {
         "vector_dot",
         "wedge",
     ),
-    "grids": ("GridSpec", "GridSpec2", "ScalarField3", "SpectralGrid"),
+    "grids": ("GridSpec", "GridSpec2", "ScalarField3"),
     "molecule": (
         "Atom",
         "Molecule",

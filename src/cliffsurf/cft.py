@@ -22,8 +22,9 @@ exp(+i2 <w, x>); under that orientation the gradient takes the minus-sign
 symbol -i2 w on the anticommuting part and +i2 w on the commuting part,
 and no single-signed symbol reproduces the gradient on mixed fields.
 
-Wavenumbers are angular (rad per length unit), w_i = 2*pi*k_i/(N_i h);
-spectral symbols below are written directly in these w_i.
+Wavenumbers are angular (rad per length unit), w_i = 2*pi*k_i/(N_i h),
+from grids.w_axes; spectral symbols below are written directly in these
+w_i, and the odd ones zero the even-N Nyquist bins (_odd_w_meshes).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ga import geometric_product_field
-from .grids import GridSpec, GridSpec2, ScalarField3, SpectralGrid
+from .grids import GridSpec, GridSpec2, ScalarField3, squared_norm, w_axes
 
 _CHANNELS_3 = ((0, 7), (1, 5), (2, 6), (3, 4))  # (real blade, imaginary blade)
 _CHANNELS_2 = ((0, 3), (1, 2))
@@ -157,7 +158,16 @@ def cft2_inverse(field: MultivectorField2) -> MultivectorField2:
     return MultivectorField2(field.grid, unpack_channels(channels, dim=2))
 
 
-def _i3_w_symbol(sgrid: SpectralGrid) -> np.ndarray:
+def _odd_w_meshes(grid: GridSpec | GridSpec2) -> list[np.ndarray]:
+    """Sparse wavenumber meshes for an odd symbol, each unpaired even-N Nyquist bin zeroed."""
+    axes = w_axes(grid)
+    for w in axes:
+        if w.size % 2 == 0:
+            w[w.size // 2] = 0.0
+    return np.meshgrid(*axes, indexing="ij", sparse=True)
+
+
+def _i3_w_symbol(grid: GridSpec) -> np.ndarray:
     """The multivector symbol i3*w as a (nx, ny, nz, 8) array.
 
     Built through the blade product table rather than by hand so the
@@ -165,9 +175,8 @@ def _i3_w_symbol(sgrid: SpectralGrid) -> np.ndarray:
     zeroed: the symbol is odd in w and an unpaired bin would otherwise
     leak imaginary parts into real fields.
     """
-    wx, wy, wz = sgrid.w_meshes()
-    shape = tuple(sgrid.dims)
-    wvec = np.zeros(shape + (8,))
+    wx, wy, wz = _odd_w_meshes(grid)
+    wvec = np.zeros(grid.dims + (8,))
     wvec[..., 1] = wx
     wvec[..., 2] = wy
     wvec[..., 3] = wz
@@ -183,9 +192,8 @@ def spectral_gradient3(field: MultivectorField3) -> MultivectorField3:
     product), inverse transform. With angular wavenumbers the kernel's
     2*pi lives inside w, so the symbol carries no explicit 2*pi factor.
     """
-    sgrid = SpectralGrid.from_grid(field.grid)
     spec = cft3_forward(field)
-    ghat = geometric_product_field(_i3_w_symbol(sgrid), spec.data)
+    ghat = geometric_product_field(_i3_w_symbol(field.grid), spec.data)
     return cft3_inverse(MultivectorField3(field.grid, ghat))
 
 
@@ -199,16 +207,14 @@ def spectral_laplacian3(field: MultivectorField3, order_j: int = 1) -> Multivect
     j = int(order_j)
     if j < 1:
         raise ValueError(f"order_j must be a positive integer, got {order_j}")
-    sgrid = SpectralGrid.from_grid(field.grid)
-    mult = (-sgrid.w2()) ** j
+    mult = (-squared_norm(w_axes(field.grid))) ** j
     spec = cft3_forward(field)
     return cft3_inverse(MultivectorField3(field.grid, spec.data * mult[..., None]))
 
 
-def _i2_w_symbol(sgrid: SpectralGrid) -> np.ndarray:
-    wx, wy = sgrid.w_meshes()
-    shape = tuple(sgrid.dims)
-    wvec = np.zeros(shape + (4,))
+def _i2_w_symbol(grid: GridSpec2) -> np.ndarray:
+    wx, wy = _odd_w_meshes(grid)
+    wvec = np.zeros(grid.dims + (4,))
     wvec[..., 1] = wx
     wvec[..., 2] = wy
     i2 = np.zeros(4)
@@ -242,8 +248,7 @@ def spectral_gradient2_split(field: MultivectorField2) -> MultivectorField2:
     rules are incompatible), which spectral_gradient2_single_sign lets
     callers demonstrate.
     """
-    sgrid = SpectralGrid(field.grid.dims, field.grid.spacing)
-    symbol = _i2_w_symbol(sgrid)
+    symbol = _i2_w_symbol(field.grid)
     spec = cft2_forward(field)
     com, anti = _split_channels(spec.data)
     ghat = geometric_product_field(symbol, com, dim=2) - geometric_product_field(
@@ -261,8 +266,7 @@ def spectral_gradient2_single_sign(field: MultivectorField2, sign: int) -> Multi
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    sgrid = SpectralGrid(field.grid.dims, field.grid.spacing)
-    symbol = float(sign) * _i2_w_symbol(sgrid)
+    symbol = float(sign) * _i2_w_symbol(field.grid)
     spec = cft2_forward(field)
     ghat = geometric_product_field(symbol, spec.data, dim=2)
     return cft2_inverse(MultivectorField2(field.grid, ghat))

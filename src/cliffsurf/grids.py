@@ -1,4 +1,4 @@
-"""Uniform sampling grids, scalar fields, and their spectral counterparts.
+"""Uniform sampling grids, scalar fields, and their FFT wavenumbers.
 
 These types are shared between the volume-construction layer and the
 spectral operators, so they live in one dependency-free module; so do
@@ -152,14 +152,15 @@ class PlaneFeed:
     """The count of axis-0 planes fed toward a grid of dims, kept by every slab consumer.
 
     add returns the index of a slab's first plane, and refuses a slab that
-    does not fit the grid or runs past its last plane; finish a short feed.
+    has no planes, does not fit the grid or runs past its last plane;
+    finish refuses a short feed.
     """
 
     def __init__(self, dims: tuple[int, int, int]):
         self.dims, self.planes = tuple(dims), 0
 
     def add(self, slab: np.ndarray) -> int:
-        if slab.shape[1:] != self.dims[1:]:
+        if not len(slab) or slab.shape[1:] != self.dims[1:]:
             raise ValueError(f"slab of shape {slab.shape} does not fit grid {self.dims}")
         lo, self.planes = self.planes, self.planes + len(slab)
         if self.planes > self.dims[0]:
@@ -219,9 +220,8 @@ def next_smooth(n: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class SpectralGrid:
-    """Wavenumber bookkeeping for the FFT of a uniform grid (any rank).
+def w_axes(grid: GridSpec | GridSpec2, half: bool = False) -> list[np.ndarray]:
+    """Angular wavenumbers per axis of the FFT of a grid with dims and spacing (any rank).
 
     Bin k of an N-point axis carries the signed index of np.fft.fftfreq
     and the angular wavenumber w = 2*pi*k/(N*h). The w = 0 bin exists
@@ -234,47 +234,10 @@ class SpectralGrid:
     are the complex conjugates of kept ones, which every even symbol
     (a function of w^2) treats identically.
     """
-
-    dims: tuple[int, ...]
-    spacing: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        object.__setattr__(self, "spacing", float(self.spacing))
-        if any(n < 2 for n in self.dims):
-            raise ValueError(f"all dims must be >= 2, got {self.dims}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-
-    @classmethod
-    def from_grid(cls, grid) -> "SpectralGrid":
-        return cls(dims=grid.dims, spacing=grid.spacing)
-
-    def w_axes(self, zero_nyquist: bool = False, half: bool = False) -> list[np.ndarray]:
-        """Angular wavenumbers per axis.
-
-        zero_nyquist suppresses the unpaired even-N Nyquist bin; odd
-        (sign-sensitive) spectral symbols need that to keep real fields
-        real, even symbols keep the bin. half: real-FFT last axis.
-        """
-        out = []
-        last = len(self.dims) - 1
-        for a, n in enumerate(self.dims):
-            freq = np.fft.rfftfreq if half and a == last else np.fft.fftfreq
-            w = 2.0 * np.pi * freq(n, d=self.spacing)
-            if zero_nyquist and n % 2 == 0:
-                w = w.copy()
-                w[n // 2] = 0.0
-            out.append(w)
-        return out
-
-    def w_meshes(self):
-        """Broadcastable (sparse) wavenumber components, Nyquist bins zeroed."""
-        return np.meshgrid(*self.w_axes(zero_nyquist=True), indexing="ij", sparse=True)
-
-    def w2(self, half: bool = False) -> np.ndarray:
-        """|w|^2 over the full (or real-FFT half) spectrum, Nyquist bins included."""
-        return squared_norm(self.w_axes(half=half))
+    *full, last = grid.dims
+    freqs = [np.fft.fftfreq(n, d=grid.spacing) for n in full]
+    freqs.append((np.fft.rfftfreq if half else np.fft.fftfreq)(last, d=grid.spacing))
+    return [2.0 * np.pi * f for f in freqs]
 
 
 def squared_norm(axes) -> np.ndarray:

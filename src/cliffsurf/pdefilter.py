@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, PlaneFeed, ScalarField3, SpectralGrid, slabs, squared_norm
+from .grids import GridSpec, PlaneFeed, ScalarField3, slabs, squared_norm, w_axes
 
 # exp(-x) stays a normal double up to x ~ 708.4; past that the gain is
 # indistinguishable from zero, so clamp there and avoid underflow flags
@@ -147,7 +147,7 @@ class SpectralBand:
     The band functions below transform, weight and invert only the bins
     of the box, on the band's grid; full() is every bin, of() is the bins
     a filter can keep. w[a] holds the angular wavenumbers of the bins
-    index[a], taken once from the grid's SpectralGrid.w_axes(half=True).
+    index[a], taken once from grids.w_axes(grid, half=True).
     """
 
     grid: GridSpec
@@ -165,7 +165,7 @@ class SpectralBand:
 
     @classmethod
     def full(cls, grid: GridSpec) -> "SpectralBand":
-        axes = tuple(SpectralGrid.from_grid(grid).w_axes(half=True))
+        axes = tuple(w_axes(grid, half=True))
         return cls(grid, tuple(np.arange(w.size) for w in axes), axes)
 
     @classmethod
@@ -173,9 +173,12 @@ class SpectralBand:
         """Per axis, the bins whose w^2 alone gets a nonzero gain at some params.
 
         Every bin outside the box gets a gain of exactly 0 (see the module
-        docstring); with eps > 0 the band is every bin.
+        docstring); with eps > 0 the band is every bin. params holds at
+        least one parameter set.
         """
-        axes = SpectralGrid.from_grid(grid).w_axes(half=True)
+        if not params:
+            raise ValueError("need at least one parameter set")
+        axes = w_axes(grid, half=True)
         index = []
         for w in axes:
             keep = np.zeros(w.shape, dtype=bool)
@@ -256,7 +259,7 @@ def forward_spectrum(X: ScalarField3, band: SpectralBand | None = None) -> np.nd
         raise ValueError("field contains NaN or Inf")
     if band is None:
         band = SpectralBand.full(X.grid)
-    elif SpectralGrid.from_grid(band.grid) != SpectralGrid.from_grid(X.grid):
+    elif (band.grid.dims, band.grid.spacing) != (X.grid.dims, X.grid.spacing):
         raise ValueError(f"band of grid {band.grid} does not match the field's grid {X.grid}")
     forward = BandForward(band)
     for slab in slabs(X.values):
@@ -357,8 +360,6 @@ def mode_decompose(X: ScalarField3, per_pass: Sequence[FilterParams]) -> ModeDec
     pass serves all modes, and each mode is one inverse transform.
     """
     per_pass = tuple(per_pass)
-    if not per_pass:
-        raise ValueError("need at least one parameter set")
     band = SpectralBand.of(X.grid, per_pass)
     rest = forward_spectrum(X, band)
     modes = []

@@ -271,10 +271,10 @@ def gaussian_slabs(
     pairs of one layer of cubes. rasterize_gaussian, which assembles the
     field, peaks at 11.1 and 16.0.
     """
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
-    if not r_e > 0:
-        raise ValueError(f"r_e must be positive, got {r_e}")
+    if not 0 < s < np.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
+    if not 0 < r_e < np.inf:
+        raise ValueError(f"r_e must be positive and finite, got {r_e}")
     return _gaussian_slabs(mol, grid, s, r_e)
 
 

@@ -173,7 +173,7 @@ def mode_decompose_per_residue(X, per_pass):
     """Peel-off modes by filtering each residue anew: mode k is the low
     pass of X minus the modes before it, each through a full rfftn, gain
     and irfftn. Returns the modes and the final residue."""
-    w2 = grids.SpectralGrid.from_grid(X.grid).w2(half=True)
+    w2 = grids.squared_norm(grids.w_axes(X.grid, half=True))
     modes = []
     residue = X.values
     for params in per_pass:

@@ -317,3 +317,10 @@ def test_nyquist_zeroed_for_gradient_even_dims(rng):
     # the even Laplacian symbol keeps the Nyquist bin
     lap = spectral_laplacian3(MultivectorField3.from_scalar_field(ScalarField3(g, vals)))
     assert np.abs(lap.data[..., 0] + np.pi**2 * vals).max() <= 1e-8
+    # an odd axis has no Nyquist bin: its highest mode keeps its derivative
+    w = 2.0 * np.pi * 3 / 7
+    x = np.arange(7)
+    vals = np.cos(w * x)[:, None, None] * np.ones((1, 4, 4))
+    field = MultivectorField3.from_scalar_field(ScalarField3(_grid3((7, 4, 4)), vals))
+    grad = spectral_gradient3(field)
+    assert np.abs(grad.data[..., 1] + w * np.sin(w * x)[:, None, None]).max() <= 1e-10

@@ -35,7 +35,7 @@ from cliffsurf.cli import (
     main,
     sweep,
 )
-from cliffsurf.grids import SLAB, SpectralGrid
+from cliffsurf.grids import SLAB, GridSpec, squared_norm, w_axes
 from cliffsurf.molecule import parse_xyzr
 from cliffsurf.pdefilter import (
     FilterParams,
@@ -1024,8 +1024,9 @@ def test_cli_highband_energy_is_full_fft_band_energy(three_atom_file, tmp_path, 
         capsys,
     )
     assert code == EXIT_OK, err
-    dims, _, spacing, values = read_raw(vol)
-    band = SpectralGrid(dims=dims, spacing=spacing).w2() > ENERGY_W2_THRESHOLD
+    dims, origin, spacing, values = read_raw(vol)
+    grid = GridSpec(origin=origin, spacing=spacing, dims=dims)
+    band = squared_norm(w_axes(grid)) > ENERGY_W2_THRESHOLD
     want = float(np.sum(np.abs(np.fft.fftn(values)[band]) ** 2))
     got = float(manifest_dict(out)["run[t=10].highband_energy"])
     assert want > 0 and abs(got - want) <= 1e-12 * want

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cliffsurf import pdefilter
 from cliffsurf.cft import MultivectorField3, cft3_forward, cft3_inverse
-from cliffsurf.grids import GridSpec, ScalarField3, SpectralGrid
+from cliffsurf.grids import GridSpec, GridSpec2, ScalarField3, squared_norm, w_axes
 from cliffsurf.pdefilter import (
     FilterParams,
     SpectralBand,
@@ -193,7 +194,7 @@ def _random_field(rng, dims, spacing=0.5):
 def _cft3_lowpass(X, params):
     # the Clifford-Fourier round trip: scalar embedding, full-spectrum gain
     spec = cft3_forward(MultivectorField3.from_scalar_field(X))
-    gain = frequency_response(params, SpectralGrid.from_grid(X.grid).w2())
+    gain = frequency_response(params, squared_norm(w_axes(X.grid)))
     filtered = MultivectorField3(X.grid, spec.data * gain[..., None])
     return cft3_inverse(filtered).scalar_part().values
 
@@ -212,12 +213,12 @@ def test_rfft_lowpass_matches_cft3_round_trip(rng, dims, eps):
 
 
 def test_half_spectrum_w2_is_the_rfft_slice_of_the_full_one():
-    sg = SpectralGrid(dims=(6, 5, 8), spacing=0.3)
-    half = sg.w2(half=True)
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.3, dims=(6, 5, 8))
+    half = squared_norm(w_axes(grid, half=True))
     assert half.shape == (6, 5, 5)
     # nonnegative z bins coincide; the even-N Nyquist differs only in sign
-    assert np.array_equal(half, sg.w2()[:, :, :5])
-    assert SpectralGrid(dims=(4, 7), spacing=1.0).w2(half=True).shape == (4, 4)
+    assert np.array_equal(half, squared_norm(w_axes(grid))[:, :, :5])
+    assert squared_norm(w_axes(GridSpec2(dims=(4, 7)), half=True)).shape == (4, 4)
 
 
 @pytest.mark.parametrize("dims", _ODD_EVEN_DIMS)
@@ -267,7 +268,7 @@ def test_filter_gain_rejects_zero_passes():
 def test_single_pass_gain_is_the_frequency_response():
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=(6, 7, 9))
     params = FilterParams.single_term(t=0.01)
-    w2 = SpectralGrid.from_grid(grid).w2(half=True)
+    w2 = squared_norm(w_axes(grid, half=True))
     gain = filter_gain(params, SpectralBand.full(grid))
     assert np.array_equal(gain, frequency_response(params, w2))
 
@@ -278,7 +279,7 @@ def test_gain_is_the_closed_form_of_the_frequency_response(passes, eps):
     # plane by plane and folded in place, bit for bit the whole-array formula
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=(6, 7, 9))
     params = FilterParams.single_term(t=0.01, epsilon=eps)
-    gain = frequency_response(params, SpectralGrid.from_grid(grid).w2(half=True))
+    gain = frequency_response(params, squared_norm(w_axes(grid, half=True)))
     want = gain if passes == 1 else 1.0 - (1.0 - gain) ** passes
     assert np.array_equal(filter_gain(params, SpectralBand.full(grid), passes), want)
 
@@ -304,7 +305,7 @@ def test_gain_on_a_full_band_holds_one_plane_of_temporaries():
 @pytest.mark.parametrize("thr", [0.5, 4.0, 30.0])
 def test_spectral_energy_matches_full_fft_band_sum(rng, dims, thr):
     X = _random_field(rng, dims)
-    band = SpectralGrid.from_grid(X.grid).w2() > thr
+    band = squared_norm(w_axes(X.grid)) > thr
     want = float(np.sum(np.abs(np.fft.fftn(X.values)[band]) ** 2))
     got = spectral_energy(np.fft.rfftn(X.values), SpectralBand.full(X.grid), thr)
     assert abs(got - want) <= 1e-12 * want
@@ -355,15 +356,9 @@ def test_response_bounded_unit_interval(t, w2, eps):
 
 def test_spectral_grid_wavenumbers():
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.25, dims=(8, 6, 5))
-    sg = SpectralGrid.from_grid(grid)
-    wx = sg.w_axes()[0]
+    wx = w_axes(grid)[0]
     assert np.allclose(wx, 2.0 * np.pi * np.fft.fftfreq(8, d=0.25))
-    # zeroing applies only to the even-length axes' Nyquist bin
-    wz_zeroed = sg.w_axes(zero_nyquist=True)[2]
-    assert np.array_equal(wz_zeroed, sg.w_axes()[2])
-    wx_zeroed = sg.w_axes(zero_nyquist=True)[0]
-    assert wx_zeroed[4] == 0.0 and sg.w_axes()[0][4] != 0.0
-    w2 = sg.w2()
+    w2 = squared_norm(w_axes(grid))
     assert w2.shape == (8, 6, 5)
     assert w2[0, 0, 0] == 0.0
     assert np.all(w2 >= 0.0)
@@ -439,7 +434,7 @@ def test_band_of_sharp_filter_keeps_the_low_bins():
 @pytest.mark.parametrize("dims, spacing", [((12, 9, 10), 0.25), ((7, 8, 5), 1.3)])
 def test_band_w2_is_the_half_spectrum_w2_over_its_box(dims, spacing):
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=spacing, dims=dims)
-    half = SpectralGrid.from_grid(grid).w2(half=True)
+    half = squared_norm(w_axes(grid, half=True))
     kept = SpectralBand.of(grid, [FilterParams.single_term(t=1e-3)])
     for band in (SpectralBand.full(grid), kept):
         box = half[np.ix_(*band.index)]
@@ -455,13 +450,12 @@ def test_weighting_a_band_builds_no_spectral_grid(monkeypatch, rng):
     assert 1 < bands[0].shape[0] < bands[1].shape[0]
     spectra = [forward_spectrum(X, band) for band in bands]
     built = []
-    post_init = SpectralGrid.__post_init__
 
-    def counting(self):
-        post_init(self)
-        built.append(self.dims)
+    def counting(grid, half=False):
+        built.append(grid.dims)
+        return w_axes(grid, half)
 
-    monkeypatch.setattr(SpectralGrid, "__post_init__", counting)
+    monkeypatch.setattr(pdefilter, "w_axes", counting)
     for band, spectrum in zip(bands, spectra):
         gain = filter_gain(params, band, passes=3)
         spectral_energy(spectrum * gain, band, 0.25)
@@ -469,6 +463,15 @@ def test_weighting_a_band_builds_no_spectral_grid(monkeypatch, rng):
     # a band computes its wavenumbers once, when it is built
     SpectralBand.of(X.grid, [params])
     assert len(built) == 1
+
+
+def test_a_band_of_no_parameter_sets_is_refused(rng):
+    # the band, and the decomposition that builds one, need a parameter set
+    X = _random_field(rng, (6, 7, 8))
+    with pytest.raises(ValueError, match="need at least one parameter set"):
+        SpectralBand.of(X.grid, [])
+    with pytest.raises(ValueError, match="need at least one parameter set"):
+        mode_decompose(X, [])
 
 
 def test_band_functions_reject_a_foreign_band_or_spectrum(rng):

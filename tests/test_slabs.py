@@ -336,12 +336,18 @@ CONSUMERS = {
     "VolumeWriter": _write_dx,
     "from_slabs": lambda grid, path, parts: ScalarField3.from_slabs(grid, _then_unrefused(parts)),
 }
-# every consumer refuses a slab past the last plane at that slab; the others'
-# misshapen slabs have their own tests above
+# every consumer refuses a slab past the last plane, and a slab without
+# planes, at that slab; the others' misshapen slabs have their own tests above
 REFUSALS = [
     pytest.param(name, (n, 6, 6), f"fed {4 + n} of 4 planes", id=f"{name}-{n}-past")
     for name in CONSUMERS
     for n in (1, 2)
+] + [
+    pytest.param(
+        name, (0, 6, 6), r"slab of shape \(0, 6, 6\) does not fit grid \(4, 6, 6\)",
+        id=f"{name}-empty",
+    )
+    for name in CONSUMERS
 ]
 REFUSALS.append(
     pytest.param(

@@ -193,6 +193,19 @@ def test_gaussian_validation(three_atoms):
         rasterize_gaussian(three_atoms, grid, r_e=-1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"s": np.inf}, {"s": np.nan}, {"r_e": np.inf}, {"r_e": np.nan}],
+    ids=["s-inf", "s-nan", "r_e-inf", "r_e-nan"],
+)
+def test_gaussian_refuses_a_non_finite_height_or_decay(three_atoms, kwargs):
+    # an infinite height would give an all-inf field, an infinite decay a
+    # constant one
+    grid = make_grid(three_atoms, spacing=0.5)
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        rasterize_gaussian(three_atoms, grid, **kwargs)
+
+
 def _globule(rng, atoms=300, ball=9.9, radius=1.7, separation=2.0):
     """Seeded G300-like globule: equal spheres packed in a ball by rejection.
 
