@@ -63,7 +63,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import volumetrics
-from .grids import GridSpec, SlabRange
+from .grids import GridSpec, SlabRange, new_file
 from .molecule import Molecule, parse_auto, parse_pdb, parse_pqr, parse_xyzr
 from .pdefilter import (
     DEFAULT_HALF_ORDER,
@@ -153,40 +153,30 @@ class RunConfig:
         if self.init_kind not in INIT_KINDS:
             raise ValueError(f"init must be one of {INIT_KINDS}, got {self.init_kind!r}")
         volumetrics.check_grid_settings(self.spacing, self.padding)
-        if not 0 < self.s < np.inf:
-            raise ValueError(f"s must be positive and finite, got {self.s}")
-        if not 0 < self.r_e < np.inf:
-            raise ValueError(f"re must be positive and finite, got {self.r_e}")
+        volumetrics.check_bump_settings(self.s, self.r_e)
         if self.passes < 1:
             raise ValueError(f"passes must be >= 1, got {self.passes}")
-        if not self.times or any(not (t > 0 and np.isfinite(t)) for t in self.times):
-            raise ValueError(f"every propagation time must be positive, got {self.times}")
+        if not self.times:
+            raise ValueError("need at least one propagation time")
+        # each time's parameter set validates d, epsilon and the time
+        for t in self.times:
+            FilterParams(d=self.d, epsilon=self.epsilon, t=t)
         if not self.isovalues:
             raise ValueError("need at least one isovalue")
         for iso in self.isovalues:
-            if not np.isfinite(iso):
-                raise ValueError(f"isovalue must be finite, got {iso}")
             if self.init_kind != "gaussian" and not 0.0 < iso <= 1.0:
                 raise ValueError(
                     f"isovalue must lie in (0, 1] for binary initial data, got {iso}"
                 )
-            if self.init_kind == "gaussian" and not iso > 0:
-                raise ValueError(f"isovalue must be positive, got {iso}")
+            if self.init_kind == "gaussian" and not 0 < iso < np.inf:
+                raise ValueError(f"isovalue must be positive and finite, got {iso}")
         # output names and manifest keys print values with %g
         for name, values in (("time", self.times), ("isovalue", self.isovalues)):
             if len({f"{v:g}" for v in values}) < len(values):
                 raise ValueError(f"{name}s must differ in their %g form, got {_fmt(values)}")
         # no output may overwrite the input or another output
-        paths = [self._output_path(self.volume_out, t) for t in self.times if self.volume_out]
-        paths += [
-            self._output_path(base, t, iso)
-            for base in (self.mesh_out, self.metrics_out)
-            if base
-            for t in self.times
-            for iso in self.isovalues
-        ]
         seen = {os.path.realpath(self.input_path)}
-        for path in paths:
+        for path in self._output_paths():
             real = os.path.realpath(path)
             if real in seen:
                 raise ValueError(f"output {path} would overwrite the input or another output")
@@ -195,8 +185,17 @@ class RunConfig:
             raise ValueError(f"volume format must be dx or raw, got {self.volume_format}")
         if not 0 < self.mem_cap_gib < np.inf:
             raise ValueError(f"mem-cap must be positive and finite, got {self.mem_cap_gib}")
-        # constructing one parameter set validates d and epsilon
-        FilterParams(d=self.d, epsilon=self.epsilon, t=self.times[0])
+
+    def _output_paths(self) -> list[str]:
+        """Every file a run of this resolved config writes, volumes first."""
+        paths = [self._output_path(self.volume_out, t) for t in self.times if self.volume_out]
+        return paths + [
+            self._output_path(base, t, iso)
+            for base in (self.mesh_out, self.metrics_out)
+            if base
+            for t in self.times
+            for iso in self.isovalues
+        ]
 
     def _output_path(self, base: str, t: float, iso: float | None = None) -> str:
         """The file written from base at time t (and isovalue iso for a surface)."""
@@ -245,11 +244,6 @@ def _write_mesh(mesh, path: str):
         write_off(mesh, path)
     else:
         write_obj(mesh, path)
-
-
-def _write_text(text: str, path: str):
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
 
 
 @contextlib.contextmanager
@@ -455,8 +449,8 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
                 path = cfg._output_path(cfg.metrics_out, t, iso)
                 lines = [("t", t), ("isovalue", iso), *values]
                 report = "".join(f"{name}: {_fmt(v)}\n" for name, v in lines)
-                with stage("output"), _writing(path):
-                    _write_text(report, path)
+                with stage("output"), _writing(path), new_file(path) as fh:
+                    fh.write(report.encode())
                 combo["metrics_file"] = path
                 manifest.append(f"{key}.metrics_file: {path}")
             yield combo
@@ -608,7 +602,7 @@ def _config_file_values(path: str) -> dict[str, object]:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Merge CLI flags over config-file values over built-in defaults."""
+    """Merge CLI flags over config-file values over defaults; no output may be the config file."""
     values = _config_file_values(args.config) if args.config else {}
     values.update((k, v) for k, v in vars(args).items() if v is not None)
     values.pop("config", None)
@@ -630,7 +624,17 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     for key in ("times", "isovalues"):
         if key in values:
             values[key] = tuple(values[key])
-    return RunConfig(d=d, **values)
+    config = RunConfig(d=d, **values)
+    if args.config:  # the config file is an input the RunConfig does not name
+        try:
+            outputs = config.resolved()._output_paths()
+        except ValueError as exc:
+            raise StageError("config", str(exc)) from exc
+        real = os.path.realpath(args.config)
+        for path in outputs:
+            if os.path.realpath(path) == real:
+                raise StageError("config", f"output {path} would overwrite the config file")
+    return config
 
 
 # glibc mallopt parameters (malloc.h)

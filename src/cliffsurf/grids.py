@@ -2,10 +2,11 @@
 
 These types are shared between the volume-construction layer and the
 spectral operators, so they live in one dependency-free module; so do
-write_rows, the text-row formatter of the volume and mesh writers, and
-the slab conventions of the streamed pipeline: the CLI rasterizes,
-transforms, writes and extracts a grid SLAB planes of axis 0 at a time,
-and no stage of a run holds an array the size of the grid.
+new_file and write_rows, the file opener and text-row formatter of the
+volume, mesh and report writers, and the slab conventions of the
+streamed pipeline: the CLI rasterizes, transforms, writes and extracts a
+grid SLAB planes of axis 0 at a time, and no stage of a run holds an
+array the size of the grid.
 
 write_rows formats numbers as arrays, not one Python float at a time:
 integer arithmetic picks each value's 4-byte texts from digit tables,
@@ -28,11 +29,14 @@ Conventions fixed here once for the whole package:
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import reduce
+from typing import BinaryIO
 
 import numpy as np
 
@@ -244,6 +248,23 @@ def squared_norm(axes) -> np.ndarray:
     """|w|^2 over the box of the per-axis wavenumbers axes, the axis squares summed in order."""
     meshes = np.meshgrid(*axes, indexing="ij", sparse=True)
     return reduce(np.add, (m * m for m in meshes))
+
+
+@contextlib.contextmanager
+def new_file(path) -> Iterator[BinaryIO]:
+    """A binary handle on path, created or truncated, as a context manager.
+
+    The file is closed at the end of the block; when the block or the
+    close fails, it is removed.
+    """
+    fh = open(path, "wb")
+    try:
+        with fh:  # closing flushes, and can fail too
+            yield fh
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
 
 
 # rows per write_rows chunk: its arrays stay in the CPU caches

@@ -140,8 +140,6 @@ def parse_pqr(text: str, path: str | None = None) -> Molecule:
                 residue=tokens[3],
             )
         )
-    if not atoms:
-        raise ParseError("no atoms")
     return Molecule(tuple(atoms), Provenance(path, "pqr", tuple(warnings)))
 
 
@@ -174,8 +172,6 @@ def parse_xyzr(text: str, path: str | None = None) -> Molecule:
         if r <= 0:
             raise ParseError(f"radius must be positive, got {r}", line_no)
         atoms.append(Atom(center=(x, y, z), radius=r))
-    if not atoms:
-        raise ParseError("no atoms")
     return Molecule(tuple(atoms), Provenance(path, "xyzr"))
 
 
@@ -236,8 +232,6 @@ def parse_pdb(
                 residue=residue or None,
             )
         )
-    if not atoms:
-        raise ParseError("no atoms")
     return Molecule(tuple(atoms), Provenance(path, "pdb", tuple(warnings)))
 
 

@@ -88,7 +88,7 @@ class FilterParams:
         if self.epsilon < 0 or not np.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
         if not (self.t > 0 and np.isfinite(self.t)):
-            raise ValueError(f"t must be positive and finite, got {self.t}")
+            raise ValueError(f"propagation time t must be positive and finite, got {self.t}")
 
     @classmethod
     def single_term(

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, PlaneFeed, ScalarField3, slabs, write_rows
+from .grids import GridSpec, PlaneFeed, ScalarField3, new_file, slabs, write_rows
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
 # each cell edge's two corners, its first corner, and its step from the
@@ -119,7 +119,7 @@ _DIHEDRAL_CHUNK = 1 << 13
 
 @dataclass(frozen=True, eq=False)
 class TriangleMesh:
-    """Vertex positions (V, 3) and triangle vertex indices (T, 3).
+    """Vertex positions (V, 3) and triangle vertex indices (T, 3), T >= 1.
 
     Both are read-only views of float64/int64 inputs, not snapshots:
     writing to the caller's arrays afterwards changes the mesh.
@@ -132,9 +132,11 @@ class TriangleMesh:
         # views with their own flags: the caller's arrays stay writeable
         v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3).view()
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3).view()
-        if t.size and (t.min() < 0 or t.max() >= len(v)):
+        if not t.size:
+            raise ValueError("empty mesh")
+        if t.min() < 0 or t.max() >= len(v):
             raise ValueError("triangle indices out of vertex range")
-        if t.size and np.any((t[:, 0] == t[:, 1]) & (t[:, 1] == t[:, 2])):
+        if np.any((t[:, 0] == t[:, 1]) & (t[:, 1] == t[:, 2])):
             raise ValueError("degenerate triangle with three identical vertices")
         v.setflags(write=False)
         t.setflags(write=False)
@@ -432,8 +434,6 @@ def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:
     """
     V = mesh.n_vertices
     F = mesh.n_triangles
-    if F == 0:
-        raise ValueError("empty mesh")
     order, starts, codes = _edge_runs(mesh.triangles, V)
     E = len(starts)
     counts = np.diff(starts, append=3 * F)
@@ -512,19 +512,15 @@ def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:
 
 def write_obj(mesh: TriangleMesh, path) -> None:
     """Write vertices then 1-based faces, coordinates with 6 decimals."""
-    if mesh.n_triangles == 0:
-        raise ValueError("refusing to write an empty mesh")
-    with open(path, "wb") as fh:
+    with new_file(path) as fh:
         write_rows(fh, "v %.6f %.6f %.6f\n", mesh.vertices)
         write_rows(fh, "f %d %d %d\n", mesh.triangles + 1)
 
 
 def write_off(mesh: TriangleMesh, path) -> None:
     """Write the OFF layout: header, counts, vertices, 0-based face rows."""
-    if mesh.n_triangles == 0:
-        raise ValueError("refusing to write an empty mesh")
     _, starts, _ = _edge_runs(mesh.triangles, mesh.n_vertices)
-    with open(path, "wb") as fh:
+    with new_file(path) as fh:
         fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_triangles} {len(starts)}\n".encode())
         write_rows(fh, "%.6f %.6f %.6f\n", mesh.vertices)
         write_rows(fh, "3 %d %d %d\n", mesh.triangles)

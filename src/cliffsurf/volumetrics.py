@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 from collections.abc import Iterator
 
 import numpy as np
 
-from .grids import SLAB, GridSpec, PlaneFeed, ScalarField3, next_smooth, slabs, write_rows
+from .grids import SLAB, GridSpec, PlaneFeed, ScalarField3, new_file, next_smooth, slabs, write_rows
 from .molecule import Molecule
 
 DEFAULT_SPACING = 0.25
@@ -78,6 +77,14 @@ def check_grid_settings(spacing: float, padding: float) -> None:
         raise ValueError(f"padding must be nonnegative and finite, got {padding}")
 
 
+def check_bump_settings(s: float, r_e: float) -> None:
+    """Raise ValueError unless the bump height s and decay r_e are positive and finite."""
+    if not 0 < s < np.inf:
+        raise ValueError(f"s must be positive and finite, got {s}")
+    if not 0 < r_e < np.inf:
+        raise ValueError(f"r_e must be positive and finite, got {r_e}")
+
+
 def _check_grid_size(dims, mem_cap_bytes: int | None) -> None:
     # the tests in Python ints, exact at any size; the messages' floats may
     # read inf
@@ -108,10 +115,10 @@ def make_grid(
     meshes to area 264.14 and volume 397.47, 3.3% and 3.6% over 255.81
     and 383.66 at 40 Angstrom (ROADMAP item 1). The memory cap is
     checked against the estimated peak of a whole run, _BYTES_PER_VOXEL
-    per voxel, on the sample counts and again on the rounded dims; with
-    or without a cap, more voxels than a float64 array can hold are
-    refused the same way. A span whose sample count is not finite raises
-    ValueError.
+    per voxel, on the rounded dims, which the refusal names. With or
+    without a cap, more voxels than a float64 array can hold are refused,
+    on the sample counts before rounding and on the rounded dims. A span
+    whose sample count is not finite raises ValueError.
     """
     check_grid_settings(spacing, padding)
     lo, hi = mol.bounding_box()
@@ -125,8 +132,9 @@ def make_grid(
             raise ValueError(f"a {span:g} A span at spacing {spacing:g} needs {samples} samples")
         # smallest sample count covering the span, robust to float fuzz
         counts.append(max(math.ceil(samples - 1e-9) + 1, 2))
-    # rounding only grows dims, so the checks can refuse them first
-    _check_grid_size(counts, mem_cap_bytes)
+    # no cap on the counts: the refusal names the dims a run would use,
+    # and counts past any array are refused before next_smooth sees them
+    _check_grid_size(counts, None)
     dims = tuple(next_smooth(n) for n in counts)
     _check_grid_size(dims, mem_cap_bytes)
     origin = tuple(center[a] - (dims[a] - 1) * spacing / 2.0 for a in range(3))
@@ -271,10 +279,7 @@ def gaussian_slabs(
     pairs of one layer of cubes. rasterize_gaussian, which assembles the
     field, peaks at 11.1 and 16.0.
     """
-    if not 0 < s < np.inf:
-        raise ValueError(f"s must be positive and finite, got {s}")
-    if not 0 < r_e < np.inf:
-        raise ValueError(f"r_e must be positive and finite, got {r_e}")
+    check_bump_settings(s, r_e)
     return _gaussian_slabs(mol, grid, s, r_e)
 
 
@@ -419,29 +424,34 @@ class VolumeWriter:
     def __init__(self, grid: GridSpec, path, fmt: str):
         if fmt not in ("dx", "raw"):
             raise ValueError(f"volume format must be dx or raw, got {fmt}")
-        self.grid, self.path, self.fmt = grid, path, fmt
+        self.grid, self.fmt = grid, fmt
         self._feed = PlaneFeed(grid.dims)
         self._carry = np.empty(0)
         if fmt == "raw":
-            self._fh = open(path, "wb")
-            self._fh.write(np.asarray(grid.dims, dtype="<i8").tobytes())
-            self._fh.write(np.asarray(grid.origin, dtype="<f8").tobytes())
-            self._fh.write(np.float64(grid.spacing).astype("<f8").tobytes())
-            return
-        nx, ny, nz = grid.dims
-        h = grid.spacing
-        ox, oy, oz = grid.origin
-        header = [
-            f"object 1 class gridpositions counts {nx} {ny} {nz}",
-            f"origin {ox:.6e} {oy:.6e} {oz:.6e}",
-            f"delta {h:.6e} 0.000000e+00 0.000000e+00",
-            f"delta 0.000000e+00 {h:.6e} 0.000000e+00",
-            f"delta 0.000000e+00 0.000000e+00 {h:.6e}",
-            f"object 2 class gridconnections counts {nx} {ny} {nz}",
-            f"object 3 class array type double rank 0 items {nx * ny * nz} data follows",
-        ]
-        self._fh = open(path, "wb")
-        self._fh.write(("\n".join(header) + "\n").encode())
+            header = b"".join([
+                np.asarray(grid.dims, dtype="<i8").tobytes(),
+                np.asarray(grid.origin, dtype="<f8").tobytes(),
+                np.float64(grid.spacing).astype("<f8").tobytes(),
+            ])
+        else:
+            nx, ny, nz = grid.dims
+            h = grid.spacing
+            ox, oy, oz = grid.origin
+            lines = [
+                f"object 1 class gridpositions counts {nx} {ny} {nz}",
+                f"origin {ox:.6e} {oy:.6e} {oz:.6e}",
+                f"delta {h:.6e} 0.000000e+00 0.000000e+00",
+                f"delta 0.000000e+00 {h:.6e} 0.000000e+00",
+                f"delta 0.000000e+00 0.000000e+00 {h:.6e}",
+                f"object 2 class gridconnections counts {nx} {ny} {nz}",
+                f"object 3 class array type double rank 0 items {nx * ny * nz} data follows",
+            ]
+            header = ("\n".join(lines) + "\n").encode()
+        # new_file removes the file on a failure, from the header on
+        with contextlib.ExitStack() as stack:
+            self._fh = stack.enter_context(new_file(path))
+            self._fh.write(header)
+            self._file = stack.pop_all()
 
     def write(self, slab: np.ndarray) -> None:
         self._feed.add(slab)
@@ -462,28 +472,23 @@ class VolumeWriter:
         return self
 
     def __exit__(self, kind, exc, tb):
-        finished = False
-        try:
-            with self._fh:  # closing flushes, and can fail too
-                if kind is None:
-                    self._feed.finish()
-                if kind is None and self.fmt == "dx":
-                    if self._carry.size:  # one or two values on the last data line
-                        last = self._carry[None]
-                        write_rows(self._fh, " ".join(["%.6e"] * last.size) + "\n", last)
-                    trailer = [
-                        'attribute "dep" string "positions"',
-                        'object "regular positions regular connections" class field',
-                        'component "positions" value 1',
-                        'component "connections" value 2',
-                        'component "data" value 3',
-                    ]
-                    self._fh.write(("\n".join(trailer) + "\n").encode())
-            finished = kind is None
-        finally:
-            if not finished:
-                with contextlib.suppress(OSError):
-                    os.remove(self.path)
+        if kind is not None:  # new_file removes the file
+            return self._file.__exit__(kind, exc, tb)
+        with self._file:  # and removes it if finishing fails
+            self._feed.finish()
+            if self.fmt == "dx":
+                if self._carry.size:  # one or two values on the last data line
+                    last = self._carry[None]
+                    write_rows(self._fh, " ".join(["%.6e"] * last.size) + "\n", last)
+                trailer = [
+                    'attribute "dep" string "positions"',
+                    'object "regular positions regular connections" class field',
+                    'component "positions" value 1',
+                    'component "connections" value 2',
+                    'component "data" value 3',
+                ]
+                self._fh.write(("\n".join(trailer) + "\n").encode())
+            self._fh.close()  # closing flushes, and can fail too
 
 
 def _export(field: ScalarField3, path, fmt: str) -> None:

@@ -10,6 +10,8 @@ a dict of edges, the gaussian rasterizer against its former loop over
 every atom, and the array text formatter against Python's `%`.
 """
 
+import errno
+
 import numpy as np
 import pytest
 
@@ -397,6 +399,35 @@ def write_rows_percent(fh, row_format, rows):
     for start in range(0, len(rows), grids._ROWS_PER_WRITE):
         block = rows[start : start + grids._ROWS_PER_WRITE]
         fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
+# ---------------------------------------------------------------------------
+# a file handle on a full disk
+
+
+class FullDisk:
+    """A file handle whose writes (fail "write") or close (fail "close") raise ENOSPC."""
+
+    def __init__(self, fh, fail):
+        self.fh, self.fail = fh, fail
+
+    def _raise(self, call):
+        if call == self.fail:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def write(self, data):
+        self._raise("write")
+        return self.fh.write(data)
+
+    def close(self):
+        self.fh.close()
+        self._raise("close")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
 
 # ---------------------------------------------------------------------------

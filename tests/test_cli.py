@@ -5,6 +5,7 @@ the whole module stays fast; the exit-code contract is asserted against the
 documented stage map (0 ok, 2 input, 3 config, 4 compute, 5 output).
 """
 
+import builtins
 import gc
 import importlib.util
 import os
@@ -46,7 +47,7 @@ from cliffsurf.pdefilter import (
 )
 from cliffsurf.volumetrics import _BYTES_PER_VOXEL, make_grid, rasterize_piecewise
 
-from conftest import read_dx, read_obj, read_off, read_raw
+from conftest import FullDisk, read_dx, read_obj, read_off, read_raw
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -269,6 +270,37 @@ def test_unwritable_output_exits_5(three_atom_file, tmp_path, capsys):
     assert "cannot write" in err
 
 
+@pytest.mark.parametrize(
+    "flag, name, fail",
+    [
+        (flag, name, fail)
+        for flag, name in [("--mesh-out", "m.obj"), ("--mesh-out", "m.off"),
+                           ("--metrics-out", "r.txt")]
+        for fail in ("write", "close")
+    ]
+    + [("--volume-out", "v.dx", "write"), ("--volume-out", "v.raw", "write")],
+)
+def test_an_output_that_fails_to_write_is_removed(
+    three_atom_file, tmp_path, monkeypatch, capsys, flag, name, fail
+):
+    # a full disk at a write or at the closing flush: the run exits 5 and
+    # leaves no truncated file behind. A volume's first write is its header
+    target = str(tmp_path / name)
+    real_open = builtins.open
+
+    def open_on_a_full_disk(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return FullDisk(fh, fail) if os.fspath(file) == target else fh
+
+    monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+    code, out, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5", flag, target], capsys
+    )
+    assert code == EXIT_OUTPUT
+    assert err.startswith("error[stage=output]: ") and "No space left" in err
+    assert out == "" and not os.path.exists(target)
+
+
 # ---------------------------------------------------------------------------
 # argument and config-file plumbing (no pipeline runs)
 
@@ -451,6 +483,8 @@ def test_nonpositive_passes_exits_3(three_atom_file, capsys):
         ["--mem-cap", "inf"],
         ["--init", "gaussian", "--s", "inf"],
         ["--init", "gaussian", "--re", "inf"],
+        ["--time", "100", "--time", "inf"],
+        ["--init", "gaussian", "--isovalue", "inf"],
     ],
     ids=lambda flags: " ".join(flags[-2:]),
 )
@@ -541,6 +575,34 @@ def test_outputs_sharing_a_path_exit_3(three_atom_file, tmp_path, monkeypatch, c
     assert err.startswith("error[stage=config]: ") and "overwrite" in err
     assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
     assert Path(three_atom_file).read_text() == text
+
+
+@pytest.mark.parametrize(
+    "line, flags",
+    [
+        ("", ["--metrics-out", "run.cfg"]),
+        ("", ["--mesh-out", "run.cfg"]),
+        ("", ["--volume-out", "sub/../run.cfg"]),
+        ("", ["--time", "50", "--time", "100", "--volume-out", "run.cfg"]),
+        ("metrics-out = run.cfg\n", []),
+    ],
+)
+def test_an_output_on_the_config_file_exits_3(
+    three_atom_file, tmp_path, monkeypatch, capsys, line, flags
+):
+    # the config file is read before any output is written; an output on it
+    # would replace it, so the run stops at config and writes nothing
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    text = "spacing = 0.5\n" + line
+    (tmp_path / "run.cfg").write_text(text)
+    (tmp_path / "run_t50.cfg").symlink_to("run.cfg")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(["--input", three_atom_file, "--config", "run.cfg", *flags], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error[stage=config]: ") and "config file" in err
+    assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "run.cfg").read_text() == text
 
 
 def test_resolved_isovalue_defaults():

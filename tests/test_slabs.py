@@ -2,7 +2,6 @@
 volume writers fed in slabs of axis-0 planes give the whole-array results
 bit for bit, wherever the slab boundaries fall."""
 
-import errno
 import io
 import subprocess
 import sys
@@ -19,7 +18,7 @@ from cliffsurf.grids import SLAB, GridSpec, ScalarField3, SlabRange
 from cliffsurf.pdefilter import BandForward, FilterParams, SpectralBand, field_slabs
 from cliffsurf.surface import SlabMarcher, TriangleMesh, marching_cubes, mesh_metrics
 from cliffsurf.volumetrics import VolumeWriter
-from conftest import marching_cubes_loop, sphere_distance_field, write_rows_percent
+from conftest import FullDisk, marching_cubes_loop, sphere_distance_field, write_rows_percent
 
 # planes along axis 0 that a multiple of SLAB would not exercise
 n0s = st.integers(2, 25).filter(lambda n: n % SLAB)
@@ -370,31 +369,6 @@ def test_slab_consumers_refuse_the_slab_that_breaks_the_feed(tmp_path, consumer,
     assert not (tmp_path / "v.dx").exists()
 
 
-class _FullDisk:
-    """A file handle whose writes (fail "write") or close (fail "close") raise ENOSPC."""
-
-    def __init__(self, fh, fail):
-        self.fh, self.fail = fh, fail
-
-    def _raise(self, call):
-        if call == self.fail:
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-    def write(self, data):
-        self._raise("write")
-        return self.fh.write(data)
-
-    def close(self):
-        self.fh.close()
-        self._raise("close")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
-
 @pytest.mark.parametrize("fmt, fail", [("dx", "write"), ("dx", "close"), ("raw", "close")])
 def test_volume_writer_removes_a_file_it_fails_to_finish(tmp_path, fmt, fail):
     # every plane is written, then the OpenDX trailer or the closing flush
@@ -404,7 +378,7 @@ def test_volume_writer_removes_a_file_it_fails_to_finish(tmp_path, fmt, fail):
     with pytest.raises(OSError, match="No space left"):
         with VolumeWriter(grid, path, fmt) as writer:
             writer.write(np.zeros((4, 2, 2)))
-            writer._fh = _FullDisk(writer._fh, fail)
+            writer._fh = FullDisk(writer._fh, fail)
     assert not path.exists()
 
 

@@ -1,6 +1,8 @@
 """Grid sizing, rasterization correctness, volume export formats."""
 
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +11,11 @@ from hypothesis import strategies as st
 
 from cliffsurf import grids
 from cliffsurf.grids import GridSpec, ScalarField3
-from cliffsurf.molecule import Atom, Molecule
+from cliffsurf.molecule import Atom, Molecule, parse_xyzr
 from cliffsurf.pdefilter import FilterParams, mode_decompose
 from cliffsurf.surface import marching_cubes
 from cliffsurf.volumetrics import (
+    _BYTES_PER_VOXEL,
     export_opendx,
     export_raw,
     make_grid,
@@ -73,6 +76,18 @@ def test_make_grid_memory_cap(three_atoms):
         make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=10 * 1024**2)
     grid = make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=None)
     assert grid.dims == (56, 70, 70)
+
+
+def test_memory_cap_refusal_names_the_rounded_dims():
+    # the fixture at h = 0.05 samples (273, 336, 345) voxels, which fit a
+    # cap one byte under their estimate; the run would use (280, 336, 350)
+    text = (Path(__file__).parent / "golden" / "fixture.xyzr").read_text()
+    mol = parse_xyzr(text)
+    sampled, rounded = (math.prod(d) * _BYTES_PER_VOXEL for d in [(273, 336, 345), (280, 336, 350)])
+    assert make_grid(mol, spacing=0.05, mem_cap_bytes=rounded).dims == (280, 336, 350)
+    for cap in (sampled - 1, sampled, rounded - 1):
+        with pytest.raises(ValueError, match=r"grid \(280, 336, 350\) needs about 2\.2 GiB"):
+            make_grid(mol, spacing=0.05, mem_cap_bytes=cap)
 
 
 def test_make_grid_without_cap_refuses_absurd_spacing_fast():
