@@ -43,10 +43,12 @@ the box faces' range, (face_min, face_max], where it would cut a box face
 and give an open mesh; else the run fails at stage extract and names the
 fixes, more padding or a smaller time. So
 a run holds the band, a few slabs' arrays, and the meshes of one time,
-one per isovalue, while they grow; each surface is then finished,
-measured and written before the next, and only sweep(), which returns
-its meshes, holds them all. Every file is the one the whole-array
-functions write, byte for byte.
+one per isovalue, while they grow; each surface is then finished and
+measured while one second thread writes its mesh file, and the thread
+is joined before the next surface is finished, so only sweep(), which
+returns its meshes, holds more than one. Both threads only read the
+mesh. Every file is the one the whole-array functions write, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -56,9 +58,11 @@ import collections
 import contextlib
 import os
 import sys
+import threading
 import time
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
+from typing import NoReturn
 
 import numpy as np
 
@@ -246,6 +250,37 @@ def _write_mesh(mesh, path: str):
         write_obj(mesh, path)
 
 
+class _MeshWriter(threading.Thread):
+    """Writes one mesh file on a thread of its own, started at once.
+
+    Both threads only read the mesh. wait() joins the thread and re-raises
+    the write's error; seconds is the write's own duration. The thread
+    drops the mesh and the path when it ends.
+    """
+
+    def __init__(self, mesh, path: str):
+        super().__init__(name="cliffsurf-mesh-writer")
+        self._job = (mesh, path)
+        self._error: BaseException | None = None
+        self.seconds = 0.0
+        self.start()
+
+    def run(self):
+        start = time.perf_counter()
+        try:
+            _write_mesh(*self._job)
+        except BaseException as exc:
+            self._error = exc
+        finally:
+            del self._job
+            self.seconds = time.perf_counter() - start
+
+    def wait(self):
+        self.join()
+        if self._error is not None:
+            raise self._error
+
+
 @contextlib.contextmanager
 def _writing(path: str):
     """An OSError in the block becomes a tagged output failure for path."""
@@ -421,7 +456,8 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
         if volume is not None:
             manifest.append(f"{key}.volume_file: {path}")
 
-        # each surface is finished, measured and written before the next
+        # each surface is finished, then measured while a second thread
+        # writes its mesh file, and both end before the next is finished
         for iso, marcher in zip(cfg.isovalues, marchers):
             key = f"run[t={t:g},iso={iso:g}]"
             with stage("extract"):
@@ -433,16 +469,27 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
                         f"{field.face_max}]; the surface reaches the box and would be open: "
                         "use more --padding or a smaller --time"
                     )
-                metrics = mesh_metrics(mesh)
+                writer = None
+                if cfg.mesh_out:
+                    path = cfg._output_path(cfg.mesh_out, t, iso)
+                    writer = _MeshWriter(mesh, path)
+                try:
+                    metrics = mesh_metrics(mesh)
+                except BaseException:
+                    if writer is not None:  # a run failing here leaves no mesh file
+                        writer.join()
+                        with contextlib.suppress(OSError):
+                            os.remove(path)
+                    raise
             combo = {"t": t, "isovalue": iso, "mesh": mesh, "metrics": metrics}
             # one list renders both the manifest's mesh block and the report
             values = [("vertices", mesh.n_vertices), ("triangles", mesh.n_triangles)]
             values += asdict(metrics).items()
             manifest += [f"{key}.mesh.{name}: {_fmt(v)}" for name, v in values]
-            if cfg.mesh_out:
-                path = cfg._output_path(cfg.mesh_out, t, iso)
+            if writer is not None:
                 with stage("output"), _writing(path):
-                    _write_mesh(mesh, path)
+                    writer.wait()
+                timings["mesh_write"] = timings.get("mesh_write", 0.0) + writer.seconds
                 combo["mesh_file"] = path
                 manifest.append(f"{key}.mesh_file: {path}")
             if cfg.metrics_out:
@@ -456,7 +503,9 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             yield combo
             del combo, mesh, metrics  # else it lives through the next extraction
 
-    ran = [name for name in _STAGE_EXIT if name in timings]  # in pipeline order
+    # in pipeline order; the mesh writes, which overlap the extract stage,
+    # follow the output stage's wait for them
+    ran = [name for name in (*_STAGE_EXIT, "mesh_write") if name in timings]
     manifest += [f"timing.{name}_s: {timings[name]:.3f}" for name in ran]
 
 
@@ -671,8 +720,28 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         config = config_from_args(args)
         manifest = execute(config)
+        try:
+            sys.stdout.write(manifest)
+            sys.stdout.flush()  # a full disk or a closed pipe fails here
+        except OSError as exc:
+            raise StageError("output", f"cannot write the manifest: {exc}") from exc
     except StageError as exc:
         print(exc.tagged(), file=sys.stderr)
         return exc.exit_code
-    sys.stdout.write(manifest)
     return EXIT_OK
+
+
+def console_main() -> NoReturn:
+    """The process entry of `cliffsurf` and `python -m cliffsurf`.
+
+    Runs main() and ends the process with its exit code without tearing
+    the interpreter down, which frees every module and array for about
+    30 ms. By then every output file is closed and every writer thread
+    joined, and main() has reported any failure to write the manifest;
+    stdout and stderr are flushed here, as os._exit does not.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        with contextlib.suppress(OSError):  # already reported, or nowhere to report it
+            stream.flush()
+    os._exit(code)

@@ -51,7 +51,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, PlaneFeed, ScalarField3, new_file, slabs, write_rows
+from .grids import (
+    _ROWS_PER_WRITE,
+    GridSpec,
+    PlaneFeed,
+    ScalarField3,
+    new_file,
+    slabs,
+    write_rows,
+)
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
 # each cell edge's two corners, its first corner, and its step from the
@@ -514,7 +522,9 @@ def write_obj(mesh: TriangleMesh, path) -> None:
     """Write vertices then 1-based faces, coordinates with 6 decimals."""
     with new_file(path) as fh:
         write_rows(fh, "v %.6f %.6f %.6f\n", mesh.vertices)
-        write_rows(fh, "f %d %d %d\n", mesh.triangles + 1)
+        # 1-based a chunk at a time, so no copy of every face is alive
+        for at in range(0, mesh.n_triangles, _ROWS_PER_WRITE):
+            write_rows(fh, "f %d %d %d\n", mesh.triangles[at : at + _ROWS_PER_WRITE] + 1)
 
 
 def write_off(mesh: TriangleMesh, path) -> None:

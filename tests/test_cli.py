@@ -9,7 +9,9 @@ import builtins
 import gc
 import importlib.util
 import os
+import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -299,6 +301,155 @@ def test_an_output_that_fails_to_write_is_removed(
     assert code == EXIT_OUTPUT
     assert err.startswith("error[stage=output]: ") and "No space left" in err
     assert out == "" and not os.path.exists(target)
+
+
+# ---------------------------------------------------------------------------
+# each mesh file is written on a second thread while the mesh is measured
+
+
+def overlap_write_and_metrics(monkeypatch):
+    """Hold each mesh_metrics call until its mesh's write has ended.
+
+    So a write's outcome is settled while the metrics run, whatever the
+    threads' timing. Returns the list of thread ids the writes ran on.
+    """
+    written = threading.Event()
+    writers = []
+    real_write, real_metrics = cli._write_mesh, cli.mesh_metrics
+
+    def write(mesh, path):
+        writers.append(threading.get_ident())
+        try:
+            real_write(mesh, path)
+        finally:
+            written.set()
+
+    def metrics(mesh):
+        written.wait(timeout=5)  # times out where the write follows the metrics
+        written.clear()
+        return real_metrics(mesh)
+
+    monkeypatch.setattr(cli, "_write_mesh", write)
+    monkeypatch.setattr(cli, "mesh_metrics", metrics)
+    return writers
+
+
+@pytest.mark.parametrize("name", ["m.obj", "m.off"])
+def test_the_mesh_file_is_written_off_the_main_thread(
+    three_atom_file, tmp_path, monkeypatch, capsys, name
+):
+    # one writer thread per surface, each joined before the next surface
+    # is finished; holding the metrics until the write ends changes no byte
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    argv = ["--input", three_atom_file, "--spacing", "0.5", "--time", "50", "--time", "100",
+            "--isovalue", "0.8", "--isovalue", "0.9", "--metrics-out", "r.txt"]
+    monkeypatch.chdir(plain)
+    code, before, _ = run_cli(argv + ["--mesh-out", name], capsys)
+    assert code == EXIT_OK
+    held = tmp_path / "held"
+    held.mkdir()
+    monkeypatch.chdir(held)
+    writers = overlap_write_and_metrics(monkeypatch)
+    threads = threading.active_count()
+    code, after, _ = run_cli(argv + ["--mesh-out", name], capsys)
+    assert code == EXIT_OK
+    assert len(writers) == 4 and threading.get_ident() not in writers
+    assert threading.active_count() == threads
+    assert sorted(os.listdir(held)) == sorted(os.listdir(plain))
+    for file in os.listdir(plain):
+        assert (held / file).read_bytes() == (plain / file).read_bytes()
+
+    def untimed(text):
+        return [ln for ln in text.splitlines() if not ln.startswith("timing.")]
+
+    assert untimed(after) == untimed(before)
+    # the writes' own seconds follow the output stage's wait for them
+    timing = [ln.partition(":")[0] for ln in after.splitlines() if ln.startswith("timing.")]
+    assert timing[-2:] == ["timing.output_s", "timing.mesh_write_s"]
+    assert float(manifest_dict(after)["timing.mesh_write_s"]) >= 0
+
+
+def test_a_run_without_a_mesh_file_reports_no_mesh_write_time(three_atom_file, tmp_path):
+    text = execute(RunConfig(three_atom_file, spacing=0.5, metrics_out=str(tmp_path / "r.txt")))
+    m = manifest_dict(text)
+    assert "timing.output_s" in m and "timing.mesh_write_s" not in m
+
+
+@pytest.mark.parametrize("fail", ["write", "close"])
+def test_a_mesh_write_failing_beside_the_metrics_exits_5(
+    three_atom_file, tmp_path, monkeypatch, capsys, fail
+):
+    # the write fails on a full disk while the mesh is measured: the join
+    # re-raises it with the write's own message, and the partial file is removed
+    target = str(tmp_path / "m.obj")
+    real_open = builtins.open
+
+    def open_on_a_full_disk(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return FullDisk(fh, fail) if os.fspath(file) == target else fh
+
+    monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+    writers = overlap_write_and_metrics(monkeypatch)
+    threads = threading.active_count()
+    code, out, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5", "--mesh-out", target], capsys
+    )
+    assert code == EXIT_OUTPUT
+    assert err == f"error[stage=output]: cannot write {target}: [Errno 28] No space left on device\n"
+    assert out == "" and not os.path.exists(target)
+    assert len(writers) == 1
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("name", ["m.obj", "m.off"])
+def test_metrics_failing_beside_the_mesh_write_leaves_no_mesh_file(
+    three_atom_file, tmp_path, monkeypatch, capsys, name
+):
+    # mesh_metrics fails after the mesh file is whole: the run fails at
+    # stage extract, as when the file was never begun, and removes it
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    written = threading.Event()
+    real_write = cli._write_mesh
+
+    def write(mesh, path):
+        real_write(mesh, path)
+        written.set()
+
+    def broken(mesh):
+        written.wait(timeout=5)
+        raise ValueError("metrics exploded")
+
+    monkeypatch.setattr(cli, "_write_mesh", write)
+    monkeypatch.setattr(cli, "mesh_metrics", broken)
+    threads = threading.active_count()
+    code, out, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5", "--mesh-out", str(out_dir / name)],
+        capsys,
+    )
+    assert code == EXIT_COMPUTE
+    assert err == "error[stage=extract]: metrics exploded\n"
+    assert out == "" and not any(out_dir.iterdir())
+    assert threading.active_count() == threads
+
+
+def test_a_manifest_that_fails_to_write_exits_5(three_atom_file, monkeypatch, capsys):
+    # in process: the manifest's write or flush fails as a tagged output error
+    class Full:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise OSError(28, "No space left on device")
+
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = main(["--input", three_atom_file, "--spacing", "0.5"])
+    assert code == EXIT_OUTPUT
+    assert capsys.readouterr().err == (
+        "error[stage=output]: cannot write the manifest: [Errno 28] No space left on device\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -984,6 +1135,73 @@ def test_main_module_entry_point(three_atom_file):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error[stage=input]: ")
+
+
+def cliffsurf_process(argv, cwd, stdout=subprocess.PIPE):
+    """`python -m cliffsurf` on this tree's sources, its stderr a pipe."""
+    return subprocess.run(
+        [sys.executable, "-m", "cliffsurf", *argv],
+        cwd=cwd,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+
+
+def test_the_process_exit_keeps_a_piped_manifest_whole(three_atom_file, tmp_path):
+    # the process ends without interpreter teardown: what it printed to a
+    # pipe must be flushed first, the manifest to its last timing line
+    proc = cliffsurf_process(
+        ["--input", three_atom_file, "--spacing", "0.5", "--mesh-out", "m.obj"], tmp_path
+    )
+    assert proc.returncode == EXIT_OK and proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    want = execute(RunConfig(three_atom_file, spacing=0.5, mesh_out=str(tmp_path / "x.obj")))
+    assert proc.stdout.endswith("\n") and len(lines) == len(want.splitlines())
+    assert lines[0] == f"input.path: {three_atom_file}"
+    timing = [ln.partition(":")[0] for ln in lines if ln.startswith("timing.")]
+    assert len(timing) == 7
+    assert [ln.partition(":")[0] for ln in lines[-2:]] == ["timing.output_s", "timing.mesh_write_s"]
+    assert (tmp_path / "m.obj").read_bytes() == (tmp_path / "x.obj").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, code, stage",
+    [
+        (["--spacing", "-1"], EXIT_CONFIG, "config"),
+        (["--spacing", "0.5", "--mesh-out", "no_such_dir/m.obj"], EXIT_OUTPUT, "output"),
+    ],
+)
+def test_the_process_exit_keeps_a_piped_error_line(three_atom_file, tmp_path, argv, code, stage):
+    proc = cliffsurf_process(["--input", three_atom_file, *argv], tmp_path)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error[stage={stage}]: ") and proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_manifest_on_a_full_device_exits_5(three_atom_file, tmp_path):
+    # the manifest's write fails: one tagged line and the output exit code,
+    # not a traceback
+    with open("/dev/full", "w") as full:
+        proc = cliffsurf_process(
+            ["--input", three_atom_file, "--spacing", "0.5", "--mesh-out", "m.obj"],
+            tmp_path,
+            stdout=full,
+        )
+    assert proc.returncode == EXIT_OUTPUT
+    assert proc.stderr == (
+        "error[stage=output]: cannot write the manifest: [Errno 28] No space left on device\n"
+    )
+
+
+def test_both_process_entries_run_console_main():
+    # `python -m cliffsurf` and the `cliffsurf` script share one entry
+    main_module = Path(cli.__file__).with_name("__main__.py").read_text()
+    assert "console_main()" in main_module
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    assert 'cliffsurf = "cliffsurf.cli:console_main"' in pyproject.read_text()
 
 
 # ---------------------------------------------------------------------------
