@@ -39,7 +39,6 @@ _MODULE_EXPORTS = {
     ),
     "grids": ("GridSpec", "GridSpec2", "ScalarField3"),
     "molecule": (
-        "Atom",
         "Molecule",
         "ParseError",
         "parse_auto",

@@ -23,7 +23,8 @@ bins after each) and, per time, weights the band and inverts it
 (irfftn's passes on zero-filled band lines), and the field is
 bit-identical to full rfftn / irfftn. With eps > 0 no gain is 0 and the
 band is every bin. The manifest's filter.zero_gain_frac is the share of
-the half spectrum whose gain is 0. Sweeps over several propagation times
+the half spectrum whose gain is 0, as pdefilter.zero_gain_frac counts
+it. Sweeps over several propagation times
 reuse the one forward spectrum (it does not depend on t); results are
 bit-identical to independent single-time runs because the per-time
 arithmetic is the same operations on the same spectrum. Several peel-off
@@ -67,7 +68,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import volumetrics
-from .grids import GridSpec, SlabRange, new_file
+from .grids import GridSpec, SlabRange, check_finite, new_file
 from .molecule import Molecule, parse_auto, parse_pdb, parse_pqr, parse_xyzr
 from .pdefilter import (
     DEFAULT_HALF_ORDER,
@@ -78,6 +79,7 @@ from .pdefilter import (
     field_slabs,
     filter_gain,
     spectral_energy,
+    zero_gain_frac,
 )
 from .surface import SlabMarcher, mesh_metrics, write_obj, write_off
 
@@ -178,6 +180,10 @@ class RunConfig:
         for name, values in (("time", self.times), ("isovalue", self.isovalues)):
             if len({f"{v:g}" for v in values}) < len(values):
                 raise ValueError(f"{name}s must differ in their %g form, got {_fmt(values)}")
+        # None is no output; an empty path names no file
+        for name in ("mesh_out", "volume_out", "metrics_out"):
+            if getattr(self, name) == "":
+                raise ValueError(f"{name.replace('_', '-')} must name a file, got an empty path")
         # no output may overwrite the input or another output
         seen = {os.path.realpath(self.input_path)}
         for path in self._output_paths():
@@ -348,7 +354,6 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             padding=cfg.padding,
             mem_cap_bytes=int(cfg.mem_cap_gib * 1024**3),
         )
-    n0, n1, nz = grid.dims
 
     # each slab of the initial field goes straight into the forward
     # transform over the band of every time, which serves them all
@@ -400,7 +405,6 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
     with stage("filter"):
         band, spectrum = forward.band, forward.spectrum()
         del forward
-    half_bins = n0 * n1 * (nz // 2 + 1)
 
     # one time at a time, and within it one pass over the filtered field's
     # slabs, which feeds the range, the volume file and every isovalue's
@@ -410,7 +414,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             # the peel-off passes fold into the closed-form gain 1 - (1 - L)^K;
             # the smoothness indicator is read off the retained band
             gain = filter_gain(params, band, cfg.passes)
-            zero_gain_frac = 1.0 - np.count_nonzero(gain) / half_bins
+            zero_frac = zero_gain_frac(gain, band)
             retained = spectrum * gain
             del gain
             if i == len(cfg.times) - 1:
@@ -431,8 +435,8 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             for part in staged("filter", parts):
                 with stage("filter"):
                     field.add(part)
-                if not (np.isfinite(field.min) and np.isfinite(field.max)):  # a NaN reaches both
-                    raise StageError("extract", "field contains NaN or Inf")
+                with stage("extract"):
+                    check_finite(field.min, field.max)
                 if volume is not None:
                     with stage("output"), _writing(path):
                         volume.write(part)
@@ -451,7 +455,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
             f"{key}.field.face_min: {_fmt(field.face_min)}",
             f"{key}.field.face_max: {_fmt(field.face_max)}",
             f"{key}.highband_energy: {_fmt(energy)}",
-            f"{key}.filter.zero_gain_frac: {_fmt(zero_gain_frac)}",
+            f"{key}.filter.zero_gain_frac: {_fmt(zero_frac)}",
         ]
         if volume is not None:
             manifest.append(f"{key}.volume_file: {path}")

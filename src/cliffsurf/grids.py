@@ -143,6 +143,16 @@ class ScalarField3:
         return bool(np.isfinite(v.min()) and np.isfinite(v.max()))
 
 
+def check_finite(lo, hi) -> None:
+    """Refuse a field whose min lo or max hi is not finite: a NaN reaches both.
+
+    The one text of the non-finite refusal, for the filter, the extraction
+    and the volume export alike.
+    """
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("field contains NaN or Inf")
+
+
 # planes of axis 0 per slab of the streamed pipeline
 SLAB = 8
 

@@ -4,8 +4,18 @@ Parsing is deterministic and locale-independent (decimal points only, no
 thousands separators). Radii come from the file when the format carries
 them (PQR, XYZR); bare PDB input falls back to an embedded per-element
 van der Waals table. No hydrogens are added and no charges are assigned;
-protonation and charge assignment stay upstream. A Molecule builds its
-atoms' centers and radii once, as read-only arrays, for every later read.
+protonation and charge assignment stay upstream.
+
+A Molecule is its arrays: centers (n, 3) and radii (n,), plus the
+per-atom columns a format carries (PQR charges; serial, name and residue
+labels from PQR and PDB; PDB elements). No object is built per atom.
+Each parser checks every field of a line once, in its one per-line loop,
+and raises ParseError with the line number; it appends the checked
+floats to lists, and the arrays are built once from them. Molecule makes
+its own refusals once, over whole arrays: no atoms, a wrong shape, a
+non-finite center, a radius that is not positive and finite (from a
+custom PDB radius table, or a caller's arrays) and a column whose length
+is not the atom count.
 """
 
 from __future__ import annotations
@@ -41,54 +51,66 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Atom:
-    """One sphere: center (Angstrom), positive radius, optional metadata."""
-
-    center: tuple[float, float, float]
-    radius: float
-    charge: float | None = None
-    element: str | None = None
-    serial: str | None = None
-    name: str | None = None
-    residue: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", tuple(float(v) for v in self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if len(self.center) != 3 or not all(map(math.isfinite, self.center)):
-            raise ValueError(f"center must be 3 finite coordinates, got {self.center}")
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError(f"radius must be positive and finite, got {self.radius}")
-
-
-@dataclass(frozen=True)
 class Provenance:
     path: str | None = None
     format: str | None = None
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Molecule:
-    """Nonempty list of atoms plus where they came from; centers and radii are read-only."""
+def _frozen(values) -> np.ndarray:
+    # a view with its own flags: the caller's array stays writeable
+    array = np.asarray(values, dtype=np.float64).view()
+    array.setflags(write=False)
+    return array
 
-    atoms: tuple[Atom, ...]
+
+@dataclass(frozen=True, eq=False)
+class Molecule:
+    """A nonempty set of spheres as arrays, its per-atom columns, and its source.
+
+    centers (n, 3) and radii (n,) are read-only views of float64 inputs,
+    as ScalarField3 keeps its values: other dtypes and lists are converted
+    once, and writing to the caller's array afterwards changes the
+    molecule. The parsers hand over fresh arrays. The optional columns
+    hold what a format carries per atom: charges (n,), read-only float64
+    (PQR); labels, one (serial, name, residue) per atom (PQR, PDB); and
+    elements, one element symbol or None per atom (PDB).
+    """
+
+    centers: np.ndarray
+    radii: np.ndarray
     source: Provenance = field(default_factory=Provenance)
-    centers: np.ndarray = field(init=False, repr=False, compare=False)
-    radii: np.ndarray = field(init=False, repr=False, compare=False)
+    charges: np.ndarray | None = None
+    labels: tuple[tuple[str | None, str | None, str | None], ...] | None = None
+    elements: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        if len(self.atoms) == 0:
+        centers, radii = _frozen(self.centers), _frozen(self.radii)
+        if not (centers.size or radii.size):
             raise ParseError("no atoms")
-        centers = np.array([a.center for a in self.atoms])
-        radii = np.array([a.radius for a in self.atoms])
-        for name, array in (("centers", centers), ("radii", radii)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        if radii.ndim != 1 or centers.shape != (len(radii), 3):
+            raise ValueError(
+                f"centers must have shape (n, 3) and radii (n,), "
+                f"got {centers.shape} and {radii.shape}"
+            )
+        finite = np.isfinite(centers).all(axis=1)
+        if not finite.all():
+            bad = tuple(centers[~finite][0].tolist())
+            raise ValueError(f"center must be 3 finite coordinates, got {bad}")
+        good = (radii > 0) & (radii < np.inf)  # a NaN fails both
+        if not good.all():
+            raise ValueError(f"radius must be positive and finite, got {radii[~good][0]}")
+        columns = {"centers": centers, "radii": radii}
+        for name, convert in (("charges", _frozen), ("labels", tuple), ("elements", tuple)):
+            if getattr(self, name) is not None:
+                columns[name] = convert(getattr(self, name))
+        for name, column in columns.items():
+            if len(column) != len(radii):
+                raise ValueError(f"{name} has {len(column)} entries for {len(radii)} atoms")
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self.radii)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) corners of the tightest box containing every sphere."""
@@ -116,8 +138,7 @@ def parse_pqr(text: str, path: str | None = None) -> Molecule:
     warning (they cannot bound a sphere); a file where nothing survives
     is an error.
     """
-    atoms: list[Atom] = []
-    warnings: list[str] = []
+    centers, radii, charges, labels, warnings = [], [], [], [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens or tokens[0] not in ("ATOM", "HETATM"):
@@ -130,38 +151,32 @@ def parse_pqr(text: str, path: str | None = None) -> Molecule:
         if radius <= 0:
             warnings.append(f"line {line_no}: dropped atom with radius {radius}")
             continue
-        atoms.append(
-            Atom(
-                center=(x, y, z),
-                radius=radius,
-                charge=charge,
-                serial=tokens[1],
-                name=tokens[2],
-                residue=tokens[3],
-            )
-        )
-    return Molecule(tuple(atoms), Provenance(path, "pqr", tuple(warnings)))
+        centers.append((x, y, z))
+        radii.append(radius)
+        charges.append(charge)
+        labels.append(tuple(tokens[1:4]))
+    source = Provenance(path, "pqr", tuple(warnings))
+    return Molecule(centers, radii, source, charges=charges, labels=labels)
 
 
 def serialize_pqr(mol: Molecule) -> str:
     """Canonical whitespace-delimited PQR text; parse(serialize(m)) == m."""
+    n = len(mol)
+    charges = mol.charges.tolist() if mol.charges is not None else [0.0] * n
+    labels = mol.labels or [(None, None, None)] * n
+    rows = zip(mol.centers.tolist(), mol.radii.tolist(), charges, labels)
     lines = []
-    for i, a in enumerate(mol.atoms, start=1):
-        serial = a.serial if a.serial is not None else str(i)
-        name = a.name or "X"
-        residue = a.residue or "UNK"
-        charge = a.charge if a.charge is not None else 0.0
+    for i, ((x, y, z), radius, charge, (serial, name, residue)) in enumerate(rows, start=1):
         lines.append(
-            f"ATOM {serial} {name} {residue} {i} "
-            f"{a.center[0]:.6f} {a.center[1]:.6f} {a.center[2]:.6f} "
-            f"{charge:.6f} {a.radius:.6f}"
+            f"ATOM {serial if serial is not None else i} {name or 'X'} {residue or 'UNK'} {i} "
+            f"{x:.6f} {y:.6f} {z:.6f} {charge:.6f} {radius:.6f}"
         )
     return "\n".join(lines) + "\n"
 
 
 def parse_xyzr(text: str, path: str | None = None) -> Molecule:
     """Parse one x y z r quadruple per non-blank line."""
-    atoms: list[Atom] = []
+    centers, radii = [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens:
@@ -171,8 +186,9 @@ def parse_xyzr(text: str, path: str | None = None) -> Molecule:
         x, y, z, r = _finite_floats(tokens, line_no)
         if r <= 0:
             raise ParseError(f"radius must be positive, got {r}", line_no)
-        atoms.append(Atom(center=(x, y, z), radius=r))
-    return Molecule(tuple(atoms), Provenance(path, "xyzr"))
+        centers.append((x, y, z))
+        radii.append(r)
+    return Molecule(centers, radii, Provenance(path, "xyzr"))
 
 
 def _pdb_element(line: str) -> str:
@@ -202,8 +218,7 @@ def parse_pdb(
     with a warning. strip_solvent skips HETATM water records.
     """
     table = VDW_RADII if radii is None else radii
-    atoms: list[Atom] = []
-    warnings: list[str] = []
+    centers, sizes, labels, elements, warnings = [], [], [], [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
         record = line[:6].strip()
         if record not in ("ATOM", "HETATM"):
@@ -222,17 +237,12 @@ def parse_pdb(
             warnings.append(
                 f"line {line_no}: unknown element {elem!r}, default radius {VDW_DEFAULT}"
             )
-        atoms.append(
-            Atom(
-                center=(x, y, z),
-                radius=radius,
-                element=elem or None,
-                serial=line[6:11].strip() or None,
-                name=line[12:16].strip() or None,
-                residue=residue or None,
-            )
-        )
-    return Molecule(tuple(atoms), Provenance(path, "pdb", tuple(warnings)))
+        centers.append((x, y, z))
+        sizes.append(radius)
+        labels.append((line[6:11].strip() or None, line[12:16].strip() or None, residue or None))
+        elements.append(elem or None)
+    source = Provenance(path, "pdb", tuple(warnings))
+    return Molecule(centers, sizes, source, labels=labels, elements=elements)
 
 
 _PARSERS = {"pqr": parse_pqr, "xyzr": parse_xyzr, "pdb": parse_pdb}

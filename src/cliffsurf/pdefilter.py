@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, PlaneFeed, ScalarField3, slabs, squared_norm, w_axes
+from .grids import GridSpec, PlaneFeed, ScalarField3, check_finite, slabs, squared_norm, w_axes
 
 # exp(-x) stays a normal double up to x ~ 708.4; past that the gain is
 # indistinguishable from zero, so clamp there and avoid underflow flags
@@ -255,8 +255,7 @@ def forward_spectrum(X: ScalarField3, band: SpectralBand | None = None) -> np.nd
     The field goes through BandForward one slab at a time, so no full
     half spectrum is ever alive.
     """
-    if not X.is_finite():
-        raise ValueError("field contains NaN or Inf")
+    check_finite(X.min, X.max)
     if band is None:
         band = SpectralBand.full(X.grid)
     elif (band.grid.dims, band.grid.spacing) != (X.grid.dims, X.grid.spacing):
@@ -287,6 +286,16 @@ def filter_gain(params: FilterParams, band: SpectralBand, passes: int = 1) -> np
             plane **= passes
             np.subtract(1.0, plane, out=plane)
     return gain
+
+
+def zero_gain_frac(gain: np.ndarray, band: SpectralBand) -> float:
+    """The share of the band grid's whole real-FFT half spectrum whose gain is 0.
+
+    gain is over the band, as filter_gain returns it; every bin outside the
+    band has gain 0. The half spectrum holds n0 * n1 * (nz // 2 + 1) bins.
+    """
+    n0, n1, nz = band.grid.dims
+    return 1.0 - np.count_nonzero(gain) / (n0 * n1 * (nz // 2 + 1))
 
 
 def field_slabs(spectrum: np.ndarray, band: SpectralBand) -> Iterator[np.ndarray]:

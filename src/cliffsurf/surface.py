@@ -56,6 +56,7 @@ from .grids import (
     GridSpec,
     PlaneFeed,
     ScalarField3,
+    check_finite,
     new_file,
     slabs,
     write_rows,
@@ -331,8 +332,7 @@ class SlabMarcher:
         """The mesh of the slabs fed, given their range; raises as marching_cubes does."""
         vmin, vmax, iso = field.min, field.max, self.iso
         self._feed.finish()
-        if not (np.isfinite(vmin) and np.isfinite(vmax)):  # a NaN reaches both
-            raise ValueError("field contains NaN or Inf")
+        check_finite(vmin, vmax)
         if not (vmin < iso < vmax):
             raise ValueError(
                 f"isovalue {iso} outside the open field range ({vmin}, {vmax}); "

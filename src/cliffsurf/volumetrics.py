@@ -38,7 +38,17 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .grids import SLAB, GridSpec, PlaneFeed, ScalarField3, new_file, next_smooth, slabs, write_rows
+from .grids import (
+    SLAB,
+    GridSpec,
+    PlaneFeed,
+    ScalarField3,
+    check_finite,
+    new_file,
+    next_smooth,
+    slabs,
+    write_rows,
+)
 from .molecule import Molecule
 
 DEFAULT_SPACING = 0.25
@@ -492,8 +502,7 @@ class VolumeWriter:
 
 
 def _export(field: ScalarField3, path, fmt: str) -> None:
-    if not field.is_finite():
-        raise ValueError("field contains NaN or Inf, refusing to export")
+    check_finite(field.min, field.max)
     with VolumeWriter(field.grid, path, fmt) as writer:
         for slab in slabs(field.values):
             writer.write(slab)

@@ -367,7 +367,8 @@ def rasterize_gaussian_all_atoms(mol, grid, s=1.0, r_e=3.0):
     """Smooth-bump field with every atom taken over every voxel.
 
     The package's gaussian rasterizer before it pruned atoms per voxel
-    block, verbatim but for its name and this docstring: cost atoms x
+    block, verbatim but for its name, this docstring and its loop header,
+    which reads the molecule's center and radius arrays: cost atoms x
     voxels, three full-grid temporaries per atom. It pins the field bit
     for bit.
     """
@@ -377,8 +378,7 @@ def rasterize_gaussian_all_atoms(mol, grid, s=1.0, r_e=3.0):
         raise ValueError(f"r_e must be positive, got {r_e}")
     X, Y, Z = grid.meshes(sparse=True)
     power = np.full(grid.dims, np.inf)
-    for atom in mol.atoms:
-        c, r = atom.center, atom.radius
+    for c, r in zip(mol.centers.tolist(), mol.radii.tolist()):
         d2 = (X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2
         np.minimum(power, d2 - r * r, out=power)
     return ScalarField3(grid, s * np.exp(-power / (r_e * r_e)))

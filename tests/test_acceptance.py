@@ -399,7 +399,8 @@ def test_criterion_8_format_goldens(tmp_path, capfd):
 
         # embedded-radii path: PQR carries its own radius column
         mol = parse_pqr((GOLDEN / "fixture.pqr").read_text())
-        got = [(a.center, a.radius, a.charge, a.serial, a.name, a.residue) for a in mol.atoms]
+        rows = zip(mol.centers.tolist(), mol.radii.tolist(), mol.charges.tolist(), mol.labels)
+        got = [(tuple(c), r, q, *label) for c, r, q, label in rows]
         assert got == [
             ((-0.677, -1.230, -0.491), 1.55, -0.30, "1", "N", "ALA"),
             ((0.001, -0.064, -0.491), 1.70, 0.21, "2", "CA", "ALA"),
@@ -408,7 +409,7 @@ def test_criterion_8_format_goldens(tmp_path, capfd):
         assert len(mol.source.warnings) == 1  # the zero-radius record is dropped
 
         mol = parse_xyzr((GOLDEN / "fixture.xyzr").read_text())
-        assert [(a.center, a.radius) for a in mol.atoms] == [
+        assert list(zip(map(tuple, mol.centers.tolist()), mol.radii.tolist())) == [
             ((0.0, 0.0, 1.8), 1.8),
             ((0.0, 0.0, -1.8), 1.8),
             ((0.0, 3.12, 0.0), 1.8),
@@ -416,7 +417,7 @@ def test_criterion_8_format_goldens(tmp_path, capfd):
 
         # table-radii path: PDB records carry elements, not radii
         mol = parse_pdb((GOLDEN / "fixture.pdb").read_text())
-        got = [(a.center, a.radius, a.element) for a in mol.atoms]
+        got = list(zip(map(tuple, mol.centers.tolist()), mol.radii.tolist(), mol.elements))
         assert got == [
             ((-0.677, -1.230, -0.491), 1.55, "N"),
             ((0.001, -0.064, -0.491), 1.70, "C"),

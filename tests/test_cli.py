@@ -756,6 +756,41 @@ def test_an_output_on_the_config_file_exits_3(
     assert (tmp_path / "run.cfg").read_text() == text
 
 
+@pytest.mark.parametrize(
+    "line, flags, key",
+    [
+        ("", ["--mesh-out", ""], "mesh-out"),
+        ("", ["--volume-out", ""], "volume-out"),
+        ("", ["--metrics-out", ""], "metrics-out"),
+        ("mesh-out =\n", [], "mesh-out"),
+        ("volume-out =\n", [], "volume-out"),
+        ("metrics-out = \n", [], "metrics-out"),
+    ],
+)
+def test_an_empty_output_path_exits_3(
+    three_atom_file, tmp_path, monkeypatch, capsys, line, flags, key
+):
+    # an empty path names no file; only a missing option means no output
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("spacing = 0.5\n" + line)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(["--input", three_atom_file, "--config", "run.cfg", *flags], capsys)
+    assert code == EXIT_CONFIG
+    assert err == f"error[stage=config]: {key} must name a file, got an empty path\n"
+    assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_no_output_path_is_no_output(three_atom_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(["--input", three_atom_file, "--spacing", "0.5"], capsys)
+    assert code == EXIT_OK, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert "_file: " not in out
+    cfg = RunConfig("x", mesh_out=None, volume_out=None, metrics_out=None).resolved()
+    assert cfg._output_paths() == []
+
+
 def test_resolved_isovalue_defaults():
     assert RunConfig("x").resolved().isovalues == (0.9,)
     assert RunConfig("x", init_kind="gaussian").resolved().isovalues == (0.8,)

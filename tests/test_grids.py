@@ -240,3 +240,13 @@ def test_grid_voxel_count_is_exact_past_int64():
     grid = grids.GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(2**22,) * 3)
     assert grid.n_voxels == 2**66
     assert grids.GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(3, 4, 5)).n_voxels == 60
+
+
+@pytest.mark.parametrize("lo, hi", [(np.nan, np.nan), (-np.inf, 1.0), (0.0, np.inf)])
+def test_check_finite_refuses_a_non_finite_extreme(lo, hi):
+    with pytest.raises(ValueError, match=r"^field contains NaN or Inf$"):
+        grids.check_finite(lo, hi)
+
+
+def test_check_finite_passes_finite_extremes():
+    grids.check_finite(np.float64(-1e308), 1e308)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from cliffsurf.molecule import (
     VDW_DEFAULT,
     VDW_RADII,
-    Atom,
     Molecule,
     ParseError,
     parse_auto,
@@ -48,12 +47,12 @@ END
 def test_parse_pqr_fixture():
     mol = parse_pqr(PQR_FIXTURE)
     assert len(mol) == 3  # zero-radius hydrogen dropped
-    a = mol.atoms[0]
-    assert a.center == (-0.677, -1.230, -0.491)
-    assert a.radius == 1.55
-    assert a.charge == -0.30
-    assert a.serial == "1" and a.name == "N" and a.residue == "ALA"
-    assert mol.atoms[2].radius == 1.52  # HETATM accepted
+    assert tuple(mol.centers[0].tolist()) == (-0.677, -1.230, -0.491)
+    assert mol.radii[0] == 1.55
+    assert mol.charges[0] == -0.30
+    assert mol.labels[0] == ("1", "N", "ALA")  # serial, name, residue
+    assert mol.radii[2] == 1.52  # HETATM accepted
+    assert mol.elements is None
     assert len(mol.source.warnings) == 1
     assert "radius" in mol.source.warnings[0] and "line 5" in mol.source.warnings[0]
     assert mol.source.format == "pqr"
@@ -62,9 +61,9 @@ def test_parse_pqr_fixture():
 def test_parse_pqr_without_chain_column():
     mol = parse_pqr(PQR_NO_CHAIN)
     assert len(mol) == 2
-    assert mol.atoms[0].center == (-0.677, -1.230, -0.491)
-    assert mol.atoms[0].charge == -0.3
-    assert mol.atoms[1].radius == 1.70
+    assert tuple(mol.centers[0].tolist()) == (-0.677, -1.230, -0.491)
+    assert mol.charges[0] == -0.3
+    assert mol.radii[1] == 1.70
 
 
 def test_parse_pqr_errors():
@@ -85,11 +84,13 @@ def test_pqr_serialize_parse_round_trip():
     mol = parse_pqr(PQR_FIXTURE)
     again = parse_pqr(serialize_pqr(mol))
     assert len(again) == len(mol)
-    for a, b in zip(mol.atoms, again.atoms):
-        assert np.allclose(a.center, b.center, atol=5e-7)
-        assert abs(a.radius - b.radius) <= 5e-7
-        assert abs(a.charge - b.charge) <= 5e-7
-        assert (a.serial, a.name, a.residue) == (b.serial, b.name, b.residue)
+    for a, b in zip(mol.centers, again.centers):
+        assert np.allclose(a, b, atol=5e-7)
+    for a, b in zip(mol.radii, again.radii):
+        assert abs(a - b) <= 5e-7
+    for a, b in zip(mol.charges, again.charges):
+        assert abs(a - b) <= 5e-7
+    assert again.labels == mol.labels
 
 
 coord = st.floats(min_value=-999.0, max_value=999.0, allow_nan=False)
@@ -99,22 +100,38 @@ radius = st.floats(min_value=0.1, max_value=9.0, allow_nan=False)
 @given(st.lists(st.tuples(coord, coord, coord, coord, radius), min_size=1, max_size=8))
 @settings(max_examples=50)
 def test_pqr_round_trip_random(rows):
-    atoms = tuple(
-        Atom(center=(x, y, z), radius=r, charge=q) for x, y, z, q, r in rows
-    )
-    again = parse_pqr(serialize_pqr(Molecule(atoms)))
-    assert len(again) == len(atoms)
-    for a, b in zip(atoms, again.atoms):
-        assert np.allclose(a.center, b.center, atol=5e-7)
-        assert abs(a.radius - b.radius) <= 5e-7
+    xyzqr = np.array(rows)
+    mol = Molecule(xyzqr[:, :3], xyzqr[:, 4], charges=xyzqr[:, 3])
+    again = parse_pqr(serialize_pqr(mol))
+    assert len(again) == len(mol)
+    for a, b in zip(mol.centers, again.centers):
+        assert np.allclose(a, b, atol=5e-7)
+    for a, b in zip(mol.radii, again.radii):
+        assert abs(a - b) <= 5e-7
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(finite, finite, finite, st.floats(min_value=0.0, exclude_min=True,
+                                                             allow_infinity=False)),
+                min_size=1, max_size=20))
+@settings(max_examples=100)
+def test_parse_xyzr_arrays_are_the_rows_bit_for_bit(rows):
+    # repr is the shortest text that reads back as the same double
+    mol = parse_xyzr("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+    want = np.array(rows)
+    assert mol.centers.dtype == mol.radii.dtype == np.float64
+    assert np.array_equal(mol.centers.view(np.uint64), want[:, :3].view(np.uint64))
+    assert np.array_equal(mol.radii.view(np.uint64), want[:, 3].view(np.uint64))
 
 
 def test_parse_xyzr():
     mol = parse_xyzr("0.0 0.0 1.8 1.8\n0.0 0.0 -1.8 1.8\n\n0.0 3.12 0.0 1.8\n")
     assert len(mol) == 3
-    assert mol.atoms[2].center == (0.0, 3.12, 0.0)
+    assert tuple(mol.centers[2].tolist()) == (0.0, 3.12, 0.0)
     assert np.array_equal(mol.radii, [1.8, 1.8, 1.8])
-    assert mol.atoms[0].charge is None
+    assert mol.charges is None and mol.labels is None and mol.elements is None
 
 
 def test_parse_xyzr_errors():
@@ -131,29 +148,32 @@ def test_parse_xyzr_errors():
 def test_parse_pdb_fixture():
     mol = parse_pdb(PDB_FIXTURE)
     assert len(mol) == 5
-    byname = {a.name: a for a in mol.atoms}
-    assert byname["N"].radius == VDW_RADII["N"]
-    assert byname["CA"].radius == VDW_RADII["C"]
-    assert byname["CA"].element == "C"
-    assert byname["N"].center == (-0.677, -1.23, -0.491)
+    assert mol.charges is None
+    byname = {name: i for i, (_, name, _) in enumerate(mol.labels)}
+    assert mol.radii[byname["N"]] == VDW_RADII["N"]
+    assert mol.radii[byname["CA"]] == VDW_RADII["C"]
+    assert mol.elements[byname["CA"]] == "C"
+    assert tuple(mol.centers[byname["N"]].tolist()) == (-0.677, -1.23, -0.491)
+    assert mol.labels[byname["N"]] == ("1", "N", "ALA")
     # unknown element gets the default radius plus a warning
-    assert byname["XX"].radius == VDW_DEFAULT
+    assert mol.radii[byname["XX"]] == VDW_DEFAULT
     assert any("ZZ" in w for w in mol.source.warnings)
     # missing element columns fall back to the atom-name field
-    assert byname["CB"].element == "C"
-    assert byname["CB"].radius == VDW_RADII["C"]
+    assert mol.elements[byname["CB"]] == "C"
+    assert mol.radii[byname["CB"]] == VDW_RADII["C"]
 
 
 def test_parse_pdb_strip_solvent():
     mol = parse_pdb(PDB_FIXTURE, strip_solvent=True)
     assert len(mol) == 4
-    assert all(a.residue != "HOH" for a in mol.atoms)
+    assert all(residue != "HOH" for _, _, residue in mol.labels)
+    assert len(mol.labels) == len(mol.elements) == 4
 
 
 def test_parse_pdb_custom_radii():
     mol = parse_pdb(PDB_FIXTURE, radii={"N": 2.5, "C": 2.0, "O": 1.0, "ZZ": 0.5})
-    assert mol.atoms[0].radius == 2.5
-    assert mol.atoms[2].radius == 0.5
+    assert mol.radii[0] == 2.5
+    assert mol.radii[2] == 0.5
     assert not mol.source.warnings
 
 
@@ -185,12 +205,26 @@ def test_parse_auto_extension_wins_over_content():
 
 
 def test_atom_validation():
-    with pytest.raises(ValueError):
-        Atom(center=(0.0, 0.0), radius=1.0)
-    with pytest.raises(ValueError):
-        Atom(center=(0.0, 0.0, np.inf), radius=1.0)
-    with pytest.raises(ValueError):
-        Atom(center=(0.0, 0.0, 0.0), radius=0.0)
+    # each refusal is made once, over the whole arrays
+    with pytest.raises(ValueError, match="shape"):
+        Molecule([(0.0, 0.0)], [1.0])  # two coordinates
+    with pytest.raises(ValueError, match=r"finite coordinates, got \(0.0, 0.0, inf\)"):
+        Molecule([(1.0, 1.0, 1.0), (0.0, 0.0, np.inf)], [1.0, 1.0])
+    with pytest.raises(ValueError, match="positive and finite, got 0.0"):
+        Molecule([(0.0, 0.0, 0.0)], [0.0])
+    with pytest.raises(ValueError, match="positive and finite, got nan"):
+        Molecule([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [1.0, np.nan])
+    with pytest.raises(ValueError, match="shape"):
+        Molecule([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [1.0])  # one radius for two atoms
+    with pytest.raises(ValueError, match="labels has 1 entries for 2 atoms"):
+        Molecule([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], [1.0, 1.0], labels=[("1", "N", "ALA")])
+    with pytest.raises(ParseError, match="no atoms"):
+        Molecule(np.empty((0, 3)), np.empty(0))
+
+
+def test_a_pdb_radius_table_is_checked_by_the_molecule():
+    with pytest.raises(ValueError, match="radius must be positive and finite, got 0.0"):
+        parse_pdb(PDB_FIXTURE, radii={"N": 0.0, "C": 2.0, "O": 1.0, "ZZ": 0.5})
 
 
 def test_molecule_accessors(three_atoms):
@@ -200,7 +234,7 @@ def test_molecule_accessors(three_atoms):
     assert np.allclose(lo, [-1.8, -1.8, -3.6])
     assert np.allclose(hi, [1.8, 4.92, 3.6])
     with pytest.raises(ParseError):
-        Molecule(())
+        Molecule([], [])
 
 
 def test_molecule_arrays_are_built_once_and_read_only(three_atoms):
@@ -209,18 +243,30 @@ def test_molecule_arrays_are_built_once_and_read_only(three_atoms):
     assert not centers.flags.writeable and not radii.flags.writeable
     with pytest.raises(ValueError):
         centers[0, 0] = 1.0
-    assert np.array_equal(centers, [a.center for a in three_atoms.atoms])
-    assert np.array_equal(radii, [a.radius for a in three_atoms.atoms])
-    assert Molecule(three_atoms.atoms) == Molecule(three_atoms.atoms)
+    assert centers.dtype == radii.dtype == np.float64
+    assert np.array_equal(centers, [(0.0, 0.0, 1.8), (0.0, 0.0, -1.8), (0.0, 3.12, 0.0)])
+    assert np.array_equal(radii, [1.8, 1.8, 1.8])
+
+
+def test_molecule_keeps_read_only_views_of_float64_inputs():
+    # the ScalarField3 rule: a float64 input is kept as a view, not copied
+    centers, radii, charges = np.zeros((2, 3)), np.ones(2), np.zeros(2)
+    centers[1, 0] = 5.0
+    mol = Molecule(centers, radii, charges=charges)
+    for mine, theirs in ((mol.centers, centers), (mol.radii, radii), (mol.charges, charges)):
+        assert np.shares_memory(mine, theirs)
+        assert not mine.flags.writeable and theirs.flags.writeable
+    radii[0] = 2.0  # writing the caller's array afterwards changes the molecule
+    assert mol.radii[0] == 2.0
+    # other dtypes and sequences are converted once, to float64
+    mol = Molecule(centers.astype(np.float32), [1, 1], labels=[("1", "N", "ALA")] * 2)
+    assert mol.centers.dtype == mol.radii.dtype == np.float64
+    assert not np.shares_memory(mol.centers, centers)
+    assert mol.labels == (("1", "N", "ALA"),) * 2
 
 
 def test_bounding_box_uses_per_atom_radii():
-    mol = Molecule(
-        (
-            Atom(center=(0.0, 0.0, 0.0), radius=1.0),
-            Atom(center=(4.0, 0.0, 0.0), radius=0.25),
-        )
-    )
+    mol = Molecule([(0.0, 0.0, 0.0), (4.0, 0.0, 0.0)], [1.0, 0.25])
     lo, hi = mol.bounding_box()
     assert np.allclose(lo, [-1.0, -1.0, -1.0])
     assert np.allclose(hi, [4.25, 1.0, 1.0])

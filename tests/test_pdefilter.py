@@ -23,6 +23,7 @@ from cliffsurf.pdefilter import (
     lowpass_apply,
     mode_decompose,
     spectral_energy,
+    zero_gain_frac,
 )
 from conftest import heat_rk4, mode_decompose_per_residue, response_rk4
 
@@ -410,6 +411,20 @@ def test_band_functions_equal_the_full_spectrum_ones(case, thr):
         assert np.abs(f - f_numpy).max() <= 1e-12 * max(1.0, np.abs(f_numpy).max())
         e = spectral_energy(spectrum * gain, band, thr)
         assert e == spectral_energy(full * gain_full, whole, thr)
+
+
+@pytest.mark.parametrize("dims", [(12, 9, 10), (16, 15, 11), (7, 20, 2)])
+@pytest.mark.parametrize("eps, passes", [(0.0, 1), (0.0, 3), (0.05, 2)])
+def test_zero_gain_frac_counts_the_whole_half_spectrum(dims, eps, passes):
+    # the band's zeros plus every bin outside it, over n0 * n1 * (nz // 2 + 1)
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.4, dims=dims)
+    params = FilterParams.single_term(t=30.0, epsilon=eps)
+    band, whole = SpectralBand.of(grid, [params]), SpectralBand.full(grid)
+    gain_full = filter_gain(params, whole, passes)
+    want = 1.0 - np.count_nonzero(gain_full) / gain_full.size
+    assert zero_gain_frac(filter_gain(params, band, passes), band) == want
+    assert zero_gain_frac(gain_full, whole) == want
+    assert (want == 0.0) == (eps > 0)
 
 
 def test_band_of_fidelity_filter_is_every_bin():

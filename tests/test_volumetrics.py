@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from cliffsurf import grids
 from cliffsurf.grids import GridSpec, ScalarField3
-from cliffsurf.molecule import Atom, Molecule, parse_xyzr
+from cliffsurf.molecule import Molecule, parse_xyzr
 from cliffsurf.pdefilter import FilterParams, mode_decompose
 from cliffsurf.surface import marching_cubes
 from cliffsurf.volumetrics import (
@@ -29,7 +29,7 @@ GOLDEN = __file__.rsplit("/", 1)[0] + "/golden"
 
 
 def _single_atom(r=1.8):
-    return Molecule((Atom(center=(0.0, 0.0, 0.0), radius=r),))
+    return Molecule([(0.0, 0.0, 0.0)], [r])
 
 
 def test_make_grid_three_atom_reference(three_atoms):
@@ -147,21 +147,15 @@ def test_piecewise_union_of_overlapping_atoms(three_atoms):
     field = rasterize_piecewise(three_atoms, grid)
     x, y, z = grid.meshes(sparse=True)
     inside_any = np.zeros(grid.dims, dtype=bool)
-    for atom in three_atoms.atoms:
-        c = atom.center
+    for c, radius in zip(three_atoms.centers.tolist(), three_atoms.radii.tolist()):
         d2 = (x - c[0]) ** 2 + (y - c[1]) ** 2 + (z - c[2]) ** 2
-        inside_any |= d2 <= atom.radius**2
+        inside_any |= d2 <= radius**2
     assert np.array_equal(field.values == 0.0, inside_any)
     assert set(np.unique(field.values)) <= {0.0, 1.0}
 
 
 def test_piecewise_atom_outside_grid_is_clipped():
-    mol = Molecule(
-        (
-            Atom(center=(0.0, 0.0, 0.0), radius=1.0),
-            Atom(center=(50.0, 0.0, 0.0), radius=1.0),
-        )
-    )
+    mol = Molecule([(0.0, 0.0, 0.0), (50.0, 0.0, 0.0)], [1.0, 1.0])
     grid = GridSpec(origin=(-2.0, -2.0, -2.0), spacing=0.5, dims=(9, 9, 9))
     field = rasterize_piecewise(mol, grid)
     assert field.values[4, 4, 4] == 0.0
@@ -184,8 +178,8 @@ def test_gaussian_matches_analytic_maximum(three_atoms, rng):
         i, j, k = (int(rng.integers(0, n)) for n in grid.dims)
         p = np.array([axes[0][i], axes[1][j], axes[2][k]])
         want = max(
-            s * np.exp(-(np.sum((p - np.array(a.center)) ** 2) - a.radius**2) / r_e**2)
-            for a in three_atoms.atoms
+            s * np.exp(-(np.sum((p - np.array(c)) ** 2) - radius**2) / r_e**2)
+            for c, radius in zip(three_atoms.centers.tolist(), three_atoms.radii.tolist())
         )
         assert np.isclose(field.values[i, j, k], want, rtol=1e-12)
 
@@ -233,14 +227,14 @@ def _globule(rng, atoms=300, ball=9.9, radius=1.7, separation=2.0):
         p = rng.uniform(-ball, ball, 3)
         if p @ p <= ball * ball and np.all(np.sum((centres - p) ** 2, axis=1) >= separation**2):
             centres = np.vstack([centres, p])
-    return Molecule(tuple(Atom(center=tuple(c), radius=radius) for c in centres))
+    return Molecule(centres, np.full(len(centres), radius))
 
 
 def _mixed_radii(rng, atoms, lo, hi):
     """Random centres in the box [lo, hi]^3 with radii from 0.5 to 3."""
     centres = rng.uniform(lo, hi, (atoms, 3))
     radii = rng.uniform(0.5, 3.0, atoms)
-    return Molecule(tuple(Atom(center=tuple(c), radius=r) for c, r in zip(centres, radii)))
+    return Molecule(centres, radii)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -275,10 +269,7 @@ def test_gaussian_matches_all_atom_oracle_with_exact_ties(dims):
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=dims)
     base = rng.uniform(-1.0, 9.0, (12, 3))
     base[0] = (2.0, 4.0, 8.0)  # a voxel centre in the last z block, one voxel wide
-    atoms = [Atom(center=tuple(c), radius=1.2) for c in base]
-    atoms += [Atom(center=tuple(c), radius=1.2) for c in base[:6]]
-    atoms += [Atom(center=tuple(c), radius=1.9) for c in base[6:]]
-    mol = Molecule(tuple(atoms))
+    mol = Molecule(np.vstack([base, base]), np.repeat([1.2, 1.9], [18, 6]))
     got = rasterize_gaussian(mol, grid).values
     assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
 
@@ -286,7 +277,7 @@ def test_gaussian_matches_all_atom_oracle_with_exact_ties(dims):
 @pytest.mark.parametrize("center", [(0.3, -0.2, 0.1), (40.0, -25.0, 3.0)])
 def test_gaussian_matches_all_atom_oracle_one_atom(center):
     grid = GridSpec(origin=(-4.0, -4.0, -4.0), spacing=0.4, dims=(21, 20, 19))
-    mol = Molecule((Atom(center=center, radius=1.6),))
+    mol = Molecule([center], [1.6])
     got = rasterize_gaussian(mol, grid).values
     assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
 
@@ -311,7 +302,7 @@ def _prune_cases(draw):
     spacing = draw(st.floats(0.1, 1.0))
     origin = tuple(draw(st.floats(-5.0, 5.0)) for _ in range(3))
     grid = GridSpec(origin=origin, spacing=spacing, dims=dims)
-    atoms = []
+    centers, radii = [], []
     for _ in range(draw(st.integers(1, 25))):
         if draw(st.booleans()):  # on a voxel centre, inside the grid or not
             index = [draw(st.integers(-n // 2, n + n // 2)) for n in dims]
@@ -321,10 +312,12 @@ def _prune_cases(draw):
                 o + spacing * (n - 1) * draw(st.floats(-0.5, 1.5))
                 for o, n in zip(origin, dims)
             )
-        atoms.append(Atom(center=center, radius=draw(st.floats(0.3, 12.0))))
-    atoms += [atoms[i] for i in draw(st.lists(st.integers(0, len(atoms) - 1), max_size=5))]
+        centers.append(center)
+        radii.append(draw(st.floats(0.3, 12.0)))
+    twins = draw(st.lists(st.integers(0, len(radii) - 1), max_size=5))
+    mol = Molecule(centers + [centers[i] for i in twins], radii + [radii[i] for i in twins])
     # r_e >= 0.5 keeps exp(12^2 / r_e^2) finite
-    return Molecule(tuple(atoms)), grid, draw(st.floats(0.1, 10.0)), draw(st.floats(0.5, 6.0))
+    return mol, grid, draw(st.floats(0.1, 10.0)), draw(st.floats(0.5, 6.0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -469,9 +462,9 @@ def test_export_rejects_nonfinite(tmp_path):
     bad = np.zeros((2, 2, 2))
     bad[0, 0, 0] = np.inf
     field = ScalarField3(grid, bad)
-    with pytest.raises(ValueError, match="refusing to export"):
+    with pytest.raises(ValueError, match="field contains NaN or Inf"):
         export_opendx(field, tmp_path / "x.dx")
-    with pytest.raises(ValueError, match="refusing to export"):
+    with pytest.raises(ValueError, match="field contains NaN or Inf"):
         export_raw(field, tmp_path / "x.raw")
 
 
