@@ -3,6 +3,11 @@
 Stages run in a fixed order (input, grid, rasterize, filter, extract,
 output) and any failure aborts with a stage-tagged message on stderr and
 a stage-family exit code: 2 input, 3 configuration, 4 compute, 5 output.
+A RunConfig checks every setting when it is built, so any RunConfig that
+exists is valid, and the CLI reports a setting it refuses at stage config.
+A run that fails leaves no output file: each writer removes the file it
+was writing, and the run removes the files it had finished. Only a
+manifest that cannot be written, after every file is whole, leaves them.
 
 The run manifest (stdout) records every effective parameter, grid shape,
 field ranges, per-surface metrics, and wall-clock per stage. Mesh, volume,
@@ -62,19 +67,19 @@ import sys
 import threading
 import time
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import NoReturn
 
 import numpy as np
 
-from . import volumetrics
+from . import molecule, volumetrics
 from .grids import GridSpec, SlabRange, check_finite, new_file
-from .molecule import Molecule, parse_auto, parse_pdb, parse_pqr, parse_xyzr
 from .pdefilter import (
     DEFAULT_HALF_ORDER,
     BandForward,
     FilterParams,
     SpectralBand,
+    check_passes,
     default_coefficients,
     field_slabs,
     filter_gain,
@@ -100,7 +105,6 @@ _STAGE_EXIT = {
 }
 
 INIT_KINDS = ("piecewise", "gaussian", "piecewise-swapped")
-FORMATS = ("pqr", "pdb", "xyzr", "auto")
 
 # diagnostic band edge for the manifest's smoothness indicator, rad^2/A^2
 ENERGY_W2_THRESHOLD = 0.25
@@ -120,7 +124,11 @@ class StageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved pipeline parameters; everything has a value."""
+    """The pipeline's parameters, checked when built; every field has a value.
+
+    Building one fills in the init kind's default isovalue, makes times and
+    isovalues tuples, and raises ValueError for any setting a run refuses.
+    """
 
     input_path: str
     input_format: str = "auto"
@@ -132,7 +140,7 @@ class RunConfig:
     d: tuple[float, ...] = default_coefficients()  # PDE order 2 * len(d)
     epsilon: float = 0.0
     times: tuple[float, ...] = (100.0,)
-    isovalues: tuple[float, ...] | None = None  # None: per-init default
+    isovalues: tuple[float, ...] | None = None  # None: the init kind's default
     passes: int = 1
     mesh_out: str | None = None
     volume_out: str | None = None
@@ -140,8 +148,7 @@ class RunConfig:
     metrics_out: str | None = None
     mem_cap_gib: float = volumetrics.DEFAULT_MEM_CAP / 1024**3
 
-    def resolved(self) -> "RunConfig":
-        """Fill the per-init isovalue default and validate cross-field consistency."""
+    def __post_init__(self):
         isovalues = self.isovalues
         if isovalues is None:
             # the swapped binary field is the complement of the piecewise
@@ -149,19 +156,17 @@ class RunConfig:
             isovalues = {"gaussian": (0.8,), "piecewise-swapped": (0.1,)}.get(
                 self.init_kind, (0.9,)
             )
-        cfg = replace(self, isovalues=tuple(isovalues))
-        cfg.validate()
-        return cfg
-
-    def validate(self):
-        if self.input_format not in FORMATS:
-            raise ValueError(f"format must be one of {FORMATS}, got {self.input_format!r}")
+        object.__setattr__(self, "times", tuple(self.times))
+        object.__setattr__(self, "isovalues", tuple(isovalues))
+        if self.input_format not in molecule.FORMATS:
+            raise ValueError(
+                f"format must be one of {molecule.FORMATS}, got {self.input_format!r}"
+            )
         if self.init_kind not in INIT_KINDS:
             raise ValueError(f"init must be one of {INIT_KINDS}, got {self.init_kind!r}")
         volumetrics.check_grid_settings(self.spacing, self.padding)
         volumetrics.check_bump_settings(self.s, self.r_e)
-        if self.passes < 1:
-            raise ValueError(f"passes must be >= 1, got {self.passes}")
+        check_passes(self.passes)
         if not self.times:
             raise ValueError("need at least one propagation time")
         # each time's parameter set validates d, epsilon and the time
@@ -191,13 +196,13 @@ class RunConfig:
             if real in seen:
                 raise ValueError(f"output {path} would overwrite the input or another output")
             seen.add(real)
-        if self.volume_format not in (None, "dx", "raw"):
-            raise ValueError(f"volume format must be dx or raw, got {self.volume_format}")
+        if self.volume_format is not None:  # None: by the file's extension
+            volumetrics.check_volume_format(self.volume_format)
         if not 0 < self.mem_cap_gib < np.inf:
             raise ValueError(f"mem-cap must be positive and finite, got {self.mem_cap_gib}")
 
     def _output_paths(self) -> list[str]:
-        """Every file a run of this resolved config writes, volumes first."""
+        """Every file a run of this config writes, volumes first."""
         paths = [self._output_path(self.volume_out, t) for t in self.times if self.volume_out]
         return paths + [
             self._output_path(base, t, iso)
@@ -234,7 +239,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _rasterize(cfg: RunConfig, mol: Molecule, grid: GridSpec) -> Iterator[np.ndarray]:
+def _rasterize(cfg: RunConfig, mol: molecule.Molecule, grid: GridSpec) -> Iterator[np.ndarray]:
     if cfg.init_kind == "gaussian":
         return volumetrics.gaussian_slabs(mol, grid, s=cfg.s, r_e=cfg.r_e)
     parts = volumetrics.piecewise_slabs(mol, grid)
@@ -260,13 +265,14 @@ class _MeshWriter(threading.Thread):
     """Writes one mesh file on a thread of its own, started at once.
 
     Both threads only read the mesh. wait() joins the thread and re-raises
-    the write's error; seconds is the write's own duration. The thread
-    drops the mesh and the path when it ends.
+    the write's error; seconds is the write's own duration. A whole file's
+    path is appended to written. The thread drops the mesh and the path
+    when it ends.
     """
 
-    def __init__(self, mesh, path: str):
+    def __init__(self, mesh, path: str, written: list[str]):
         super().__init__(name="cliffsurf-mesh-writer")
-        self._job = (mesh, path)
+        self._job = (mesh, path, written)
         self._error: BaseException | None = None
         self.seconds = 0.0
         self.start()
@@ -274,7 +280,9 @@ class _MeshWriter(threading.Thread):
     def run(self):
         start = time.perf_counter()
         try:
-            _write_mesh(*self._job)
+            mesh, path, written = self._job
+            _write_mesh(mesh, path)
+            written.append(path)
         except BaseException as exc:
             self._error = exc
         finally:
@@ -296,17 +304,12 @@ def _writing(path: str):
         raise StageError("output", f"cannot write {path}: {exc}") from exc
 
 
-def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
+def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
     """Run the pipeline, appending the manifest lines to manifest.
 
     Yields one mapping per (t, isovalue) combo right after its files are
     written, and holds no mesh of its own across a yield.
     """
-    try:
-        cfg = config.resolved()
-    except ValueError as exc:
-        raise StageError("config", str(exc)) from exc
-
     timings: dict[str, float] = {}  # seconds per stage
 
     @contextlib.contextmanager
@@ -339,13 +342,7 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
                 text = fh.read()
         except OSError as exc:
             raise StageError("input", f"cannot read {cfg.input_path}: {exc}") from exc
-        parser = {
-            "pqr": parse_pqr,
-            "pdb": parse_pdb,
-            "xyzr": parse_xyzr,
-            "auto": parse_auto,
-        }[cfg.input_format]
-        mol = parser(text, cfg.input_path)
+        mol = molecule.parsers()[cfg.input_format](text, cfg.input_path)
 
     with stage("grid"):
         grid = volumetrics.make_grid(
@@ -406,106 +403,113 @@ def _surfaces(config: RunConfig, manifest: list[str]) -> Iterator[dict]:
         band, spectrum = forward.band, forward.spectrum()
         del forward
 
-    # one time at a time, and within it one pass over the filtered field's
-    # slabs, which feeds the range, the volume file and every isovalue's
-    # extraction; no slab outlives its pass
-    for i, (t, params) in enumerate(zip(cfg.times, per_time)):
-        with stage("filter"):
-            # the peel-off passes fold into the closed-form gain 1 - (1 - L)^K;
-            # the smoothness indicator is read off the retained band
-            gain = filter_gain(params, band, cfg.passes)
-            zero_frac = zero_gain_frac(gain, band)
-            retained = spectrum * gain
-            del gain
-            if i == len(cfg.times) - 1:
-                del spectrum  # keep it out of the last extraction's peak
-            energy = spectral_energy(retained, band, ENERGY_W2_THRESHOLD)
-            parts = field_slabs(retained, band)
-            del retained
-            field = SlabRange(grid.dims)
-        volume = None
-        # a pass that fails removes its partial volume file
-        with contextlib.ExitStack() as files:
-            if cfg.volume_out:
-                path = cfg._output_path(cfg.volume_out, t)
-                with stage("output"), _writing(path):
-                    volume = files.enter_context(_volume_writer(grid, path, cfg.volume_format))
-            with stage("extract"):
-                marchers = [SlabMarcher(grid, iso) for iso in cfg.isovalues]
-            for part in staged("filter", parts):
-                with stage("filter"):
-                    field.add(part)
+    # a run that fails leaves no output file: each writer removes its own
+    # unfinished file, and the run removes the ones already finished
+    written: list[str] = []  # the finished output files
+    writer = None
+    try:
+        # one time at a time, and within it one pass over the filtered field's
+        # slabs, which feeds the range, the volume file and every isovalue's
+        # extraction; no slab outlives its pass
+        for i, (t, params) in enumerate(zip(cfg.times, per_time)):
+            with stage("filter"):
+                # the peel-off passes fold into the closed-form gain 1 - (1 - L)^K;
+                # the smoothness indicator is read off the retained band
+                gain = filter_gain(params, band, cfg.passes)
+                zero_frac = zero_gain_frac(gain, band)
+                retained = spectrum * gain
+                del gain
+                if i == len(cfg.times) - 1:
+                    del spectrum  # keep it out of the last extraction's peak
+                energy = spectral_energy(retained, band, ENERGY_W2_THRESHOLD)
+                parts = field_slabs(retained, band)
+                del retained
+                field = SlabRange(grid.dims)
+            volume = None
+            # a pass that fails removes its partial volume file
+            with contextlib.ExitStack() as files:
+                if cfg.volume_out:
+                    path = cfg._output_path(cfg.volume_out, t)
+                    with stage("output"), _writing(path):
+                        volume = files.enter_context(_volume_writer(grid, path, cfg.volume_format))
                 with stage("extract"):
-                    check_finite(field.min, field.max)
+                    marchers = [SlabMarcher(grid, iso) for iso in cfg.isovalues]
+                for part in staged("filter", parts):
+                    with stage("filter"):
+                        field.add(part)
+                    with stage("extract"):
+                        check_finite(field.min, field.max)
+                    if volume is not None:
+                        with stage("output"), _writing(path):
+                            volume.write(part)
+                    with stage("extract"):
+                        for marcher in marchers:
+                            marcher.add(part)
+                    del part
                 if volume is not None:
                     with stage("output"), _writing(path):
-                        volume.write(part)
-                with stage("extract"):
-                    for marcher in marchers:
-                        marcher.add(part)
-                del part
+                        files.close()  # finishes the file
+                    written.append(path)
+
+            key = f"run[t={t:g}]"
+            manifest += [
+                f"{key}.field.min: {_fmt(field.min)}",
+                f"{key}.field.max: {_fmt(field.max)}",
+                f"{key}.field.face_min: {_fmt(field.face_min)}",
+                f"{key}.field.face_max: {_fmt(field.face_max)}",
+                f"{key}.highband_energy: {_fmt(energy)}",
+                f"{key}.filter.zero_gain_frac: {_fmt(zero_frac)}",
+            ]
             if volume is not None:
-                with stage("output"), _writing(path):
-                    files.close()  # finishes the file
+                manifest.append(f"{key}.volume_file: {path}")
 
-        key = f"run[t={t:g}]"
-        manifest += [
-            f"{key}.field.min: {_fmt(field.min)}",
-            f"{key}.field.max: {_fmt(field.max)}",
-            f"{key}.field.face_min: {_fmt(field.face_min)}",
-            f"{key}.field.face_max: {_fmt(field.face_max)}",
-            f"{key}.highband_energy: {_fmt(energy)}",
-            f"{key}.filter.zero_gain_frac: {_fmt(zero_frac)}",
-        ]
-        if volume is not None:
-            manifest.append(f"{key}.volume_file: {path}")
-
-        # each surface is finished, then measured while a second thread
-        # writes its mesh file, and both end before the next is finished
-        for iso, marcher in zip(cfg.isovalues, marchers):
-            key = f"run[t={t:g},iso={iso:g}]"
-            with stage("extract"):
-                mesh = marcher.finish(field)
-                # the mesh is open exactly when the isovalue cuts the box faces
-                if field.face_min < iso <= field.face_max:
-                    raise ValueError(
-                        f"isovalue {iso} lies in the box-face range ({field.face_min}, "
-                        f"{field.face_max}]; the surface reaches the box and would be open: "
-                        "use more --padding or a smaller --time"
-                    )
-                writer = None
-                if cfg.mesh_out:
-                    path = cfg._output_path(cfg.mesh_out, t, iso)
-                    writer = _MeshWriter(mesh, path)
-                try:
+            # each surface is finished, then measured while a second thread
+            # writes its mesh file, and both end before the next is finished
+            for iso, marcher in zip(cfg.isovalues, marchers):
+                key = f"run[t={t:g},iso={iso:g}]"
+                with stage("extract"):
+                    mesh = marcher.finish(field)
+                    # the mesh is open exactly when the isovalue cuts the box faces
+                    if field.face_min < iso <= field.face_max:
+                        raise ValueError(
+                            f"isovalue {iso} lies in the box-face range ({field.face_min}, "
+                            f"{field.face_max}]; the surface reaches the box and would be open: "
+                            "use more --padding or a smaller --time"
+                        )
+                    writer = None
+                    if cfg.mesh_out:
+                        path = cfg._output_path(cfg.mesh_out, t, iso)
+                        writer = _MeshWriter(mesh, path, written)
                     metrics = mesh_metrics(mesh)
-                except BaseException:
-                    if writer is not None:  # a run failing here leaves no mesh file
-                        writer.join()
-                        with contextlib.suppress(OSError):
-                            os.remove(path)
-                    raise
-            combo = {"t": t, "isovalue": iso, "mesh": mesh, "metrics": metrics}
-            # one list renders both the manifest's mesh block and the report
-            values = [("vertices", mesh.n_vertices), ("triangles", mesh.n_triangles)]
-            values += asdict(metrics).items()
-            manifest += [f"{key}.mesh.{name}: {_fmt(v)}" for name, v in values]
-            if writer is not None:
-                with stage("output"), _writing(path):
-                    writer.wait()
-                timings["mesh_write"] = timings.get("mesh_write", 0.0) + writer.seconds
-                combo["mesh_file"] = path
-                manifest.append(f"{key}.mesh_file: {path}")
-            if cfg.metrics_out:
-                path = cfg._output_path(cfg.metrics_out, t, iso)
-                lines = [("t", t), ("isovalue", iso), *values]
-                report = "".join(f"{name}: {_fmt(v)}\n" for name, v in lines)
-                with stage("output"), _writing(path), new_file(path) as fh:
-                    fh.write(report.encode())
-                combo["metrics_file"] = path
-                manifest.append(f"{key}.metrics_file: {path}")
-            yield combo
-            del combo, mesh, metrics  # else it lives through the next extraction
+                combo = {"t": t, "isovalue": iso, "mesh": mesh, "metrics": metrics}
+                # one list renders both the manifest's mesh block and the report
+                values = [("vertices", mesh.n_vertices), ("triangles", mesh.n_triangles)]
+                values += asdict(metrics).items()
+                manifest += [f"{key}.mesh.{name}: {_fmt(v)}" for name, v in values]
+                if writer is not None:
+                    with stage("output"), _writing(path):
+                        writer.wait()
+                    timings["mesh_write"] = timings.get("mesh_write", 0.0) + writer.seconds
+                    combo["mesh_file"] = path
+                    manifest.append(f"{key}.mesh_file: {path}")
+                if cfg.metrics_out:
+                    path = cfg._output_path(cfg.metrics_out, t, iso)
+                    lines = [("t", t), ("isovalue", iso), *values]
+                    report = "".join(f"{name}: {_fmt(v)}\n" for name, v in lines)
+                    with stage("output"), _writing(path), new_file(path) as fh:
+                        fh.write(report.encode())
+                    written.append(path)
+                    combo["metrics_file"] = path
+                    manifest.append(f"{key}.metrics_file: {path}")
+                yield combo
+                del combo, mesh, metrics  # else it lives through the next extraction
+    except BaseException:
+        if writer is not None:  # its mesh file may still be finishing
+            writer.join()
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
     # in pipeline order; the mesh writes, which overlap the extract stage,
     # follow the output stage's wait for them
@@ -570,7 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--input", dest="input_path", help="structure file (PQR, PDB, or XYZR)")
     p.add_argument(
-        "--format", dest="input_format", choices=FORMATS, help="input format (default auto)"
+        "--format",
+        dest="input_format",
+        choices=molecule.FORMATS,
+        help="input format (default auto)",
     )
     p.add_argument("--init", dest="init_kind", choices=INIT_KINDS, help="initial field kind")
     p.add_argument("--spacing", type=float, help="grid spacing in Angstrom")
@@ -670,21 +677,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         m = order // 2
 
     try:
-        d = _parse_dcoeff(values.pop("dcoeff", []), m)
+        config = RunConfig(d=_parse_dcoeff(values.pop("dcoeff", []), m), **values)
     except ValueError as exc:
         raise StageError("config", str(exc)) from exc
-
-    for key in ("times", "isovalues"):
-        if key in values:
-            values[key] = tuple(values[key])
-    config = RunConfig(d=d, **values)
     if args.config:  # the config file is an input the RunConfig does not name
-        try:
-            outputs = config.resolved()._output_paths()
-        except ValueError as exc:
-            raise StageError("config", str(exc)) from exc
         real = os.path.realpath(args.config)
-        for path in outputs:
+        for path in config._output_paths():
             if os.path.realpath(path) == real:
                 raise StageError("config", f"output {path} would overwrite the config file")
     return config

@@ -15,12 +15,14 @@ floats to lists, and the arrays are built once from them. Molecule makes
 its own refusals once, over whole arrays: no atoms, a wrong shape, a
 non-finite center, a radius that is not positive and finite (from a
 custom PDB radius table, or a caller's arrays) and a column whose length
-is not the atom count.
+is not the atom count. parsers() is the one table from an input format's
+name to its parser.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,23 +247,36 @@ def parse_pdb(
     return Molecule(centers, sizes, source, labels=labels, elements=elements)
 
 
-_PARSERS = {"pqr": parse_pqr, "xyzr": parse_xyzr, "pdb": parse_pdb}
-
-
 def parse_auto(text: str, path: str | None = None) -> Molecule:
     """Detect the format from the file extension, else by trying parsers.
 
     Extension wins when recognized. Otherwise XYZR is tried first (its
     all-numeric lines cannot be valid PQR/PDB), then PQR, then PDB.
     """
+    table = parsers()
+    del table["auto"]  # this detector: a *.auto file is detected by content
     if path:
         ext = path.rsplit(".", 1)[-1].lower() if "." in path else ""
-        if ext in _PARSERS:
-            return _PARSERS[ext](text, path)
+        if ext in table:
+            return table[ext](text, path)
     last_error: Exception | None = None
     for fmt in ("xyzr", "pqr", "pdb"):
         try:
-            return _PARSERS[fmt](text, path)
+            return table[fmt](text, path)
         except ParseError as exc:
             last_error = exc
     raise ParseError(f"could not detect format: {last_error}")
+
+
+def parsers() -> dict[str, Callable[..., Molecule]]:
+    """The parser of each input format, auto included, in --format's order.
+
+    This is the one format table. It is built on each call from the
+    module's functions, so a parser rebound on the module (a wrapper or a
+    test double) is the one every caller gets.
+    """
+    return {"pqr": parse_pqr, "pdb": parse_pdb, "xyzr": parse_xyzr, "auto": parse_auto}
+
+
+# the input format names, in --format's order
+FORMATS = tuple(parsers())

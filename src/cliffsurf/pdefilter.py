@@ -266,6 +266,12 @@ def forward_spectrum(X: ScalarField3, band: SpectralBand | None = None) -> np.nd
     return forward.spectrum()
 
 
+def check_passes(passes: int) -> None:
+    """Raise ValueError unless there is at least one peel-off pass."""
+    if passes < 1:
+        raise ValueError(f"passes must be >= 1, got {passes}")
+
+
 def filter_gain(params: FilterParams, band: SpectralBand, passes: int = 1) -> np.ndarray:
     """Bin gain over a band of the half spectrum of `passes` summed peel-off modes.
 
@@ -275,8 +281,7 @@ def filter_gain(params: FilterParams, band: SpectralBand, passes: int = 1) -> np
     evaluated one axis-0 plane of the band at a time and the passes fold
     in place, so besides the gain only one plane's arrays are alive.
     """
-    if passes < 1:
-        raise ValueError(f"passes must be >= 1, got {passes}")
+    check_passes(passes)
     gain = np.empty(band.shape)
     for i in range(len(gain)):
         plane = gain[i : i + 1]

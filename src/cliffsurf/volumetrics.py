@@ -95,6 +95,12 @@ def check_bump_settings(s: float, r_e: float) -> None:
         raise ValueError(f"r_e must be positive and finite, got {r_e}")
 
 
+def check_volume_format(fmt: str) -> None:
+    """Raise ValueError unless fmt names a volume format, dx or raw."""
+    if fmt not in ("dx", "raw"):
+        raise ValueError(f"volume format must be dx or raw, got {fmt}")
+
+
 def _check_grid_size(dims, mem_cap_bytes: int | None) -> None:
     # the tests in Python ints, exact at any size; the messages' floats may
     # read inf
@@ -432,8 +438,7 @@ class VolumeWriter:
     """
 
     def __init__(self, grid: GridSpec, path, fmt: str):
-        if fmt not in ("dx", "raw"):
-            raise ValueError(f"volume format must be dx or raw, got {fmt}")
+        check_volume_format(fmt)
         self.grid, self.fmt = grid, fmt
         self._feed = PlaneFeed(grid.dims)
         self._carry = np.empty(0)

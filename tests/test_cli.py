@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliffsurf import cli, grids, pdefilter
+from cliffsurf import cli, grids, molecule, pdefilter
 from cliffsurf.cli import (
     ENERGY_W2_THRESHOLD,
     EXIT_COMPUTE,
@@ -45,6 +45,7 @@ from cliffsurf.pdefilter import (
     SpectralBand,
     default_coefficients,
     filter_gain,
+    lowpass_apply,
     mode_decompose,
 )
 from cliffsurf.volumetrics import _BYTES_PER_VOXEL, make_grid, rasterize_piecewise
@@ -272,6 +273,17 @@ def test_unwritable_output_exits_5(three_atom_file, tmp_path, capsys):
     assert "cannot write" in err
 
 
+def fill_the_disk_at(monkeypatch, target, fail):
+    """Open target as a FullDisk handle failing at fail; other files open as usual."""
+    real_open = builtins.open
+
+    def open_on_a_full_disk(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return FullDisk(fh, fail) if os.fspath(file) == target else fh
+
+    monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+
+
 @pytest.mark.parametrize(
     "flag, name, fail",
     [
@@ -288,13 +300,7 @@ def test_an_output_that_fails_to_write_is_removed(
     # a full disk at a write or at the closing flush: the run exits 5 and
     # leaves no truncated file behind. A volume's first write is its header
     target = str(tmp_path / name)
-    real_open = builtins.open
-
-    def open_on_a_full_disk(file, *args, **kwargs):
-        fh = real_open(file, *args, **kwargs)
-        return FullDisk(fh, fail) if os.fspath(file) == target else fh
-
-    monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+    fill_the_disk_at(monkeypatch, target, fail)
     code, out, err = run_cli(
         ["--input", three_atom_file, "--spacing", "0.5", flag, target], capsys
     )
@@ -383,13 +389,7 @@ def test_a_mesh_write_failing_beside_the_metrics_exits_5(
     # the write fails on a full disk while the mesh is measured: the join
     # re-raises it with the write's own message, and the partial file is removed
     target = str(tmp_path / "m.obj")
-    real_open = builtins.open
-
-    def open_on_a_full_disk(file, *args, **kwargs):
-        fh = real_open(file, *args, **kwargs)
-        return FullDisk(fh, fail) if os.fspath(file) == target else fh
-
-    monkeypatch.setattr(builtins, "open", open_on_a_full_disk)
+    fill_the_disk_at(monkeypatch, target, fail)
     writers = overlap_write_and_metrics(monkeypatch)
     threads = threading.active_count()
     code, out, err = run_cli(
@@ -430,6 +430,44 @@ def test_metrics_failing_beside_the_mesh_write_leaves_no_mesh_file(
     )
     assert code == EXIT_COMPUTE
     assert err == "error[stage=extract]: metrics exploded\n"
+    assert out == "" and not any(out_dir.iterdir())
+    assert threading.active_count() == threads
+
+
+def test_a_failed_run_leaves_no_output_file(tmp_path, monkeypatch, capsys):
+    # the second time's field stays below 0.8: the run fails at stage
+    # extract after the first time's volume and mesh and the second time's
+    # volume are whole, and removes all three
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        ["--input", str(GOLDEN / "fixture.pdb"), "--spacing", "0.4", "--init", "gaussian",
+         "--time", "50", "--time", "100", "--mesh-out", "m.off", "--volume-out", "v.raw"],
+        capsys,
+    )
+    assert code == EXIT_COMPUTE
+    assert err.startswith("error[stage=extract]: isovalue 0.8 outside the open field range ")
+    assert out == "" and not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("fail", ["write", "close"])
+def test_a_failing_second_mesh_write_removes_every_output(
+    three_atom_file, tmp_path, monkeypatch, capsys, fail
+):
+    # the second surface's mesh file fails on a full disk: the run exits 5
+    # and also removes the first surface's mesh and report and both volumes
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = str(out_dir / "m_t100_iso0.9.obj")
+    fill_the_disk_at(monkeypatch, target, fail)
+    threads = threading.active_count()
+    code, out, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5", "--time", "50", "--time", "100",
+         "--mesh-out", str(out_dir / "m.obj"), "--volume-out", str(out_dir / "v.dx"),
+         "--metrics-out", str(out_dir / "r.txt")],
+        capsys,
+    )
+    assert code == EXIT_OUTPUT
+    assert err == f"error[stage=output]: cannot write {target}: [Errno 28] No space left on device\n"
     assert out == "" and not any(out_dir.iterdir())
     assert threading.active_count() == threads
 
@@ -492,12 +530,12 @@ def test_flag_parsing_round_trip():
 
 
 def test_order_sets_coefficient_length():
-    cfg = parse_config(["--input", "x.xyzr", "--order", "8"]).resolved()
+    cfg = parse_config(["--input", "x.xyzr", "--order", "8"])
     assert cfg.d == (0.0, 0.0, 0.0, 1.0)
 
 
 def test_dcoeff_overrides_one_slot():
-    cfg = parse_config(["--input", "x.xyzr", "--dcoeff", "3:0.5"]).resolved()
+    cfg = parse_config(["--input", "x.xyzr", "--dcoeff", "3:0.5"])
     assert cfg.d == (0.0, 0.0, 0.5, 0.0, 0.0, 1.0)
 
 
@@ -526,7 +564,7 @@ def test_config_file_supplies_values(tmp_path):
     assert cfg.times == (50.0, 100.0)
     assert cfg.isovalues == (0.8,)
     assert cfg.init_kind == "gaussian"
-    assert cfg.resolved().d == (0.0, 0.0, 0.0, 0.0, 0.0, 0.5)
+    assert cfg.d == (0.0, 0.0, 0.0, 0.0, 0.0, 0.5)
 
 
 def test_cli_flags_override_config_file(tmp_path):
@@ -714,7 +752,7 @@ def test_values_printing_alike_exit_3(three_atom_file, tmp_path, capsys, flags):
     ],
 )
 def test_outputs_sharing_a_path_exit_3(three_atom_file, tmp_path, monkeypatch, capsys, flags):
-    # two outputs on one file (symlinks and .. resolved), or an output on
+    # two outputs on one file (after symlinks and ..), or an output on
     # the input, would silently overwrite each other; nothing is written
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
@@ -787,31 +825,99 @@ def test_no_output_path_is_no_output(three_atom_file, tmp_path, monkeypatch, cap
     assert code == EXIT_OK, err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert "_file: " not in out
-    cfg = RunConfig("x", mesh_out=None, volume_out=None, metrics_out=None).resolved()
+    cfg = RunConfig("x", mesh_out=None, volume_out=None, metrics_out=None)
     assert cfg._output_paths() == []
 
 
-def test_resolved_isovalue_defaults():
-    assert RunConfig("x").resolved().isovalues == (0.9,)
-    assert RunConfig("x", init_kind="gaussian").resolved().isovalues == (0.8,)
-    assert RunConfig("x", init_kind="piecewise-swapped").resolved().isovalues == (0.1,)
-    assert RunConfig("x", isovalues=(0.6,)).resolved().isovalues == (0.6,)
+def test_isovalue_defaults_are_filled_when_built():
+    assert RunConfig("x").isovalues == (0.9,)
+    assert RunConfig("x", init_kind="gaussian").isovalues == (0.8,)
+    assert RunConfig("x", init_kind="piecewise-swapped").isovalues == (0.1,)
+    assert RunConfig("x", isovalues=(0.6,)).isovalues == (0.6,)
 
 
 def test_run_config_validation_direct():
     with pytest.raises(ValueError, match="spacing"):
-        RunConfig("x", spacing=0.0).resolved()
+        RunConfig("x", spacing=0.0)
+    # the choices argparse guards on the command line
+    with pytest.raises(ValueError, match=r"format must be one of \('pqr', 'pdb', 'xyzr', 'auto'\)"):
+        RunConfig("x", input_format="vtk")
+    with pytest.raises(ValueError, match="init must be one of"):
+        RunConfig("x", init_kind="smooth")
+    with pytest.raises(ValueError, match="need at least one propagation time"):
+        RunConfig("x", times=())
     with pytest.raises(ValueError, match="time"):
-        RunConfig("x", times=(0.0,)).resolved()
+        RunConfig("x", times=(0.0,))
     with pytest.raises(ValueError, match="isovalue"):
-        RunConfig("x", isovalues=()).resolved()
+        RunConfig("x", isovalues=())
     with pytest.raises(ValueError, match="volume format"):
-        RunConfig("x", volume_format="vtk").resolved()
+        RunConfig("x", volume_format="vtk")
     # d alone sets the order, and needs a positive coefficient
     with pytest.raises(ValueError, match="at least one diffusion coefficient"):
-        RunConfig("x", d=()).resolved()
+        RunConfig("x", d=())
     # gaussian fields are not capped at 1, larger levels are legal
-    RunConfig("x", init_kind="gaussian", isovalues=(1.3,)).resolved()
+    RunConfig("x", init_kind="gaussian", isovalues=(1.3,))
+
+
+# each rule a RunConfig checks when it is built: its fields, the same
+# settings as config-file lines, and the refusal the CLI prints at exit 3
+_REFUSALS = [
+    ({"spacing": 0.0}, ["spacing = 0"], "spacing must be positive and finite, got 0.0"),
+    ({"padding": -1.0}, ["padding = -1"], "padding must be nonnegative and finite, got -1.0"),
+    ({"s": 0.0}, ["s = 0"], "s must be positive and finite, got 0.0"),
+    ({"r_e": 0.0}, ["re = 0"], "r_e must be positive and finite, got 0.0"),
+    ({"passes": 0}, ["passes = 0"], "passes must be >= 1, got 0"),
+    ({"d": (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)}, ["dcoeff = 6:-1"],
+     "coefficients must be finite and >= 0, got (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)"),
+    ({"d": (0.0,) * 6}, ["dcoeff = 6:0"], "at least one diffusion coefficient must be positive"),
+    ({"epsilon": -1.0}, ["epsilon = -1"], "epsilon must be finite and >= 0, got -1.0"),
+    ({"times": (0.0,)}, ["time = 0"], "propagation time t must be positive and finite, got 0.0"),
+    ({"isovalues": (1.5,)}, ["isovalue = 1.5"],
+     "isovalue must lie in (0, 1] for binary initial data, got 1.5"),
+    ({"init_kind": "gaussian", "isovalues": (0.0,)}, ["init = gaussian", "isovalue = 0"],
+     "isovalue must be positive and finite, got 0.0"),
+    ({"times": (100.0, 100.0)}, ["time = 100, 100"],
+     "times must differ in their %g form, got 100.0 100.0"),
+    ({"isovalues": (0.8, 0.80000001)}, ["isovalue = 0.8, 0.80000001"],
+     "isovalues must differ in their %g form, got 0.8 0.80000001"),
+    ({"mesh_out": ""}, ["mesh-out ="], "mesh-out must name a file, got an empty path"),
+    ({"mesh_out": "x.obj", "metrics_out": "x.obj"}, ["mesh-out = x.obj", "metrics-out = x.obj"],
+     "output x.obj would overwrite the input or another output"),
+    ({"mem_cap_gib": 0.0}, ["mem-cap = 0"], "mem-cap must be positive and finite, got 0.0"),
+]
+
+
+def _as_flags(lines):
+    """The flags that give a config file's lines."""
+    flags = []
+    for line in lines:
+        key, _, value = (part.strip() for part in line.partition("="))
+        items = value.split(",") if key in ("time", "isovalue", "dcoeff") else [value]
+        flags += [arg for item in items for arg in (f"--{key}", item.strip())]
+    return flags
+
+
+@pytest.mark.parametrize("given", ["flags", "config"])
+@pytest.mark.parametrize(
+    "fields, lines, message", _REFUSALS, ids=[m.split(",")[0] for _, _, m in _REFUSALS]
+)
+def test_each_run_config_rule_refuses_when_built(
+    three_atom_file, tmp_path, monkeypatch, capsys, fields, lines, message, given
+):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError) as refused:
+        RunConfig("three.xyzr", **fields)
+    assert str(refused.value) == message
+    if given == "config":
+        (tmp_path / "run.cfg").write_text("".join(line + "\n" for line in lines))
+        argv = ["--config", "run.cfg"]
+    else:
+        argv = _as_flags(lines)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run_cli(["--input", "three.xyzr", *argv], capsys)
+    assert code == EXIT_CONFIG
+    assert err == f"error[stage=config]: {message}\n"
+    assert out == "" and sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 # ---------------------------------------------------------------------------
@@ -992,6 +1098,31 @@ def test_format_flag_overrides_extension(tmp_path, capsys):
     assert m["input.atoms"] == "3"
     warnings = [l for l in out.splitlines() if l.startswith("input.warning: ")]
     assert len(warnings) == 1 and "dropped atom" in warnings[0]
+
+
+@pytest.mark.parametrize("flags", [[], ["--format", "xyzr"]], ids=["auto", "xyzr"])
+def test_the_run_calls_the_parser_bound_on_the_molecule_module(
+    three_atom_file, monkeypatch, capsys, flags
+):
+    # the format table is read when the run starts, so a wrapper put on the
+    # molecule module (a tracer's span, say) sees the parse
+    calls = []
+    real = molecule.parse_xyzr
+
+    def wrapped(text, path=None):
+        calls.append(path)
+        return real(text, path)
+
+    monkeypatch.setattr(molecule, "parse_xyzr", wrapped)
+    code, _, err = run_cli(["--input", three_atom_file, "--spacing", "0.5", *flags], capsys)
+    assert code == EXIT_OK, err
+    assert calls == [three_atom_file]
+
+
+def test_format_choices_are_the_molecule_table():
+    (action,) = [a for a in build_parser()._actions if a.dest == "input_format"]
+    assert action.choices == molecule.FORMATS == ("pqr", "pdb", "xyzr", "auto")
+    assert action.help == "input format (default auto)"
 
 
 def test_swapped_initialization_mirrors_piecewise(three_atom_file):
@@ -1265,12 +1396,15 @@ def test_cli_passes_field_is_sum_of_peeled_modes(three_atom_file, tmp_path, caps
 
 
 @pytest.mark.parametrize(
-    "flags, closed",
-    [([], True), (["--spacing", "0.5", "--padding", "0.5"], False)],
+    "flags, box, closed",
+    [
+        ([], {}, True),
+        (["--spacing", "0.5", "--padding", "0.5"], {"spacing": 0.5, "padding": 0.5}, False),
+    ],
     ids=["default", "tight-box"],
 )
 def test_face_range_tells_whether_the_mesh_is_closed(three_atom_file, tmp_path, capsys,
-                                                     flags, closed):
+                                                     flags, box, closed):
     # the mesh is closed exactly when no box-face sample is below the
     # isovalue or none is above it; at 0.5 A of padding the surface
     # reaches the box, and the run refuses it at stage extract
@@ -1278,7 +1412,10 @@ def test_face_range_tells_whether_the_mesh_is_closed(three_atom_file, tmp_path, 
     code, out, err = run_cli(
         ["--input", three_atom_file, *flags, "--volume-out", vol, "--mesh-out", str(mesh)], capsys
     )
-    _, _, _, values = read_raw(vol)
+    # the run's field, bit for bit: a failed run leaves no volume to read
+    mol = parse_xyzr(Path(three_atom_file).read_text(), three_atom_file)
+    params = FilterParams(d=default_coefficients(), epsilon=0.0, t=100.0)
+    values = lowpass_apply(rasterize_piecewise(mol, make_grid(mol, **box)), params).values
     faces = [values[[0, -1]], values[:, [0, -1]], values[:, :, [0, -1]]]
     lo, hi = float(min(f.min() for f in faces)), float(max(f.max() for f in faces))
     assert (not lo < 0.9 <= hi) == closed
@@ -1287,9 +1424,10 @@ def test_face_range_tells_whether_the_mesh_is_closed(three_atom_file, tmp_path, 
         assert err.count("\n") == 1 and err.startswith("error[stage=extract]: isovalue 0.9 ")
         assert f"({lo!r}, {hi!r}]" in err
         assert "--padding" in err and "--time" in err
-        assert not mesh.exists()
+        assert not mesh.exists() and not os.path.exists(vol)
         return
     assert code == EXIT_OK, err
+    assert np.array_equal(read_raw(vol)[3], values)
     m = manifest_dict(out)
     assert float(m["run[t=100].field.face_min"]) == lo
     assert float(m["run[t=100].field.face_max"]) == hi

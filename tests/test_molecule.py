@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cliffsurf.molecule import (
+    FORMATS,
     VDW_DEFAULT,
     VDW_RADII,
     Molecule,
@@ -15,6 +16,7 @@ from cliffsurf.molecule import (
     parse_pdb,
     parse_pqr,
     parse_xyzr,
+    parsers,
     serialize_pqr,
 )
 
@@ -202,6 +204,18 @@ def test_parse_auto_extension_wins_over_content():
     # valid under both readers; the extension must decide
     text = "ATOM 1 N ALA 1 0.0 0.0 0.0 0.5 1.5\n"
     assert parse_auto(text, "f.pqr").source.format == "pqr"
+
+
+def test_one_format_table_in_the_cli_order():
+    assert FORMATS == ("pqr", "pdb", "xyzr", "auto")
+    assert parsers() == {
+        "pqr": parse_pqr, "pdb": parse_pdb, "xyzr": parse_xyzr, "auto": parse_auto
+    }
+
+
+def test_an_auto_extension_is_detected_by_content():
+    # "auto" names the detector in the format table, not a file format
+    assert parse_auto("0 0 0 1.8\n", "m.auto").source.format == "xyzr"
 
 
 def test_atom_validation():
