@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ga import geometric_product_field
-from .grids import GridSpec, GridSpec2, ScalarField3, squared_norm, w_axes
+from .grids import GridSpec, GridSpec2, ScalarField3, read_only, squared_norm, w_axes
 
 _CHANNELS_3 = ((0, 7), (1, 5), (2, 6), (3, 4))  # (real blade, imaginary blade)
 _CHANNELS_2 = ((0, 3), (1, 2))
@@ -57,14 +57,12 @@ class MultivectorField3:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
+        d = read_only(self.data)
         if d.shape != self.grid.dims + (8,):
             raise ValueError(
                 f"dimension mismatch between grid and data: "
                 f"data shape {d.shape}, grid dims {self.grid.dims}"
             )
-        d = d.view()  # own flags: the caller's array stays writeable
-        d.setflags(write=False)
         object.__setattr__(self, "data", d)
 
     @classmethod
@@ -88,14 +86,12 @@ class MultivectorField2:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
+        d = read_only(self.data)
         if d.shape != self.grid.dims + (4,):
             raise ValueError(
                 f"dimension mismatch between grid and data: "
                 f"data shape {d.shape}, grid dims {self.grid.dims}"
             )
-        d = d.view()  # own flags: the caller's array stays writeable
-        d.setflags(write=False)
         object.__setattr__(self, "data", d)
 
 

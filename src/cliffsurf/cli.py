@@ -5,6 +5,11 @@ output) and any failure aborts with a stage-tagged message on stderr and
 a stage-family exit code: 2 input, 3 configuration, 4 compute, 5 output.
 A RunConfig checks every setting when it is built, so any RunConfig that
 exists is valid, and the CLI reports a setting it refuses at stage config.
+build_parser's one option table serves flags and config files alike and
+checks no more than a value's type, so a value refused by flag, by config
+file or through the API gets the one text of the object that holds it.
+The output's extension picks each file's format: .off an OFF mesh and
+.raw a raw volume, in any case, and else OBJ and OpenDX.
 A run that fails leaves no output file: each writer removes the file it
 was writing, and the run removes the files it had finished. Only a
 manifest that cannot be written, after every file is whole, leaves them.
@@ -73,7 +78,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import molecule, volumetrics
-from .grids import GridSpec, SlabRange, check_finite, new_file
+from .grids import SlabRange, check_finite, new_file
 from .pdefilter import (
     DEFAULT_HALF_ORDER,
     BandForward,
@@ -104,8 +109,6 @@ _STAGE_EXIT = {
     "output": EXIT_OUTPUT,
 }
 
-INIT_KINDS = ("piecewise", "gaussian", "piecewise-swapped")
-
 # diagnostic band edge for the manifest's smoothness indicator, rad^2/A^2
 ENERGY_W2_THRESHOLD = 0.25
 
@@ -126,8 +129,10 @@ class StageError(Exception):
 class RunConfig:
     """The pipeline's parameters, checked when built; every field has a value.
 
-    Building one fills in the init kind's default isovalue, makes times and
-    isovalues tuples, and raises ValueError for any setting a run refuses.
+    Building one fills in the init kind's default isovalue, makes d, times
+    and isovalues tuples of Python floats and the other float settings
+    Python floats, as FilterParams and GridSpec do, and raises ValueError
+    for any setting a run refuses.
     """
 
     input_path: str
@@ -144,7 +149,6 @@ class RunConfig:
     passes: int = 1
     mesh_out: str | None = None
     volume_out: str | None = None
-    volume_format: str | None = None  # dx | raw | None: by extension
     metrics_out: str | None = None
     mem_cap_gib: float = volumetrics.DEFAULT_MEM_CAP / 1024**3
 
@@ -156,14 +160,15 @@ class RunConfig:
             isovalues = {"gaussian": (0.8,), "piecewise-swapped": (0.1,)}.get(
                 self.init_kind, (0.9,)
             )
-        object.__setattr__(self, "times", tuple(self.times))
-        object.__setattr__(self, "isovalues", tuple(isovalues))
+        for name in ("spacing", "padding", "s", "r_e", "epsilon", "mem_cap_gib"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        for name, values in (("d", self.d), ("times", self.times), ("isovalues", isovalues)):
+            object.__setattr__(self, name, tuple(float(v) for v in values))
         if self.input_format not in molecule.FORMATS:
             raise ValueError(
                 f"format must be one of {molecule.FORMATS}, got {self.input_format!r}"
             )
-        if self.init_kind not in INIT_KINDS:
-            raise ValueError(f"init must be one of {INIT_KINDS}, got {self.init_kind!r}")
+        volumetrics.check_init_kind(self.init_kind)
         volumetrics.check_grid_settings(self.spacing, self.padding)
         volumetrics.check_bump_settings(self.s, self.r_e)
         check_passes(self.passes)
@@ -196,8 +201,6 @@ class RunConfig:
             if real in seen:
                 raise ValueError(f"output {path} would overwrite the input or another output")
             seen.add(real)
-        if self.volume_format is not None:  # None: by the file's extension
-            volumetrics.check_volume_format(self.volume_format)
         if not 0 < self.mem_cap_gib < np.inf:
             raise ValueError(f"mem-cap must be positive and finite, got {self.mem_cap_gib}")
 
@@ -213,22 +216,16 @@ class RunConfig:
         ]
 
     def _output_path(self, base: str, t: float, iso: float | None = None) -> str:
-        """The file written from base at time t (and isovalue iso for a surface)."""
-        if iso is None:  # a volume: one per time
-            return _combo_path(base, t, None, len(self.times) > 1)
-        return _combo_path(base, t, iso, len(self.times) > 1 or len(self.isovalues) > 1)
+        """The file written from base at time t (and isovalue iso for a surface).
 
-
-def _combo_path(base: str, t: float | None, iso: float | None, multi: bool) -> str:
-    if not multi:
-        return base
-    stem, ext = os.path.splitext(base)  # a dot in a directory is not an extension
-    suffix = ""
-    if t is not None:
-        suffix += f"_t{t:g}"
-    if iso is not None:
-        suffix += f"_iso{iso:g}"
-    return stem + suffix + ext
+        A volume is written once per time and a surface file once per time
+        and isovalue; where base names more than one file, each gets the
+        suffix _t<t> (and _iso<iso>) before its extension.
+        """
+        if len(self.times) * (1 if iso is None else len(self.isovalues)) == 1:
+            return base
+        stem, ext = os.path.splitext(base)  # a dot in a directory is not an extension
+        return stem + f"_t{t:g}" + ("" if iso is None else f"_iso{iso:g}") + ext
 
 
 def _fmt(value) -> str:
@@ -237,21 +234,6 @@ def _fmt(value) -> str:
     if isinstance(value, (tuple, list, np.ndarray)):
         return " ".join(_fmt(v) for v in value)
     return str(value)
-
-
-def _rasterize(cfg: RunConfig, mol: molecule.Molecule, grid: GridSpec) -> Iterator[np.ndarray]:
-    if cfg.init_kind == "gaussian":
-        return volumetrics.gaussian_slabs(mol, grid, s=cfg.s, r_e=cfg.r_e)
-    parts = volumetrics.piecewise_slabs(mol, grid)
-    if cfg.init_kind == "piecewise-swapped":
-        return (1.0 - part for part in parts)
-    return parts
-
-
-def _volume_writer(grid: GridSpec, path: str, fmt: str | None) -> volumetrics.VolumeWriter:
-    if fmt is None:
-        fmt = "raw" if path.lower().endswith(".raw") else "dx"
-    return volumetrics.VolumeWriter(grid, path, fmt)
 
 
 def _write_mesh(mesh, path: str):
@@ -360,7 +342,8 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
     initial = SlabRange(grid.dims)
     # the check below reports an overflow; numpy's warnings would repeat it
     with np.errstate(all="ignore"):
-        for part in staged("rasterize", _rasterize(cfg, mol, grid)):
+        parts = volumetrics.initial_slabs(cfg.init_kind, mol, grid, cfg.s, cfg.r_e)
+        for part in staged("rasterize", parts):
             with stage("rasterize"):
                 initial.add(part)
             with stage("filter"):
@@ -430,8 +413,9 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
             with contextlib.ExitStack() as files:
                 if cfg.volume_out:
                     path = cfg._output_path(cfg.volume_out, t)
+                    fmt = "raw" if path.lower().endswith(".raw") else "dx"
                     with stage("output"), _writing(path):
-                        volume = files.enter_context(_volume_writer(grid, path, cfg.volume_format))
+                        volume = files.enter_context(volumetrics.VolumeWriter(grid, path, fmt))
                 with stage("extract"):
                     marchers = [SlabMarcher(grid, iso) for iso in cfg.isovalues]
                 for part in staged("filter", parts):
@@ -576,10 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format",
         dest="input_format",
-        choices=molecule.FORMATS,
-        help="input format (default auto)",
+        help=f"input format: {', '.join(molecule.FORMATS)} (default auto)",
     )
-    p.add_argument("--init", dest="init_kind", choices=INIT_KINDS, help="initial field kind")
+    p.add_argument(
+        "--init",
+        dest="init_kind",
+        help=f"initial field kind: {', '.join(volumetrics.INIT_KINDS)} (default piecewise)",
+    )
     p.add_argument("--spacing", type=float, help="grid spacing in Angstrom")
     p.add_argument("--padding", type=float, help="box padding in Angstrom")
     p.add_argument("--s", type=float, help="bump height for the smooth initial field")
@@ -610,10 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--passes", type=int, help="number of peel-off filter passes")
     p.add_argument("--mesh-out", help="mesh output path (.obj or .off)")
-    p.add_argument("--volume-out", help="filtered volume output path")
-    p.add_argument(
-        "--volume-format", choices=("dx", "raw"), help="volume format (default by extension)"
-    )
+    p.add_argument("--volume-out", help="filtered volume output path (.raw raw, else OpenDX)")
     p.add_argument("--metrics-out", help="metrics report output path")
     p.add_argument("--mem-cap", dest="mem_cap_gib", type=float, help="grid memory cap in GiB")
     p.add_argument("--config", help="flat key=value config file")

@@ -93,6 +93,18 @@ class GridSpec2:
             raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
 
 
+def read_only(values, dtype=np.float64) -> np.ndarray:
+    """A read-only view of values as dtype, not a snapshot.
+
+    An array of dtype is not copied, and the view has flags of its own: the
+    caller's array stays writeable, and writing to it changes the view.
+    Other dtypes and sequences are converted once.
+    """
+    view = np.asarray(values, dtype=dtype).view()
+    view.setflags(write=False)
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField3:
     """Real scalar samples on a GridSpec.
@@ -110,13 +122,11 @@ class ScalarField3:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = read_only(self.values)
         if v.shape != self.grid.dims:
             raise ValueError(
                 f"values shape {v.shape} does not match grid dims {self.grid.dims}"
             )
-        v = v.view()  # own flags: the caller's array stays writeable
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @classmethod
@@ -136,11 +146,6 @@ class ScalarField3:
     @property
     def max(self) -> float:
         return float(self.values.max())
-
-    def is_finite(self) -> bool:
-        # no per-voxel mask: a NaN reaches both extremes, an infinity is one
-        v = self.values
-        return bool(np.isfinite(v.min()) and np.isfinite(v.max()))
 
 
 def check_finite(lo, hi) -> None:

@@ -27,6 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grids import read_only
+
 # Bondi-style van der Waals radii (Angstrom) for bare PDB input.
 # PQR radii always win when present. Swappable via parse_pdb(radii=...).
 VDW_RADII = {
@@ -59,13 +61,6 @@ class Provenance:
     warnings: tuple[str, ...] = ()
 
 
-def _frozen(values) -> np.ndarray:
-    # a view with its own flags: the caller's array stays writeable
-    array = np.asarray(values, dtype=np.float64).view()
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True, eq=False)
 class Molecule:
     """A nonempty set of spheres as arrays, its per-atom columns, and its source.
@@ -87,7 +82,7 @@ class Molecule:
     elements: tuple[str | None, ...] | None = None
 
     def __post_init__(self):
-        centers, radii = _frozen(self.centers), _frozen(self.radii)
+        centers, radii = read_only(self.centers), read_only(self.radii)
         if not (centers.size or radii.size):
             raise ParseError("no atoms")
         if radii.ndim != 1 or centers.shape != (len(radii), 3):
@@ -103,7 +98,7 @@ class Molecule:
         if not good.all():
             raise ValueError(f"radius must be positive and finite, got {radii[~good][0]}")
         columns = {"centers": centers, "radii": radii}
-        for name, convert in (("charges", _frozen), ("labels", tuple), ("elements", tuple)):
+        for name, convert in (("charges", read_only), ("labels", tuple), ("elements", tuple)):
             if getattr(self, name) is not None:
                 columns[name] = convert(getattr(self, name))
         for name, column in columns.items():

@@ -267,9 +267,12 @@ def forward_spectrum(X: ScalarField3, band: SpectralBand | None = None) -> np.nd
 
 
 def check_passes(passes: int) -> None:
-    """Raise ValueError unless there is at least one peel-off pass."""
-    if passes < 1:
-        raise ValueError(f"passes must be >= 1, got {passes}")
+    """Raise ValueError unless passes, the peel-off pass count, is an integer >= 1.
+
+    Python and numpy integers count; a bool, a float and anything else do not.
+    """
+    if isinstance(passes, bool) or not isinstance(passes, (int, np.integer)) or passes < 1:
+        raise ValueError(f"passes must be >= 1, an integer, got {passes}")
 
 
 def filter_gain(params: FilterParams, band: SpectralBand, passes: int = 1) -> np.ndarray:

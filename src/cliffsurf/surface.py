@@ -58,6 +58,7 @@ from .grids import (
     ScalarField3,
     check_finite,
     new_file,
+    read_only,
     slabs,
     write_rows,
 )
@@ -138,17 +139,14 @@ class TriangleMesh:
     triangles: np.ndarray
 
     def __post_init__(self):
-        # views with their own flags: the caller's arrays stay writeable
-        v = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3).view()
-        t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3).view()
+        v = read_only(np.reshape(self.vertices, (-1, 3)))
+        t = read_only(np.reshape(self.triangles, (-1, 3)), np.int64)
         if not t.size:
             raise ValueError("empty mesh")
         if t.min() < 0 or t.max() >= len(v):
             raise ValueError("triangle indices out of vertex range")
         if np.any((t[:, 0] == t[:, 1]) & (t[:, 1] == t[:, 2])):
             raise ValueError("degenerate triangle with three identical vertices")
-        v.setflags(write=False)
-        t.setflags(write=False)
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "triangles", t)
 

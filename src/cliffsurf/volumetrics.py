@@ -9,9 +9,11 @@ Two initial fields drive the smoothing pipeline:
   isolated sphere surface and decaying with distance beyond it.
 
 Both rasterizers produce the field as consecutive slabs of SLAB axis-0
-planes (piecewise_slabs, gaussian_slabs), which the CLI streams into the
-filter; rasterize_* assemble the slabs into a whole field, and the volume
-writers take a field slab by slab too (VolumeWriter).
+planes (piecewise_slabs, gaussian_slabs). initial_slabs gives the slabs
+of each of INIT_KINDS, the swapped kind being 1 minus the piecewise
+field, and the CLI streams them into the filter; rasterize_* assemble
+the slabs into a whole field, and the volume writers take a field slab
+by slab too (VolumeWriter).
 
 The piecewise rasterizer touches each atom's bounding window only. The
 bumps reach every voxel, so the gaussian rasterizer prunes atoms in two
@@ -57,6 +59,9 @@ DEFAULT_BUMP_HEIGHT = 1.0
 DEFAULT_BUMP_DECAY = 3.0
 DEFAULT_MEM_CAP = 4 * 1024**3
 
+# the initial fields a run can start from, as initial_slabs names them
+INIT_KINDS = ("piecewise", "gaussian", "piecewise-swapped")
+
 # Estimated peak of a whole CLI run per grid voxel, used only to refuse
 # grids before allocating. A run streams the grid in slabs of SLAB axis-0
 # planes, so no array the size of the grid is alive: it holds the band of
@@ -95,10 +100,10 @@ def check_bump_settings(s: float, r_e: float) -> None:
         raise ValueError(f"r_e must be positive and finite, got {r_e}")
 
 
-def check_volume_format(fmt: str) -> None:
-    """Raise ValueError unless fmt names a volume format, dx or raw."""
-    if fmt not in ("dx", "raw"):
-        raise ValueError(f"volume format must be dx or raw, got {fmt}")
+def check_init_kind(kind: str) -> None:
+    """Raise ValueError unless kind is one of INIT_KINDS."""
+    if kind not in INIT_KINDS:
+        raise ValueError(f"init must be one of {INIT_KINDS}, got {kind!r}")
 
 
 def _check_grid_size(dims, mem_cap_bytes: int | None) -> None:
@@ -224,7 +229,7 @@ def rasterize_piecewise(mol: Molecule, grid: GridSpec) -> ScalarField3:
 
 def rasterize_piecewise_swapped(mol: Molecule, grid: GridSpec) -> ScalarField3:
     """The complementary binary field: 1 inside the spheres, 0 outside."""
-    return ScalarField3.from_slabs(grid, (1.0 - slab for slab in piecewise_slabs(mol, grid)))
+    return ScalarField3.from_slabs(grid, initial_slabs("piecewise-swapped", mol, grid))
 
 
 def rasterize_gaussian(
@@ -427,6 +432,27 @@ def _gaussian_slabs(mol, grid, s, r_e):
         del power  # before the next slab is allocated
 
 
+def initial_slabs(
+    kind: str,
+    mol: Molecule,
+    grid: GridSpec,
+    s: float = DEFAULT_BUMP_HEIGHT,
+    r_e: float = DEFAULT_BUMP_DECAY,
+) -> Iterator[np.ndarray]:
+    """The initial field of one of INIT_KINDS as consecutive SLAB-plane slabs.
+
+    piecewise-swapped is the complement of piecewise, 1 - slab; only the
+    gaussian kind reads the bump height s and decay r_e.
+    """
+    check_init_kind(kind)
+    if kind == "gaussian":
+        return gaussian_slabs(mol, grid, s=s, r_e=r_e)
+    parts = piecewise_slabs(mol, grid)
+    if kind == "piecewise-swapped":
+        return (1.0 - part for part in parts)
+    return parts
+
+
 class VolumeWriter:
     """A volume file written from consecutive slabs of axis-0 planes, as a context manager.
 
@@ -438,7 +464,8 @@ class VolumeWriter:
     """
 
     def __init__(self, grid: GridSpec, path, fmt: str):
-        check_volume_format(fmt)
+        if fmt not in ("dx", "raw"):
+            raise ValueError(f"volume format must be dx or raw, got {fmt}")
         self.grid, self.fmt = grid, fmt
         self._feed = PlaneFeed(grid.dims)
         self._carry = np.empty(0)

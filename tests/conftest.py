@@ -268,9 +268,8 @@ def marching_cubes_loop(field, isovalue):
     if not np.isfinite(iso):
         raise ValueError(f"isovalue must be finite, got {isovalue}")
     values = field.values
-    if not field.is_finite():
-        raise ValueError("field contains NaN or Inf")
     vmin, vmax = values.min(), values.max()
+    grids.check_finite(vmin, vmax)
     if not (vmin < iso < vmax):
         raise ValueError(
             f"isovalue {iso} outside the open field range ({vmin}, {vmax}); "

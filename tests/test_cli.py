@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cliffsurf import cli, grids, molecule, pdefilter
+from cliffsurf import cli, grids, molecule, pdefilter, volumetrics
 from cliffsurf.cli import (
     ENERGY_W2_THRESHOLD,
     EXIT_COMPUTE,
@@ -30,7 +30,6 @@ from cliffsurf.cli import (
     EXIT_OUTPUT,
     RunConfig,
     StageError,
-    _combo_path,
     _parse_dcoeff,
     build_parser,
     config_from_args,
@@ -603,7 +602,6 @@ _OPTION_VALUES = {
     "passes": "3",
     "mesh_out": "m.obj",
     "volume_out": "v.dx",
-    "volume_format": "raw",
     "metrics_out": "r.txt",
 }
 _LONG_OPTIONS = [
@@ -687,14 +685,21 @@ def test_nonfinite_setting_exits_3(three_atom_file, capsys, flags):
 
 
 def test_combo_path_suffixes():
-    assert _combo_path("m.obj", 100.0, 0.9, multi=False) == "m.obj"
-    assert _combo_path("m.obj", 100.0, 0.9, multi=True) == "m_t100_iso0.9.obj"
-    assert _combo_path("m.obj", 10000.0, 0.5, multi=True) == "m_t10000_iso0.5.obj"
-    assert _combo_path("v.dx", 100.0, None, multi=True) == "v_t100.dx"
-    assert _combo_path("noext", 2.5, 0.4, multi=True) == "noext_t2.5_iso0.4"
+    single = RunConfig("x")
+    assert single._output_path("m.obj", 100.0, 0.9) == "m.obj"
+    assert single._output_path("v.dx", 100.0) == "v.dx"
+    multi = RunConfig("x", times=(1.0, 2.0))  # each time its own files
+    assert multi._output_path("m.obj", 100.0, 0.9) == "m_t100_iso0.9.obj"
+    assert multi._output_path("m.obj", 10000.0, 0.5) == "m_t10000_iso0.5.obj"
+    assert multi._output_path("v.dx", 100.0) == "v_t100.dx"
+    assert multi._output_path("noext", 2.5, 0.4) == "noext_t2.5_iso0.4"
     # a dot in a directory name is not an extension
-    assert _combo_path("out.d/mesh", 100.0, 0.9, multi=True) == "out.d/mesh_t100_iso0.9"
-    assert _combo_path("x.obj", 300.0, 0.6, multi=True) == "x_t300_iso0.6.obj"
+    assert multi._output_path("out.d/mesh", 100.0, 0.9) == "out.d/mesh_t100_iso0.9"
+    assert multi._output_path("x.obj", 300.0, 0.6) == "x_t300_iso0.6.obj"
+    # several isovalues of one time: one volume, a surface file per isovalue
+    isos = RunConfig("x", isovalues=(0.6, 0.9))
+    assert isos._output_path("v.dx", 100.0) == "v.dx"
+    assert isos._output_path("m.obj", 100.0, 0.6) == "m_t100_iso0.6.obj"
 
 
 def test_sweep_into_dotted_directory(three_atom_file, tmp_path, capsys):
@@ -836,6 +841,40 @@ def test_isovalue_defaults_are_filled_when_built():
     assert RunConfig("x", isovalues=(0.6,)).isovalues == (0.6,)
 
 
+def test_run_config_normalizes_its_numbers(three_atom_file, capsys):
+    # a list d and int or numpy settings make the config, hash and manifest
+    # of the CLI's Python floats
+    given = RunConfig(
+        three_atom_file, spacing=1, d=[0, 0, 0, 0, 0, 1], times=[np.float32(100)],
+        isovalues=[0.9], passes=np.int64(1), mem_cap_gib=4,
+    )
+    want = RunConfig(three_atom_file, spacing=1.0, d=(0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
+    assert given == want and hash(given) == hash(want)
+    assert all(type(v) is float for v in (given.spacing, given.mem_cap_gib, *given.d))
+    assert type(given.times[0]) is float
+    code, out, _ = run_cli(["--input", three_atom_file, "--spacing", "1"], capsys)
+    assert code == EXIT_OK
+    untimed = lambda text: [line for line in text.splitlines() if not line.startswith("timing.")]
+    assert untimed(execute(given)) == untimed(out)
+    assert "grid.spacing: 1.0" in out and "filter.d: 0.0 0.0 0.0 0.0 0.0 1.0" in out
+
+
+@pytest.mark.parametrize("passes", [2.5, 2.0, True, "2"])
+def test_run_config_refuses_a_pass_count_that_is_not_an_integer(passes):
+    with pytest.raises(ValueError, match=f"^passes must be >= 1, an integer, got {passes}$"):
+        RunConfig("x", passes=passes)
+
+
+def test_option_table_leaves_each_choice_to_run_config():
+    parser = build_parser()
+    assert not any(action.choices for action in parser._actions)
+    (action,) = [a for a in parser._actions if a.dest == "init_kind"]
+    assert action.help == (
+        "initial field kind: piecewise, gaussian, piecewise-swapped (default piecewise)"
+    )
+    assert volumetrics.INIT_KINDS == ("piecewise", "gaussian", "piecewise-swapped")
+
+
 def test_run_config_validation_direct():
     with pytest.raises(ValueError, match="spacing"):
         RunConfig("x", spacing=0.0)
@@ -850,8 +889,9 @@ def test_run_config_validation_direct():
         RunConfig("x", times=(0.0,))
     with pytest.raises(ValueError, match="isovalue"):
         RunConfig("x", isovalues=())
-    with pytest.raises(ValueError, match="volume format"):
-        RunConfig("x", volume_format="vtk")
+    # the file's extension picks the volume format; there is no field for it
+    with pytest.raises(TypeError, match="volume_format"):
+        RunConfig("x", volume_format="raw")
     # d alone sets the order, and needs a positive coefficient
     with pytest.raises(ValueError, match="at least one diffusion coefficient"):
         RunConfig("x", d=())
@@ -866,7 +906,12 @@ _REFUSALS = [
     ({"padding": -1.0}, ["padding = -1"], "padding must be nonnegative and finite, got -1.0"),
     ({"s": 0.0}, ["s = 0"], "s must be positive and finite, got 0.0"),
     ({"r_e": 0.0}, ["re = 0"], "r_e must be positive and finite, got 0.0"),
-    ({"passes": 0}, ["passes = 0"], "passes must be >= 1, got 0"),
+    ({"passes": 0}, ["passes = 0"], "passes must be >= 1, an integer, got 0"),
+    # no choices of argparse's own: a bad kind or format gets RunConfig's text
+    ({"init_kind": "foo"}, ["init = foo"],
+     "init must be one of ('piecewise', 'gaussian', 'piecewise-swapped'), got 'foo'"),
+    ({"input_format": "vtk"}, ["format = vtk"],
+     "format must be one of ('pqr', 'pdb', 'xyzr', 'auto'), got 'vtk'"),
     ({"d": (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)}, ["dcoeff = 6:-1"],
      "coefficients must be finite and >= 0, got (0.0, 0.0, 0.0, 0.0, 0.0, -1.0)"),
     ({"d": (0.0,) * 6}, ["dcoeff = 6:0"], "at least one diffusion coefficient must be positive"),
@@ -1024,26 +1069,39 @@ def test_volume_format_by_extension_and_flag(three_atom_file, tmp_path, capsys):
     assert spacing == 0.5
     assert np.isfinite(values).all()
 
-    # an explicit format wins over the extension
-    forced = tmp_path / "w.raw"
+    # any other extension gives OpenDX
+    dx_out = tmp_path / "w.dat"
     run_cli(
         [
             "--input", three_atom_file,
             "--spacing", "0.5",
-            "--volume-out", str(forced),
-            "--volume-format", "dx",
+            "--volume-out", str(dx_out),
         ],
         capsys,
     )
-    head = forced.read_text().splitlines()[0]
+    head = dx_out.read_text().splitlines()[0]
     assert head.startswith("object 1 class gridpositions counts")
 
-    # both routes describe the same grid
-    dx_dims, _, _, dx_values = read_dx(str(forced))
+    # both formats describe the same grid
+    dx_dims, _, _, dx_values = read_dx(str(dx_out))
     assert tuple(dx_dims) == tuple(dims)
     np.testing.assert_allclose(
         np.asarray(dx_values).ravel(), np.asarray(values).ravel(), rtol=1e-6
     )
+
+    # the extension alone picks the format: no flag or config key forces one
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("volume-format = raw\n")
+    for argv, text in (
+        (["--volume-format", "raw"], "unrecognized arguments: --volume-format raw"),
+        (["--config", str(cfg_file)], "unknown config key 'volume-format'"),
+    ):
+        out_path = tmp_path / "x.dx"
+        code, out, err = run_cli(
+            ["--input", three_atom_file, "--volume-out", str(out_path), *argv], capsys
+        )
+        assert (code, out, err) == (EXIT_CONFIG, "", f"error[stage=config]: {text}\n")
+        assert not out_path.exists()
 
 
 def test_output_extensions_match_in_any_case(three_atom_file, tmp_path, capsys):
@@ -1120,9 +1178,10 @@ def test_the_run_calls_the_parser_bound_on_the_molecule_module(
 
 
 def test_format_choices_are_the_molecule_table():
+    # the help lists the table; RunConfig refuses any other format
     (action,) = [a for a in build_parser()._actions if a.dest == "input_format"]
-    assert action.choices == molecule.FORMATS == ("pqr", "pdb", "xyzr", "auto")
-    assert action.help == "input format (default auto)"
+    assert action.choices is None and molecule.FORMATS == ("pqr", "pdb", "xyzr", "auto")
+    assert action.help == "input format: pqr, pdb, xyzr, auto (default auto)"
 
 
 def test_swapped_initialization_mirrors_piecewise(three_atom_file):

@@ -19,7 +19,7 @@ import warnings
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from cliffsurf import cli
+from cliffsurf import cli, volumetrics
 
 # 0.02 GiB at 72 bytes per voxel: grids of at most 298k voxels (66^3)
 _MEM_CAP_GIB = "0.02"
@@ -54,7 +54,7 @@ _BAD = (0.0, -1.0, math.inf, -math.inf, math.nan, 1e-300, 1e300)
 _FLAGS = {
     "--spacing": _mostly(_magnitudes(-1.5, 0.5), *_BAD),
     "--padding": _mostly(_magnitudes(-2.0, 1.5), *_BAD),
-    "--init": st.sampled_from(cli.INIT_KINDS),
+    "--init": st.sampled_from(volumetrics.INIT_KINDS),
     "--order": _mostly(st.integers(1, 40).map(lambda m: 2 * m), -2, 0, 1, 3, 200, 1001),
     "--epsilon": _mostly(st.just(0.0) | _magnitudes(-6.0, 3.0), *_BAD),
     "--passes": _mostly(st.integers(1, 6), -1, 0, 10**6),

@@ -250,3 +250,16 @@ def test_check_finite_refuses_a_non_finite_extreme(lo, hi):
 
 def test_check_finite_passes_finite_extremes():
     grids.check_finite(np.float64(-1e308), 1e308)
+
+
+def test_read_only_is_a_view_and_the_callers_array_stays_writeable():
+    given = np.arange(6.0)
+    view = grids.read_only(given)
+    assert np.shares_memory(view, given)
+    assert not view.flags.writeable and given.flags.writeable
+    given[0] = 7.0
+    assert view[0] == 7.0  # a view, not a snapshot
+    # other dtypes and sequences are converted once
+    assert grids.read_only(np.arange(3)).dtype == np.float64
+    ints = grids.read_only([[0, 1, 2]], np.int64)
+    assert ints.dtype == np.int64 and not ints.flags.writeable

@@ -266,6 +266,15 @@ def test_filter_gain_rejects_zero_passes():
         filter_gain(FilterParams.single_term(t=1.0), SpectralBand.full(grid), 0)
 
 
+def test_filter_gain_takes_only_whole_pass_counts():
+    grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=(4, 4, 4))
+    params, band = FilterParams.single_term(t=1.0), SpectralBand.full(grid)
+    for passes in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"^passes must be >= 1, an integer, got {passes}$"):
+            filter_gain(params, band, passes)
+    assert np.array_equal(filter_gain(params, band, np.int64(3)), filter_gain(params, band, 3))
+
+
 def test_single_pass_gain_is_the_frequency_response():
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=(6, 7, 9))
     params = FilterParams.single_term(t=0.01)

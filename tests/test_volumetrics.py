@@ -16,8 +16,10 @@ from cliffsurf.pdefilter import FilterParams, mode_decompose
 from cliffsurf.surface import marching_cubes
 from cliffsurf.volumetrics import (
     _BYTES_PER_VOXEL,
+    INIT_KINDS,
     export_opendx,
     export_raw,
+    initial_slabs,
     make_grid,
     rasterize_gaussian,
     rasterize_piecewise,
@@ -468,18 +470,6 @@ def test_export_rejects_nonfinite(tmp_path):
         export_raw(field, tmp_path / "x.raw")
 
 
-def test_is_finite_builds_no_mask():
-    values = np.zeros((100, 100, 100))
-    field = ScalarField3(GridSpec((0.0, 0.0, 0.0), 0.5, values.shape), values)
-    tracemalloc.start()
-    try:
-        assert field.is_finite()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < values.size // 10  # an np.isfinite mask is 1 B per voxel
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_one_nonfinite_sample_is_rejected_everywhere(tmp_path, bad):
     # a single interior sample: neither the first nor the last in memory,
@@ -488,7 +478,8 @@ def test_one_nonfinite_sample_is_rejected_everywhere(tmp_path, bad):
     values = np.linspace(0.0, 1.0, 125).reshape(5, 5, 5)
     values[2, 3, 1] = bad
     field = ScalarField3(grid, values)
-    assert not field.is_finite()
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        grids.check_finite(field.min, field.max)
     with pytest.raises(ValueError, match="NaN or Inf"):
         marching_cubes(field, 0.5)
     with pytest.raises(ValueError, match="NaN or Inf"):
@@ -498,3 +489,21 @@ def test_one_nonfinite_sample_is_rejected_everywhere(tmp_path, bad):
     with pytest.raises(ValueError, match="NaN or Inf"):
         mode_decompose(field, [FilterParams.single_term(t=1.0)] * 2)
     assert not any(tmp_path.iterdir())
+
+
+def test_initial_slabs_give_each_init_kind():
+    mol = parse_xyzr(THREE_ATOM_XYZR)
+    grid = make_grid(mol, spacing=0.5)
+    piecewise = rasterize_piecewise(mol, grid).values
+    want = {
+        "piecewise": piecewise,
+        "gaussian": rasterize_gaussian(mol, grid, s=2.0, r_e=1.5).values,
+        "piecewise-swapped": 1.0 - piecewise,  # the complement, 1 inside
+    }
+    assert set(INIT_KINDS) == set(want)
+    for kind in INIT_KINDS:
+        got = ScalarField3.from_slabs(grid, initial_slabs(kind, mol, grid, s=2.0, r_e=1.5))
+        assert np.array_equal(got.values, want[kind]), kind
+    assert np.array_equal(rasterize_piecewise_swapped(mol, grid).values, 1.0 - piecewise)
+    with pytest.raises(ValueError, match=r"^init must be one of \(.*\), got 'smooth'$"):
+        initial_slabs("smooth", mol, grid)
