@@ -61,15 +61,15 @@ _MODULE_EXPORTS = {
         "mode_decompose",
         "spectral_energy",
     ),
-    "surface": ("TriangleMesh", "marching_cubes", "mesh_metrics", "write_obj", "write_off"),
-    "volumetrics": (
-        "export_opendx",
-        "export_raw",
-        "make_grid",
-        "rasterize_gaussian",
-        "rasterize_piecewise",
-        "rasterize_piecewise_swapped",
+    "surface": (
+        "TriangleMesh",
+        "marching_cubes",
+        "mesh_metrics",
+        "write_mesh",
+        "write_obj",
+        "write_off",
     ),
+    "volumetrics": ("make_grid", "rasterize", "write_volume"),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}
 

@@ -8,8 +8,8 @@ exists is valid, and the CLI reports a setting it refuses at stage config.
 build_parser's one option table serves flags and config files alike and
 checks no more than a value's type, so a value refused by flag, by config
 file or through the API gets the one text of the object that holds it.
-The output's extension picks each file's format: .off an OFF mesh and
-.raw a raw volume, in any case, and else OBJ and OpenDX.
+Each output's extension picks its format, read by the writer itself:
+surface.write_mesh for a mesh and volumetrics.VolumeWriter for a volume.
 A run that fails leaves no output file: each writer removes the file it
 was writing, and the run removes the files it had finished. Only a
 manifest that cannot be written, after every file is whole, leaves them.
@@ -20,46 +20,31 @@ and metrics files contain no timings or other run-varying content, so two
 runs of one configuration produce byte-identical files regardless of
 thread count; only the manifest's timing lines differ.
 
-The filter stage runs on the real FFT of the initial field, which for a
-real field is exactly the scalar channel of the Clifford-Fourier
-transform, so no multivector is built. It works on the band: per axis,
-the sorted bins whose squared wavenumber alone gets a nonzero gain at
-some propagation time of the run. Every bin outside the band's box gets
-a gain of exactly 0, because a bin's w^2 is at least each of its axis
-terms and the rounded gain exponent cannot fall as w^2 grows; the
-default filter keeps a few hundred of a million bins. So the run makes
-one forward transform of the band (rfftn's passes, keeping only band
-bins after each) and, per time, weights the band and inverts it
-(irfftn's passes on zero-filled band lines), and the field is
-bit-identical to full rfftn / irfftn. With eps > 0 no gain is 0 and the
-band is every bin. The manifest's filter.zero_gain_frac is the share of
-the half spectrum whose gain is 0, as pdefilter.zero_gain_frac counts
-it. Sweeps over several propagation times
-reuse the one forward spectrum (it does not depend on t); results are
-bit-identical to independent single-time runs because the per-time
-arithmetic is the same operations on the same spectrum. Several peel-off
-passes apply their closed-form summed gain 1 - (1 - L)^K in one step,
-equal to summing the mode_decompose modes up to rounding.
+The filter stage transforms the real initial field, the scalar channel
+of the Clifford-Fourier transform, on the band of bins that any time of
+the run can keep; pdefilter says why that is exact. The one forward
+spectrum serves every time, bit-identical to single-time runs, and
+several peel-off passes apply their summed gain 1 - (1 - L)^K in one step.
 
 The grid streams through the run in slabs of SLAB axis-0 planes, and no
-array the size of the grid is alive. Each rasterized slab goes straight
-into the forward transform of the band. Per time, one pass inverts the
-band slab by slab and feeds each slab to the field's range, the volume
-file, and the marching cubes of every isovalue, which carry the vertex
-ids of the plane they share with the next slab. Only the range scans the
-field's extremes: a NaN or an infinity fails at stage extract before the
-volume file or a marcher sees its slab. At the end of the pass, in
-isovalue order, each isovalue must lie inside the open range and outside
-the box faces' range, (face_min, face_max], where it would cut a box face
-and give an open mesh; else the run fails at stage extract and names the
-fixes, more padding or a smaller time. So
-a run holds the band, a few slabs' arrays, and the meshes of one time,
-one per isovalue, while they grow; each surface is then finished and
-measured while one second thread writes its mesh file, and the thread
-is joined before the next surface is finished, so only sweep(), which
-returns its meshes, holds more than one. Both threads only read the
-mesh. Every file is the one the whole-array functions write, byte for
-byte.
+array the size of the grid is alive. One slab pass feeds each rasterized
+slab to the initial range and the forward transform of the band. Per
+time, a second pass inverts the band slab by slab and feeds each slab to
+the field's range, the volume file, and the marching cubes of every
+isovalue, which carry the vertex ids of the plane they share with the
+next slab. Only the range scans the field's extremes: a NaN or an
+infinity fails at stage extract before the volume file or a marcher sees
+its slab. At the end of the pass, in isovalue order, each isovalue must
+lie inside the open range and outside the box faces' range, (face_min,
+face_max], where it would cut a box face and give an open mesh; else the
+run fails at stage extract and names the fixes, more padding or a
+smaller time. So a run holds the band, a few slabs' arrays, and the
+meshes of one time, one per isovalue, while they grow; each surface is
+then finished and measured while one second thread writes its mesh
+file, and the thread is joined before the next surface is finished, so
+only sweep(), which returns its meshes, holds more than one. Both
+threads only read the mesh. Every file is the one the whole-array
+functions write, byte for byte.
 """
 
 from __future__ import annotations
@@ -91,7 +76,7 @@ from .pdefilter import (
     spectral_energy,
     zero_gain_frac,
 )
-from .surface import SlabMarcher, mesh_metrics, write_obj, write_off
+from .surface import SlabMarcher, mesh_metrics, write_mesh
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -172,11 +157,9 @@ class RunConfig:
         volumetrics.check_grid_settings(self.spacing, self.padding)
         volumetrics.check_bump_settings(self.s, self.r_e)
         check_passes(self.passes)
-        if not self.times:
-            raise ValueError("need at least one propagation time")
         # each time's parameter set validates d, epsilon and the time
-        for t in self.times:
-            FilterParams(d=self.d, epsilon=self.epsilon, t=t)
+        if not self.filter_params:
+            raise ValueError("need at least one propagation time")
         if not self.isovalues:
             raise ValueError("need at least one isovalue")
         for iso in self.isovalues:
@@ -203,6 +186,11 @@ class RunConfig:
             seen.add(real)
         if not 0 < self.mem_cap_gib < np.inf:
             raise ValueError(f"mem-cap must be positive and finite, got {self.mem_cap_gib}")
+
+    @property
+    def filter_params(self) -> tuple[FilterParams, ...]:
+        """One FilterParams per time, in the order of times."""
+        return tuple(FilterParams(d=self.d, epsilon=self.epsilon, t=t) for t in self.times)
 
     def _output_paths(self) -> list[str]:
         """Every file a run of this config writes, volumes first."""
@@ -236,13 +224,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_mesh(mesh, path: str):
-    if path.lower().endswith(".off"):
-        write_off(mesh, path)
-    else:
-        write_obj(mesh, path)
-
-
 class _MeshWriter(threading.Thread):
     """Writes one mesh file on a thread of its own, started at once.
 
@@ -263,7 +244,7 @@ class _MeshWriter(threading.Thread):
         start = time.perf_counter()
         try:
             mesh, path, written = self._job
-            _write_mesh(mesh, path)
+            write_mesh(mesh, path)
             written.append(path)
         except BaseException as exc:
             self._error = exc
@@ -277,15 +258,6 @@ class _MeshWriter(threading.Thread):
             raise self._error
 
 
-@contextlib.contextmanager
-def _writing(path: str):
-    """An OSError in the block becomes a tagged output failure for path."""
-    try:
-        yield
-    except OSError as exc:
-        raise StageError("output", f"cannot write {path}: {exc}") from exc
-
-
 def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
     """Run the pipeline, appending the manifest lines to manifest.
 
@@ -295,35 +267,39 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
     timings: dict[str, float] = {}  # seconds per stage
 
     @contextlib.contextmanager
-    def stage(name):
+    def stage(name, path=None):
+        # an OSError on path fails as the file it was reading or writing
         start = time.perf_counter()
         try:
             yield
         except StageError:
             raise
         except Exception as exc:
-            raise StageError(name, str(exc)) from exc
+            message = str(exc)
+            if path is not None and isinstance(exc, OSError):
+                message = f"cannot {'read' if name == 'input' else 'write'} {path}: {exc}"
+            raise StageError(name, message) from exc
         finally:
             timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
-    def staged(name, parts):
-        # the slabs of parts, each one produced under stage(name); a slab is
-        # released before the next is made, here and by the loops below
+    def feed(parts, producer, consumers):
+        # each slab of parts, made under stage producer, goes to every
+        # consumer, a (stage, path, add), in order, under that stage; the
+        # slab is released before the next one is made
         parts = iter(parts)
         while True:
-            with stage(name):
+            with stage(producer):
                 part = next(parts, None)
             if part is None:
                 return
-            yield part
+            for name, path, add in consumers:
+                with stage(name, path):
+                    add(part)
             del part
 
-    with stage("input"):
-        try:
-            with open(cfg.input_path, "r") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise StageError("input", f"cannot read {cfg.input_path}: {exc}") from exc
+    with stage("input", cfg.input_path):
+        with open(cfg.input_path, "r") as fh:
+            text = fh.read()
         mol = molecule.parsers()[cfg.input_format](text, cfg.input_path)
 
     with stage("grid"):
@@ -336,19 +312,13 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
 
     # each slab of the initial field goes straight into the forward
     # transform over the band of every time, which serves them all
-    per_time = [FilterParams(d=cfg.d, epsilon=cfg.epsilon, t=t) for t in cfg.times]
     with stage("filter"):
-        forward = BandForward(SpectralBand.of(grid, per_time))
+        forward = BandForward(SpectralBand.of(grid, cfg.filter_params))
     initial = SlabRange(grid.dims)
     # the check below reports an overflow; numpy's warnings would repeat it
     with np.errstate(all="ignore"):
         parts = volumetrics.initial_slabs(cfg.init_kind, mol, grid, cfg.s, cfg.r_e)
-        for part in staged("rasterize", parts):
-            with stage("rasterize"):
-                initial.add(part)
-            with stage("filter"):
-                forward.add(part)
-            del part
+        feed(parts, "rasterize", [("rasterize", None, initial.add), ("filter", None, forward.add)])
     with stage("rasterize"):
         initial_min, initial_max = float(initial.min), float(initial.max)  # a NaN reaches both
         # the forward transform sums every voxel: bounded by n_voxels times
@@ -394,7 +364,7 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
         # one time at a time, and within it one pass over the filtered field's
         # slabs, which feeds the range, the volume file and every isovalue's
         # extraction; no slab outlives its pass
-        for i, (t, params) in enumerate(zip(cfg.times, per_time)):
+        for i, (t, params) in enumerate(zip(cfg.times, cfg.filter_params)):
             with stage("filter"):
                 # the peel-off passes fold into the closed-form gain 1 - (1 - L)^K;
                 # the smoothness indicator is read off the retained band
@@ -408,30 +378,26 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
                 parts = field_slabs(retained, band)
                 del retained
                 field = SlabRange(grid.dims)
+            # the range scans each slab first, so a NaN fails at stage extract
+            # before the volume file or a marcher sees it
+            consumers = [
+                ("filter", None, field.add),
+                ("extract", None, lambda part: check_finite(field.min, field.max)),
+            ]
             volume = None
             # a pass that fails removes its partial volume file
             with contextlib.ExitStack() as files:
                 if cfg.volume_out:
                     path = cfg._output_path(cfg.volume_out, t)
-                    fmt = "raw" if path.lower().endswith(".raw") else "dx"
-                    with stage("output"), _writing(path):
-                        volume = files.enter_context(volumetrics.VolumeWriter(grid, path, fmt))
+                    with stage("output", path):
+                        volume = files.enter_context(volumetrics.VolumeWriter(grid, path))
+                    consumers.append(("output", path, volume.write))
                 with stage("extract"):
                     marchers = [SlabMarcher(grid, iso) for iso in cfg.isovalues]
-                for part in staged("filter", parts):
-                    with stage("filter"):
-                        field.add(part)
-                    with stage("extract"):
-                        check_finite(field.min, field.max)
-                    if volume is not None:
-                        with stage("output"), _writing(path):
-                            volume.write(part)
-                    with stage("extract"):
-                        for marcher in marchers:
-                            marcher.add(part)
-                    del part
+                consumers += [("extract", None, marcher.add) for marcher in marchers]
+                feed(parts, "filter", consumers)
                 if volume is not None:
-                    with stage("output"), _writing(path):
+                    with stage("output", path):
                         files.close()  # finishes the file
                     written.append(path)
 
@@ -471,7 +437,7 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
                 values += asdict(metrics).items()
                 manifest += [f"{key}.mesh.{name}: {_fmt(v)}" for name, v in values]
                 if writer is not None:
-                    with stage("output"), _writing(path):
+                    with stage("output", path):
                         writer.wait()
                     timings["mesh_write"] = timings.get("mesh_write", 0.0) + writer.seconds
                     combo["mesh_file"] = path
@@ -480,7 +446,7 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
                     path = cfg._output_path(cfg.metrics_out, t, iso)
                     lines = [("t", t), ("isovalue", iso), *values]
                     report = "".join(f"{name}: {_fmt(v)}\n" for name, v in lines)
-                    with stage("output"), _writing(path), new_file(path) as fh:
+                    with stage("output", path), new_file(path) as fh:
                         fh.write(report.encode())
                     written.append(path)
                     combo["metrics_file"] = path
@@ -542,6 +508,22 @@ class _Parser(argparse.ArgumentParser):
         raise StageError("config", message)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's help layout, with no line broken at a word's hyphen.
+
+    So a name such as piecewise-swapped stays whole at any width.
+    """
+
+    def _split_lines(self, text, width):
+        import textwrap  # as argparse does: only when help is formatted
+
+        return textwrap.wrap(self._whitespace_matcher.sub(" ", text).strip(), width,
+                             break_on_hyphens=False)
+
+    def _fill_text(self, text, width, indent):
+        return "\n".join(indent + line for line in self._split_lines(text, width - len(indent)))
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The one option table, for flags and config files alike.
 
@@ -555,6 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
             "PDE filtering of atom-derived scalar fields."
         ),
         allow_abbrev=False,  # a prefix is neither a flag nor a config key
+        formatter_class=_HelpFormatter,
     )
     p.add_argument("--input", dest="input_path", help="structure file (PQR, PDB, or XYZR)")
     p.add_argument(

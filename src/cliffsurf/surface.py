@@ -532,3 +532,11 @@ def write_off(mesh: TriangleMesh, path) -> None:
         fh.write(f"OFF\n{mesh.n_vertices} {mesh.n_triangles} {len(starts)}\n".encode())
         write_rows(fh, "%.6f %.6f %.6f\n", mesh.vertices)
         write_rows(fh, "3 %d %d %d\n", mesh.triangles)
+
+
+def write_mesh(mesh: TriangleMesh, path) -> None:
+    """Write an OFF file where path ends in .off, in any case, and else an OBJ file."""
+    if str(path).lower().endswith(".off"):
+        write_off(mesh, path)
+    else:
+        write_obj(mesh, path)

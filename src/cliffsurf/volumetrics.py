@@ -11,9 +11,10 @@ Two initial fields drive the smoothing pipeline:
 Both rasterizers produce the field as consecutive slabs of SLAB axis-0
 planes (piecewise_slabs, gaussian_slabs). initial_slabs gives the slabs
 of each of INIT_KINDS, the swapped kind being 1 minus the piecewise
-field, and the CLI streams them into the filter; rasterize_* assemble
-the slabs into a whole field, and the volume writers take a field slab
-by slab too (VolumeWriter).
+field, and the CLI streams them into the filter; rasterize(kind)
+assembles them into a whole field. A volume file is written slab by
+slab too (VolumeWriter), in the format its path's extension names:
+raw for .raw, in any case, and else OpenDX.
 
 The piecewise rasterizer touches each atom's bounding window only. The
 bumps reach every voxel, so the gaussian rasterizer prunes atoms in two
@@ -77,7 +78,7 @@ INIT_KINDS = ("piecewise", "gaussian", "piecewise-swapped")
 # model of slabs, band and meshes is an open item.
 _BYTES_PER_VOXEL = 72
 
-# edges, in voxels, of the cubes rasterize_gaussian prunes atoms over and
+# edges, in voxels, of the cubes gaussian_slabs prunes atoms over and
 # of the leaves it refines each cube's candidates to; a layer of cubes is
 # one slab deep
 _BLOCK = SLAB
@@ -163,7 +164,12 @@ def make_grid(
 
 
 def piecewise_slabs(mol: Molecule, grid: GridSpec) -> Iterator[np.ndarray]:
-    """rasterize_piecewise's values as consecutive SLAB-plane slabs along axis 0.
+    """The binary field, 0 within any atom sphere and 1 elsewhere, as SLAB-plane slabs.
+
+    A voxel center exactly on a sphere boundary counts as inside. Each
+    atom only touches the voxels in its bounding window, so cost is
+    O(atoms * window), not O(atoms * grid). The slabs are consecutive
+    along axis 0.
 
     The atoms are drawn in order of their window's first plane into a
     rolling boolean buffer of planes that starts at the current slab and
@@ -216,43 +222,15 @@ def _piecewise_slabs(axes, atoms, depth):
         outside[-SLAB:] = True
 
 
-def rasterize_piecewise(mol: Molecule, grid: GridSpec) -> ScalarField3:
-    """Binary inside/outside field: 0 within any atom sphere, 1 elsewhere.
-
-    A voxel center exactly on a sphere boundary counts as inside. Each
-    atom only touches the voxels in its bounding window, so cost is
-    O(atoms * window), not O(atoms * grid). The slabs come from
-    piecewise_slabs.
-    """
-    return ScalarField3.from_slabs(grid, piecewise_slabs(mol, grid))
-
-
-def rasterize_piecewise_swapped(mol: Molecule, grid: GridSpec) -> ScalarField3:
-    """The complementary binary field: 1 inside the spheres, 0 outside."""
-    return ScalarField3.from_slabs(grid, initial_slabs("piecewise-swapped", mol, grid))
-
-
-def rasterize_gaussian(
-    mol: Molecule,
-    grid: GridSpec,
-    s: float = DEFAULT_BUMP_HEIGHT,
-    r_e: float = DEFAULT_BUMP_DECAY,
-) -> ScalarField3:
-    """Smooth-bump field: max over atoms of s*exp(-(d^2 - r^2)/r_e^2).
-
-    The slabs come from gaussian_slabs, which says how they are computed
-    and what memory they take besides the returned field (8 B/voxel).
-    """
-    return ScalarField3.from_slabs(grid, gaussian_slabs(mol, grid, s=s, r_e=r_e))
-
-
 def gaussian_slabs(
     mol: Molecule,
     grid: GridSpec,
     s: float = DEFAULT_BUMP_HEIGHT,
     r_e: float = DEFAULT_BUMP_DECAY,
 ) -> Iterator[np.ndarray]:
-    """rasterize_gaussian's values as consecutive SLAB-plane slabs, one per layer of cubes.
+    """The smooth-bump field as consecutive SLAB-plane slabs, one per layer of cubes.
+
+    The field is the max over atoms of s * exp(-(d^2 - r^2) / r_e^2).
 
     Computed through the power-distance identity
         max_b exp(-(d_b^2 - r_b^2)/r_e^2) = exp(-min_b(d_b^2 - r_b^2)/r_e^2),
@@ -297,8 +275,8 @@ def gaussian_slabs(
     none of them the size of the grid. Traced peaks while the slabs are
     consumed one at a time: 2.5 B/voxel (3.6 MB) for 300 atoms at 112^3,
     and 7.5 (9.4 MB) for 3000 atoms at 108^3, most of it the candidate
-    pairs of one layer of cubes. rasterize_gaussian, which assembles the
-    field, peaks at 11.1 and 16.0.
+    pairs of one layer of cubes. rasterize("gaussian", ...), which
+    assembles the field, peaks at 11.1 and 16.0.
     """
     check_bump_settings(s, r_e)
     return _gaussian_slabs(mol, grid, s, r_e)
@@ -453,23 +431,38 @@ def initial_slabs(
     return parts
 
 
+def rasterize(
+    kind: str,
+    mol: Molecule,
+    grid: GridSpec,
+    s: float = DEFAULT_BUMP_HEIGHT,
+    r_e: float = DEFAULT_BUMP_DECAY,
+) -> ScalarField3:
+    """The initial field of one of INIT_KINDS, assembled from initial_slabs."""
+    return ScalarField3.from_slabs(grid, initial_slabs(kind, mol, grid, s, r_e))
+
+
 class VolumeWriter:
     """A volume file written from consecutive slabs of axis-0 planes, as a context manager.
 
-    fmt "dx" writes export_opendx's layout and "raw" export_raw's, byte
-    for byte: the OpenDX rows of three values may span two slabs, so the
-    one or two values left at the end of a slab are carried to the next.
-    No value is scanned: callers refuse a NaN or an infinity first. A
-    normal exit finishes the file, and any failure removes it.
+    A path ending in .raw, in any case, gets a small self-describing
+    binary dump: dims as 3 int64, origin as 3 float64 and spacing as 1
+    float64, then the values as float64 with z fastest, all
+    little-endian. Any other path gets an OpenDX scalar map (the
+    electrostatics-tool layout): gridpositions counts, origin, three
+    axis-aligned deltas and gridconnections, then the values three to a
+    line with z fastest, then the field trailer. The OpenDX rows may span
+    two slabs, so the one or two values left at the end of a slab are
+    carried to the next. No value is scanned: callers refuse a NaN or an
+    infinity first. A normal exit finishes the file, and any failure
+    removes it.
     """
 
-    def __init__(self, grid: GridSpec, path, fmt: str):
-        if fmt not in ("dx", "raw"):
-            raise ValueError(f"volume format must be dx or raw, got {fmt}")
-        self.grid, self.fmt = grid, fmt
+    def __init__(self, grid: GridSpec, path):
+        self.grid, self.raw = grid, str(path).lower().endswith(".raw")
         self._feed = PlaneFeed(grid.dims)
         self._carry = np.empty(0)
-        if fmt == "raw":
+        if self.raw:
             header = b"".join([
                 np.asarray(grid.dims, dtype="<i8").tobytes(),
                 np.asarray(grid.origin, dtype="<f8").tobytes(),
@@ -497,7 +490,7 @@ class VolumeWriter:
 
     def write(self, slab: np.ndarray) -> None:
         self._feed.add(slab)
-        if self.fmt == "raw":
+        if self.raw:
             # a view of the values when they are already little-endian
             # float64 and C-ordered; a copy only where the dtype or layout
             # needs one
@@ -518,7 +511,7 @@ class VolumeWriter:
             return self._file.__exit__(kind, exc, tb)
         with self._file:  # and removes it if finishing fails
             self._feed.finish()
-            if self.fmt == "dx":
+            if not self.raw:
                 if self._carry.size:  # one or two values on the last data line
                     last = self._carry[None]
                     write_rows(self._fh, " ".join(["%.6e"] * last.size) + "\n", last)
@@ -533,28 +526,12 @@ class VolumeWriter:
             self._fh.close()  # closing flushes, and can fail too
 
 
-def _export(field: ScalarField3, path, fmt: str) -> None:
+def write_volume(field: ScalarField3, path) -> None:
+    """Write the field to path in VolumeWriter's format for it.
+
+    A field with a NaN or an infinity is refused before the file is opened.
+    """
     check_finite(field.min, field.max)
-    with VolumeWriter(field.grid, path, fmt) as writer:
+    with VolumeWriter(field.grid, path) as writer:
         for slab in slabs(field.values):
             writer.write(slab)
-
-
-def export_opendx(field: ScalarField3, path) -> None:
-    """Write the field as an OpenDX scalar map (the electrostatics-tool layout).
-
-    Header: gridpositions counts, origin, three axis-aligned deltas,
-    gridconnections, then the data array three values per line with the
-    z index varying fastest, then the field trailer. A field with a NaN
-    or an infinity is refused before the file is opened.
-    """
-    _export(field, path, "dx")
-
-
-def export_raw(field: ScalarField3, path) -> None:
-    """Write the field as a small self-describing binary dump.
-
-    Layout, all little-endian: dims as 3 int64, origin as 3 float64,
-    spacing as 1 float64, then the values as float64 with z fastest.
-    """
-    _export(field, path, "raw")

@@ -298,7 +298,7 @@ def test_criterion_5_three_atom_reproduction(capfd):
     with criterion(5, capfd, budget_s=120.0):
         mol = parse_xyzr(THREE_ATOM_XYZR)
         grid = volumetrics.make_grid(mol, spacing=0.25, padding=5.0)
-        init = volumetrics.rasterize_piecewise(mol, grid)
+        init = volumetrics.rasterize("piecewise", mol, grid)
         d = (0.0,) * 5 + (1.0,)  # 2m = 12
 
         filtered = {
@@ -385,7 +385,7 @@ def test_criterion_8_format_goldens(tmp_path, capfd):
         # writers against hand-verified bytes
         grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=(2, 2, 2))
         ramp = ScalarField3(grid, np.arange(8, dtype=float).reshape(2, 2, 2))
-        volumetrics.export_opendx(ramp, tmp_path / "ramp.dx")
+        volumetrics.write_volume(ramp, tmp_path / "ramp.dx")
         assert (tmp_path / "ramp.dx").read_bytes() == (GOLDEN / "unit_ramp.dx").read_bytes()
 
         mesh = TriangleMesh(

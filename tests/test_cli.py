@@ -6,6 +6,7 @@ documented stage map (0 ok, 2 input, 3 config, 4 compute, 5 output).
 """
 
 import builtins
+import dataclasses
 import gc
 import importlib.util
 import os
@@ -47,7 +48,7 @@ from cliffsurf.pdefilter import (
     lowpass_apply,
     mode_decompose,
 )
-from cliffsurf.volumetrics import _BYTES_PER_VOXEL, make_grid, rasterize_piecewise
+from cliffsurf.volumetrics import _BYTES_PER_VOXEL, make_grid, rasterize
 
 from conftest import FullDisk, read_dx, read_obj, read_off, read_raw
 
@@ -163,10 +164,13 @@ def test_off_extension_selects_off_writer(three_atom_file, tmp_path, capsys):
 
 
 def test_missing_input_file_exits_2(tmp_path, capsys):
-    code, out, err = run_cli(["--input", str(tmp_path / "absent.xyzr")], capsys)
+    path = str(tmp_path / "absent.xyzr")
+    code, out, err = run_cli(["--input", path], capsys)
     assert code == EXIT_INPUT
     assert out == ""
-    assert err.startswith("error[stage=input]: ")
+    assert err == (
+        f"error[stage=input]: cannot read {path}: [Errno 2] No such file or directory: '{path}'\n"
+    )
 
 
 def test_malformed_input_exits_2(tmp_path, capsys):
@@ -320,7 +324,7 @@ def overlap_write_and_metrics(monkeypatch):
     """
     written = threading.Event()
     writers = []
-    real_write, real_metrics = cli._write_mesh, cli.mesh_metrics
+    real_write, real_metrics = cli.write_mesh, cli.mesh_metrics
 
     def write(mesh, path):
         writers.append(threading.get_ident())
@@ -334,7 +338,7 @@ def overlap_write_and_metrics(monkeypatch):
         written.clear()
         return real_metrics(mesh)
 
-    monkeypatch.setattr(cli, "_write_mesh", write)
+    monkeypatch.setattr(cli, "write_mesh", write)
     monkeypatch.setattr(cli, "mesh_metrics", metrics)
     return writers
 
@@ -410,7 +414,7 @@ def test_metrics_failing_beside_the_mesh_write_leaves_no_mesh_file(
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     written = threading.Event()
-    real_write = cli._write_mesh
+    real_write = cli.write_mesh
 
     def write(mesh, path):
         real_write(mesh, path)
@@ -420,7 +424,7 @@ def test_metrics_failing_beside_the_mesh_write_leaves_no_mesh_file(
         written.wait(timeout=5)
         raise ValueError("metrics exploded")
 
-    monkeypatch.setattr(cli, "_write_mesh", write)
+    monkeypatch.setattr(cli, "write_mesh", write)
     monkeypatch.setattr(cli, "mesh_metrics", broken)
     threads = threading.active_count()
     code, out, err = run_cli(
@@ -852,6 +856,9 @@ def test_run_config_normalizes_its_numbers(three_atom_file, capsys):
     assert given == want and hash(given) == hash(want)
     assert all(type(v) is float for v in (given.spacing, given.mem_cap_gib, *given.d))
     assert type(given.times[0]) is float
+    # one FilterParams per time, a property: no field, so no part of == or hash
+    assert given.filter_params == (FilterParams(d=want.d, epsilon=0.0, t=100.0),)
+    assert "filter_params" not in {f.name for f in dataclasses.fields(RunConfig)}
     code, out, _ = run_cli(["--input", three_atom_file, "--spacing", "1"], capsys)
     assert code == EXIT_OK
     untimed = lambda text: [line for line in text.splitlines() if not line.startswith("timing.")]
@@ -1184,6 +1191,16 @@ def test_format_choices_are_the_molecule_table():
     assert action.help == "input format: pqr, pdb, xyzr, auto (default auto)"
 
 
+@pytest.mark.parametrize("columns", range(60, 121, 10))
+def test_help_keeps_each_init_kind_whole(monkeypatch, columns):
+    # argparse wraps at the terminal's width, 80 columns when stdout is no
+    # terminal; no line breaks at the hyphen of piecewise-swapped
+    monkeypatch.setenv("COLUMNS", str(columns))
+    lines = build_parser().format_help().splitlines()
+    for kind in volumetrics.INIT_KINDS:
+        assert any(kind in line for line in lines), kind
+
+
 def test_swapped_initialization_mirrors_piecewise(three_atom_file):
     """The swapped field is the exact complement, so its default level-0.1
     surface matches the piecewise level-0.9 surface with reversed
@@ -1435,7 +1452,7 @@ def test_both_process_entries_run_console_main():
 
 def _cli_initial_field(path, spacing):
     mol = parse_xyzr(Path(path).read_text(), path)
-    return rasterize_piecewise(mol, make_grid(mol, spacing=spacing))
+    return rasterize("piecewise", mol, make_grid(mol, spacing=spacing))
 
 
 @pytest.mark.parametrize("passes", [2, 3])
@@ -1474,7 +1491,7 @@ def test_face_range_tells_whether_the_mesh_is_closed(three_atom_file, tmp_path, 
     # the run's field, bit for bit: a failed run leaves no volume to read
     mol = parse_xyzr(Path(three_atom_file).read_text(), three_atom_file)
     params = FilterParams(d=default_coefficients(), epsilon=0.0, t=100.0)
-    values = lowpass_apply(rasterize_piecewise(mol, make_grid(mol, **box)), params).values
+    values = lowpass_apply(rasterize("piecewise", mol, make_grid(mol, **box)), params).values
     faces = [values[[0, -1]], values[:, [0, -1]], values[:, :, [0, -1]]]
     lo, hi = float(min(f.min() for f in faces)), float(max(f.max() for f in faces))
     assert (not lo < 0.9 <= hi) == closed

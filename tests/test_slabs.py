@@ -217,7 +217,7 @@ def test_field_from_slabs_refuses_a_partial_field():
 
 
 def _dx_oracle(values, grid):
-    """export_opendx's bytes through Python's `%`, the whole array at once."""
+    """write_volume's OpenDX bytes through Python's `%`, the whole array at once."""
     nx, ny, nz = grid.dims
     h = grid.spacing
     ox, oy, oz = grid.origin
@@ -259,21 +259,24 @@ def test_streamed_volume_writers_match_whole_array_bytes(tmp_path_factory, dims,
     grid = GridSpec(origin=tuple(rng.uniform(-5.0, 5.0, 3)), spacing=0.37, dims=dims)
     values = rng.standard_normal(dims) * 10.0 ** rng.integers(-3, 4, dims)
     path = tmp_path_factory.mktemp("vol")
-    for fmt in ("dx", "raw"):
-        with VolumeWriter(grid, path / f"v.{fmt}", fmt) as writer:
+    # the path's extension picks the format: .raw in any case, else OpenDX
+    names = ("v.dx", "v.raw", "v.RAW", "v.dat")
+    for name in names:
+        with VolumeWriter(grid, path / name) as writer:
             for slab in slabs(values, rows):
                 writer.write(slab)
-    assert (path / "v.dx").read_bytes() == _dx_oracle(values, grid)
     raw = np.asarray(dims, "<i8").tobytes() + np.asarray(grid.origin, "<f8").tobytes()
     raw += np.float64(grid.spacing).astype("<f8").tobytes() + values.astype("<f8").tobytes()
-    assert (path / "v.raw").read_bytes() == raw
+    want = dict(zip(names, (_dx_oracle(values, grid), raw, raw, _dx_oracle(values, grid))))
+    for name in names:
+        assert (path / name).read_bytes() == want[name], name
 
 
 def test_volume_writer_removes_a_refused_file(tmp_path):
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(4, 2, 2))
     path = tmp_path / "v.dx"
     with pytest.raises(ValueError, match="does not fit"):
-        with VolumeWriter(grid, path, "dx") as writer:
+        with VolumeWriter(grid, path) as writer:
             writer.write(np.zeros((2, 2, 2)))
             writer.write(np.zeros((2, 2, 3)))
     assert not path.exists()
@@ -288,19 +291,19 @@ def test_volume_writer_refuses_a_short_or_misshapen_field(tmp_path, fmt):
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(4, 2, 2))
     path = tmp_path / f"v.{fmt}"
     with pytest.raises(ValueError, match="fed 3 of 4 planes"):
-        with VolumeWriter(grid, path, fmt) as writer:
+        with VolumeWriter(grid, path) as writer:
             writer.write(np.zeros((3, 2, 2)))
     assert not path.exists()
     with pytest.raises(ValueError, match=r"slab of shape \(4, 3, 3\) does not fit"):
-        with VolumeWriter(grid, path, fmt) as writer:
+        with VolumeWriter(grid, path) as writer:
             writer.write(np.zeros((4, 3, 3)))
     assert not path.exists()
     with pytest.raises(ValueError, match="fed 6 of 4 planes"):
-        with VolumeWriter(grid, path, fmt) as writer:
+        with VolumeWriter(grid, path) as writer:
             for _ in range(3):
                 writer.write(np.zeros((2, 2, 2)))
     assert not path.exists()
-    with VolumeWriter(grid, path, fmt) as writer:
+    with VolumeWriter(grid, path) as writer:
         writer.write(np.zeros((4, 2, 2)))
     assert path.exists()
 
@@ -321,7 +324,7 @@ def _then_unrefused(parts):
 
 
 def _write_dx(grid, path, parts):
-    with VolumeWriter(grid, path, "dx") as writer:
+    with VolumeWriter(grid, path) as writer:
         _feed_each(writer.write, parts)
 
 
@@ -376,7 +379,7 @@ def test_volume_writer_removes_a_file_it_fails_to_finish(tmp_path, fmt, fail):
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=1.0, dims=(4, 2, 2))
     path = tmp_path / f"v.{fmt}"
     with pytest.raises(OSError, match="No space left"):
-        with VolumeWriter(grid, path, fmt) as writer:
+        with VolumeWriter(grid, path) as writer:
             writer.write(np.zeros((4, 2, 2)))
             writer._fh = FullDisk(writer._fh, fail)
     assert not path.exists()
@@ -440,7 +443,7 @@ def test_write_rows_chunks_do_not_matter_to_streamed_dx(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     grid = GridSpec(origin=(0.0, 0.0, 0.0), spacing=0.5, dims=(7, 5, 4))
     values = rng.standard_normal(grid.dims)
-    with VolumeWriter(grid, tmp_path / "v.dx", "dx") as writer:
+    with VolumeWriter(grid, tmp_path / "v.dx") as writer:
         for slab in slabs(values, 3):
             writer.write(slab)
     assert (tmp_path / "v.dx").read_bytes() == _dx_oracle(values, grid)
@@ -457,7 +460,7 @@ def test_streamed_dx_of_a_mixed_sign_field_matches_percent(tmp_path, monkeypatch
     values = rng.uniform(0.5, 2.0, grid.dims) * 10.0 ** rng.integers(-12, 12, grid.dims)
     values[np.sin(x) * np.cos(y) * np.sin(z) > 0.3] *= -1
     values[0, 0, :3] = [0.0, -0.0, 1e-300]
-    with VolumeWriter(grid, tmp_path / "v.dx", "dx") as writer:
+    with VolumeWriter(grid, tmp_path / "v.dx") as writer:
         for slab in slabs(values, 11):
             writer.write(slab)
     assert values.size % 3 and (values < 0).mean() > 0.05

@@ -20,10 +20,11 @@ from cliffsurf.surface import (
     TriangleMesh,
     marching_cubes,
     mesh_metrics,
+    write_mesh,
     write_obj,
     write_off,
 )
-from cliffsurf.volumetrics import make_grid, rasterize_piecewise
+from cliffsurf.volumetrics import make_grid, rasterize
 from conftest import marching_cubes_loop, read_obj, read_off, sphere_distance_field
 
 GOLDEN = __file__.rsplit("/", 1)[0] + "/golden"
@@ -444,7 +445,7 @@ def test_mesh_is_closed_exactly_when_the_box_faces_are_one_sided(case):
 
 def _three_atom_field(three_atoms):
     grid = make_grid(three_atoms, spacing=0.25, padding=5.0)
-    init = rasterize_piecewise(three_atoms, grid)
+    init = rasterize("piecewise", three_atoms, grid)
     d = (0.0,) * 5 + (1.0,)
     return lowpass_apply(init, FilterParams(d=d, epsilon=0.0, t=1e2))
 
@@ -784,6 +785,12 @@ def test_mesh_writers_chunked_match_per_value_formatter(tmp_path, rng, monkeypat
     off += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
     write_off(mesh, tmp_path / "m.off")
     assert (tmp_path / "m.off").read_text() == "\n".join(off) + "\n"
+
+    # write_mesh writes OFF for a .off name in any case, and else OBJ
+    for name in ("w.off", "w.OFF", "w.Off", "w.obj", "w.OBJ", "w.txt", "w", "w.off.obj"):
+        write_mesh(mesh, tmp_path / name)
+        want = off if name.lower().endswith(".off") else obj
+        assert (tmp_path / name).read_text() == "\n".join(want) + "\n", name
 
 
 def test_writers_refuse_empty():

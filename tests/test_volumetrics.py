@@ -17,13 +17,11 @@ from cliffsurf.surface import marching_cubes
 from cliffsurf.volumetrics import (
     _BYTES_PER_VOXEL,
     INIT_KINDS,
-    export_opendx,
-    export_raw,
     initial_slabs,
     make_grid,
-    rasterize_gaussian,
-    rasterize_piecewise,
-    rasterize_piecewise_swapped,
+    piecewise_slabs,
+    rasterize,
+    write_volume,
 )
 from conftest import THREE_ATOM_XYZR, rasterize_gaussian_all_atoms, read_dx, read_raw
 
@@ -134,7 +132,7 @@ def test_make_grid_rejects_nonfinite_settings(three_atoms, bad):
 def test_piecewise_inside_outside():
     mol = _single_atom(r=1.0)
     grid = GridSpec(origin=(-2.0, -2.0, -2.0), spacing=0.5, dims=(9, 9, 9))
-    field = rasterize_piecewise(mol, grid)
+    field = rasterize("piecewise", mol, grid)
     x, y, z = grid.meshes()
     d2 = x * x + y * y + z * z
     want = np.where(d2 <= 1.0, 0.0, 1.0)
@@ -146,7 +144,7 @@ def test_piecewise_inside_outside():
 
 def test_piecewise_union_of_overlapping_atoms(three_atoms):
     grid = make_grid(three_atoms, spacing=0.5, padding=2.0)
-    field = rasterize_piecewise(three_atoms, grid)
+    field = rasterize("piecewise", three_atoms, grid)
     x, y, z = grid.meshes(sparse=True)
     inside_any = np.zeros(grid.dims, dtype=bool)
     for c, radius in zip(three_atoms.centers.tolist(), three_atoms.radii.tolist()):
@@ -159,22 +157,22 @@ def test_piecewise_union_of_overlapping_atoms(three_atoms):
 def test_piecewise_atom_outside_grid_is_clipped():
     mol = Molecule([(0.0, 0.0, 0.0), (50.0, 0.0, 0.0)], [1.0, 1.0])
     grid = GridSpec(origin=(-2.0, -2.0, -2.0), spacing=0.5, dims=(9, 9, 9))
-    field = rasterize_piecewise(mol, grid)
+    field = rasterize("piecewise", mol, grid)
     assert field.values[4, 4, 4] == 0.0
     assert field.min == 0.0 and field.max == 1.0
 
 
 def test_piecewise_swapped_is_complement(three_atoms):
     grid = make_grid(three_atoms, spacing=0.5, padding=2.0)
-    a = rasterize_piecewise(three_atoms, grid).values
-    b = rasterize_piecewise_swapped(three_atoms, grid).values
+    a = rasterize("piecewise", three_atoms, grid).values
+    b = rasterize("piecewise-swapped", three_atoms, grid).values
     assert np.array_equal(a + b, np.ones(grid.dims))
 
 
 def test_gaussian_matches_analytic_maximum(three_atoms, rng):
     grid = make_grid(three_atoms, spacing=0.5, padding=2.0)
     s, r_e = 1.3, 2.5
-    field = rasterize_gaussian(three_atoms, grid, s=s, r_e=r_e)
+    field = rasterize("gaussian", three_atoms, grid, s=s, r_e=r_e)
     axes = grid.axes()
     for _ in range(50):
         i, j, k = (int(rng.integers(0, n)) for n in grid.dims)
@@ -189,7 +187,7 @@ def test_gaussian_matches_analytic_maximum(three_atoms, rng):
 def test_gaussian_equals_s_on_isolated_sphere_surface():
     mol = _single_atom(r=1.5)
     grid = GridSpec(origin=(-3.0, -3.0, -3.0), spacing=0.75, dims=(9, 9, 9))
-    field = rasterize_gaussian(mol, grid, s=2.0, r_e=3.0)
+    field = rasterize("gaussian", mol, grid, s=2.0, r_e=3.0)
     # (1.5, 0, 0) is a grid point exactly on the sphere
     assert np.isclose(field.values[6, 4, 4], 2.0, rtol=1e-14)
     assert field.values[4, 4, 4] > 2.0  # interior exceeds s
@@ -199,9 +197,9 @@ def test_gaussian_equals_s_on_isolated_sphere_surface():
 def test_gaussian_validation(three_atoms):
     grid = make_grid(three_atoms, spacing=1.0, padding=1.0)
     with pytest.raises(ValueError):
-        rasterize_gaussian(three_atoms, grid, s=0.0)
+        rasterize("gaussian", three_atoms, grid, s=0.0)
     with pytest.raises(ValueError):
-        rasterize_gaussian(three_atoms, grid, r_e=-1.0)
+        rasterize("gaussian", three_atoms, grid, r_e=-1.0)
 
 
 @pytest.mark.parametrize(
@@ -214,7 +212,7 @@ def test_gaussian_refuses_a_non_finite_height_or_decay(three_atoms, kwargs):
     # constant one
     grid = make_grid(three_atoms, spacing=0.5)
     with pytest.raises(ValueError, match="must be positive and finite"):
-        rasterize_gaussian(three_atoms, grid, **kwargs)
+        rasterize("gaussian", three_atoms, grid, **kwargs)
 
 
 def _globule(rng, atoms=300, ball=9.9, radius=1.7, separation=2.0):
@@ -246,7 +244,7 @@ def test_gaussian_matches_all_atom_oracle_mixed_radii(seed):
     mol = _mixed_radii(rng, int(rng.integers(2, 60)), -6.0, 6.0)
     grid = make_grid(mol, spacing=float(rng.uniform(0.3, 0.7)), padding=2.0)
     s, r_e = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 4.0))
-    got = rasterize_gaussian(mol, grid, s=s, r_e=r_e).values
+    got = rasterize("gaussian", mol, grid, s=s, r_e=r_e).values
     assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid, s=s, r_e=r_e).values)
 
 
@@ -259,7 +257,7 @@ def test_gaussian_matches_all_atom_oracle_on_odd_dims(dims):
     rng = np.random.default_rng(sum(dims))
     grid = GridSpec(origin=(-2.0, -3.0, -1.5), spacing=0.5, dims=dims)
     mol = _mixed_radii(rng, 40, -8.0, 12.0)
-    got = rasterize_gaussian(mol, grid).values
+    got = rasterize("gaussian", mol, grid).values
     assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
 
 
@@ -272,7 +270,7 @@ def test_gaussian_matches_all_atom_oracle_with_exact_ties(dims):
     base = rng.uniform(-1.0, 9.0, (12, 3))
     base[0] = (2.0, 4.0, 8.0)  # a voxel centre in the last z block, one voxel wide
     mol = Molecule(np.vstack([base, base]), np.repeat([1.2, 1.9], [18, 6]))
-    got = rasterize_gaussian(mol, grid).values
+    got = rasterize("gaussian", mol, grid).values
     assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
 
 
@@ -280,7 +278,7 @@ def test_gaussian_matches_all_atom_oracle_with_exact_ties(dims):
 def test_gaussian_matches_all_atom_oracle_one_atom(center):
     grid = GridSpec(origin=(-4.0, -4.0, -4.0), spacing=0.4, dims=(21, 20, 19))
     mol = Molecule([center], [1.6])
-    got = rasterize_gaussian(mol, grid).values
+    got = rasterize("gaussian", mol, grid).values
     assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
 
 
@@ -288,7 +286,7 @@ def test_gaussian_matches_all_atom_oracle_on_globule():
     mol = _globule(np.random.default_rng(11))
     grid = make_grid(mol, spacing=0.3)
     assert grid.dims == (112, 112, 112)
-    got = rasterize_gaussian(mol, grid).values
+    got = rasterize("gaussian", mol, grid).values
     assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid).values)
 
 
@@ -326,7 +324,7 @@ def _prune_cases(draw):
 @given(_prune_cases())
 def test_gaussian_two_level_prune_matches_all_atom_oracle(case):
     mol, grid, s, r_e = case
-    got = rasterize_gaussian(mol, grid, s=s, r_e=r_e).values
+    got = rasterize("gaussian", mol, grid, s=s, r_e=r_e).values
     assert np.array_equal(got, rasterize_gaussian_all_atoms(mol, grid, s=s, r_e=r_e).values)
 
 
@@ -336,7 +334,7 @@ def test_gaussian_peak_memory_per_voxel():
     grid = GridSpec(origin=(-15.0, -15.0, -15.0), spacing=0.3, dims=(100, 100, 100))
     tracemalloc.start()
     try:
-        rasterize_gaussian(mol, grid)
+        rasterize("gaussian", mol, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -351,16 +349,16 @@ def _ramp_field():
 
 def test_opendx_golden_bytes(tmp_path):
     path = tmp_path / "ramp.dx"
-    export_opendx(_ramp_field(), path)
+    write_volume(_ramp_field(), path)
     golden = open(f"{GOLDEN}/unit_ramp.dx", "rb").read()
     assert path.read_bytes() == golden
 
 
 def test_opendx_round_trip(tmp_path, three_atoms):
     grid = make_grid(three_atoms, spacing=0.8, padding=1.0)
-    field = rasterize_gaussian(three_atoms, grid)
+    field = rasterize("gaussian", three_atoms, grid)
     path = tmp_path / "vol.dx"
-    export_opendx(field, path)
+    write_volume(field, path)
     dims, origin, deltas, values = read_dx(path)
     assert dims == grid.dims
     assert np.allclose(origin, grid.origin, atol=1e-6)
@@ -371,7 +369,7 @@ def test_opendx_round_trip(tmp_path, three_atoms):
 
 def test_opendx_z_varies_fastest(tmp_path):
     path = tmp_path / "ramp.dx"
-    export_opendx(_ramp_field(), path)
+    write_volume(_ramp_field(), path)
     text = path.read_text().splitlines()
     first_data = text[7].split()
     # values[0,0,0], [0,0,1], [0,1,0] in file order
@@ -414,7 +412,7 @@ def test_opendx_chunked_matches_per_value_formatter(tmp_path, rng, monkeypatch, 
     flat[:5] = [-0.0, 5e-324, 1e300, -2.5e-310, 0.0]
     field = ScalarField3(GridSpec((-1.5, 0.25, 3.0), 0.35, dims), values)
     path = tmp_path / "v.dx"
-    export_opendx(field, path)
+    write_volume(field, path)
     assert path.read_text() == _per_value_dx(field)
 
 
@@ -422,7 +420,7 @@ def test_raw_round_trip_bit_exact(tmp_path, rng):
     grid = GridSpec(origin=(-1.25, 0.5, 3.0), spacing=0.3, dims=(4, 5, 6))
     field = ScalarField3(grid, rng.standard_normal((4, 5, 6)))
     path = tmp_path / "vol.raw"
-    export_raw(field, path)
+    write_volume(field, path)
     dims, origin, spacing, values = read_raw(path)
     assert dims == (4, 5, 6)
     assert origin == grid.origin
@@ -443,7 +441,7 @@ def test_raw_bytes_are_little_endian_c_order(tmp_path):
     )
     for layout in (values, np.asfortranarray(values)):
         path = tmp_path / "v.raw"
-        export_raw(ScalarField3(grid, layout), path)
+        write_volume(ScalarField3(grid, layout), path)
         assert path.read_bytes() == header + values.astype("<f8").ravel(order="C").tobytes()
 
 
@@ -452,7 +450,7 @@ def test_raw_export_copies_no_field(tmp_path):
     field = ScalarField3(GridSpec((0.0, 0.0, 0.0), 0.5, values.shape), values)
     tracemalloc.start()
     try:
-        export_raw(field, tmp_path / "v.raw")
+        write_volume(field, tmp_path / "v.raw")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -465,9 +463,9 @@ def test_export_rejects_nonfinite(tmp_path):
     bad[0, 0, 0] = np.inf
     field = ScalarField3(grid, bad)
     with pytest.raises(ValueError, match="field contains NaN or Inf"):
-        export_opendx(field, tmp_path / "x.dx")
+        write_volume(field, tmp_path / "x.dx")
     with pytest.raises(ValueError, match="field contains NaN or Inf"):
-        export_raw(field, tmp_path / "x.raw")
+        write_volume(field, tmp_path / "x.raw")
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -483,9 +481,9 @@ def test_one_nonfinite_sample_is_rejected_everywhere(tmp_path, bad):
     with pytest.raises(ValueError, match="NaN or Inf"):
         marching_cubes(field, 0.5)
     with pytest.raises(ValueError, match="NaN or Inf"):
-        export_opendx(field, tmp_path / "x.dx")
+        write_volume(field, tmp_path / "x.dx")
     with pytest.raises(ValueError, match="NaN or Inf"):
-        export_raw(field, tmp_path / "x.raw")
+        write_volume(field, tmp_path / "x.raw")
     with pytest.raises(ValueError, match="NaN or Inf"):
         mode_decompose(field, [FilterParams.single_term(t=1.0)] * 2)
     assert not any(tmp_path.iterdir())
@@ -494,16 +492,18 @@ def test_one_nonfinite_sample_is_rejected_everywhere(tmp_path, bad):
 def test_initial_slabs_give_each_init_kind():
     mol = parse_xyzr(THREE_ATOM_XYZR)
     grid = make_grid(mol, spacing=0.5)
-    piecewise = rasterize_piecewise(mol, grid).values
+    piecewise = ScalarField3.from_slabs(grid, piecewise_slabs(mol, grid)).values
     want = {
         "piecewise": piecewise,
-        "gaussian": rasterize_gaussian(mol, grid, s=2.0, r_e=1.5).values,
+        "gaussian": rasterize_gaussian_all_atoms(mol, grid, s=2.0, r_e=1.5).values,
         "piecewise-swapped": 1.0 - piecewise,  # the complement, 1 inside
     }
     assert set(INIT_KINDS) == set(want)
     for kind in INIT_KINDS:
         got = ScalarField3.from_slabs(grid, initial_slabs(kind, mol, grid, s=2.0, r_e=1.5))
         assert np.array_equal(got.values, want[kind]), kind
-    assert np.array_equal(rasterize_piecewise_swapped(mol, grid).values, 1.0 - piecewise)
-    with pytest.raises(ValueError, match=r"^init must be one of \(.*\), got 'smooth'$"):
-        initial_slabs("smooth", mol, grid)
+        # the whole field is the assembled slabs
+        assert np.array_equal(rasterize(kind, mol, grid, s=2.0, r_e=1.5).values, want[kind]), kind
+    for make in (initial_slabs, rasterize):
+        with pytest.raises(ValueError, match=r"^init must be one of \(.*\), got 'smooth'$"):
+            make("smooth", mol, grid)
