@@ -272,8 +272,6 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
         start = time.perf_counter()
         try:
             yield
-        except StageError:
-            raise
         except Exception as exc:
             message = str(exc)
             if path is not None and isinstance(exc, OSError):
@@ -307,7 +305,8 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
             mol,
             spacing=cfg.spacing,
             padding=cfg.padding,
-            mem_cap_bytes=int(cfg.mem_cap_gib * 1024**3),
+            # a power-of-two scale, exact: the refusal reads the cap as given
+            mem_cap_bytes=cfg.mem_cap_gib * 1024**3,
         )
 
     # each slab of the initial field goes straight into the forward
@@ -332,7 +331,7 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
 
     manifest += [
         f"input.path: {cfg.input_path}",
-        f"input.format: {mol.source.format or cfg.input_format}",
+        f"input.format: {mol.source.format}",
         f"input.atoms: {len(mol)}",
         f"init.kind: {cfg.init_kind}",
         f"init.s: {_fmt(cfg.s)}",

@@ -17,15 +17,15 @@ slab too (VolumeWriter), in the format its path's extension names:
 raw for .raw, in any case, and else OpenDX.
 
 The piecewise rasterizer touches each atom's bounding window only. The
-bumps reach every voxel, so the gaussian rasterizer prunes atoms in two
-levels: it keeps for each cube of voxels only the atoms that can win
-somewhere in it, then for each of the cube's eight smaller leaf cubes
-only those of them that can win there, and evaluates the survivors a
-whole layer of leaves per array operation. Rounded lower and upper
-bounds of each atom's power distance over a cube or leaf discard the
-rest. The bounds are sums of the same rounded terms as the per-voxel
-values, so the pruned field is bit-identical to taking every atom over
-every voxel.
+bumps reach every voxel, so the gaussian rasterizer prunes atoms by one
+rule at every box size: from one cube over the grid that holds every
+atom, it cuts each box in half along every axis, and each half keeps
+only those of its box's atoms that can win somewhere in it, down to
+leaves of 4^3 voxels, whose survivors it evaluates a whole layer of
+leaves per array operation. Rounded lower and upper bounds of each
+atom's power distance over a half discard the rest. The bounds are sums
+of the same rounded terms as the per-voxel values, so the pruned field
+is bit-identical to taking every atom over every voxel.
 
 Fields are sampled at voxel centers. A molecule mirror-symmetric about a
 grid-aligned plane lands on a symmetric grid here (the box is discretized
@@ -78,10 +78,8 @@ INIT_KINDS = ("piecewise", "gaussian", "piecewise-swapped")
 # model of slabs, band and meshes is an open item.
 _BYTES_PER_VOXEL = 72
 
-# edges, in voxels, of the cubes gaussian_slabs prunes atoms over and
-# of the leaves it refines each cube's candidates to; a layer of cubes is
-# one slab deep
-_BLOCK = SLAB
+# edge, in voxels, of the smallest boxes gaussian_slabs prunes atoms over,
+# whose candidates it evaluates a layer at a time
 _LEAF = 4
 
 
@@ -107,16 +105,17 @@ def check_init_kind(kind: str) -> None:
         raise ValueError(f"init must be one of {INIT_KINDS}, got {kind!r}")
 
 
-def _check_grid_size(dims, mem_cap_bytes: int | None) -> None:
-    # the tests in Python ints, exact at any size; the messages' floats may
-    # read inf
+def _check_grid_size(dims, mem_cap_bytes: float | None) -> None:
+    # the tests compare Python ints, and a float cap, exactly at any size;
+    # the messages' floats may read inf. The need reads two significant
+    # digits and the cap as given
     voxels = math.prod(dims)
     shape = ", ".join(f"{float(n):.7g}" for n in dims)
     if mem_cap_bytes is not None and voxels * _BYTES_PER_VOXEL > mem_cap_bytes:
-        gib = math.prod(map(float, dims)) * _BYTES_PER_VOXEL / 1024**3
+        gib = float(f"{math.prod(map(float, dims)) * _BYTES_PER_VOXEL / 1024**3:.2g}")
         raise ValueError(
-            f"grid ({shape}) needs about {gib:.1f} GiB, "
-            f"over the {mem_cap_bytes / 1024**3:.1f} GiB memory cap"
+            f"grid ({shape}) needs about {gib:g} GiB, "
+            f"over the {mem_cap_bytes / 1024**3:g} GiB memory cap"
         )
     if voxels > np.iinfo(np.intp).max // 8:
         raise ValueError(f"grid ({shape}) has more voxels than a float64 array can hold")
@@ -126,7 +125,7 @@ def make_grid(
     mol: Molecule,
     spacing: float = DEFAULT_SPACING,
     padding: float = DEFAULT_PADDING,
-    mem_cap_bytes: int | None = DEFAULT_MEM_CAP,
+    mem_cap_bytes: float | None = DEFAULT_MEM_CAP,
 ) -> GridSpec:
     """Uniform grid covering the molecule's sphere box plus padding.
 
@@ -228,7 +227,7 @@ def gaussian_slabs(
     s: float = DEFAULT_BUMP_HEIGHT,
     r_e: float = DEFAULT_BUMP_DECAY,
 ) -> Iterator[np.ndarray]:
-    """The smooth-bump field as consecutive SLAB-plane slabs, one per layer of cubes.
+    """The smooth-bump field as consecutive SLAB-plane slabs.
 
     The field is the max over atoms of s * exp(-(d^2 - r^2) / r_e^2).
 
@@ -238,45 +237,50 @@ def gaussian_slabs(
     per atom, and the max cannot lose precision to summation order.
 
     The bumps have unbounded support, but each voxel takes its min over
-    only the atoms that can win somewhere near it, found in two levels.
-    A voxel's power distance is ((dx^2 + dy^2) + dz^2) - r^2, each dx^2
-    the rounded square of one axis offset. Summing the least (greatest)
-    per-axis squares over a box of voxels in that same order rounds to a
-    lower (upper) bound lb (ub) of every voxel's value in the box, since
-    rounded addition and subtraction are monotone.
+    only the atoms that can win somewhere near it, found by halving boxes
+    of voxels. A voxel's power distance is ((dx^2 + dy^2) + dz^2) - r^2,
+    each dx^2 the rounded square of one axis offset, which is monotone in
+    |dx|. So over a box, each axis's greatest square is at one of the
+    box's end voxels, and its least is that of the centre clipped to the
+    box's span. Summed in that same order they round to a lower (upper)
+    bound lb (ub) of every voxel's value in the box, since rounded
+    addition and subtraction are monotone.
 
-    First level, cubes of _BLOCK^3 voxels: an atom with lb > min ub over
-    every atom loses at every voxel of the cube to the atom with the
-    least ub; the rest are the cube's candidates. Second level, the
-    cube's eight leaves of _LEAF^3 voxels: a candidate stays for a leaf
-    when its leaf lb is at most the least leaf ub among the cube's
-    candidates. Those candidates' values bound the leaf's minimum from
-    above, and no other atom wins anywhere in the cube, so every atom
-    that attains the minimum at some voxel of the leaf stays, ties
-    included. Each survivor's value is computed with the same expression
-    from the same grid.axes() coordinates, and a min is exact in any
-    order, so the field is bit-identical to a min over every atom.
+    The pruning starts from one cube of _LEAF * 2^k voxels an edge that
+    covers the grid and holds every atom. Each box is cut in half along
+    every axis, halves that start past the grid are dropped, and a half
+    keeps an atom of its box when the atom's lb over the half is at most
+    the least ub over the half among the box's atoms; the halving stops
+    at leaves of _LEAF^3 voxels. By induction from the cube, a box keeps
+    every atom that attains the minimum at some voxel of it, ties
+    included: an atom dropped from a half is beaten at every voxel of
+    the half by the box's atom with the least ub over the half, which
+    always stays, since its lb is at most its ub. Each survivor's value is computed
+    with the same expression from the same grid.axes() coordinates, and a
+    min is exact in any order, so the field is bit-identical to a min
+    over every atom.
 
-    The survivors are evaluated one layer of leaves (_LEAF planes) at a
-    time, the leaves sorted by candidate count: rank r holds each leaf's
+    The boxes of one x range are halved together, depth first and the
+    lower x half first, so the leaf layers (_LEAF planes each) arrive in
+    x order and fill the slabs. A leaf layer's survivors are evaluated
+    with the leaves sorted by candidate count: rank r holds each leaf's
     r-th candidate, and a few array operations of shape (_LEAF, _LEAF,
     _LEAF, leaves) evaluate a whole rank. Each axis is padded to whole
-    cubes by repeating its last coordinate, which changes no min or max;
-    padded voxels are cropped.
+    leaves by repeating its last coordinate, which changes no min or
+    max; padded voxels are cropped.
 
-    The cost is the atoms times the cubes for the first bounds, plus the
-    candidates times the voxels. On seeded globules, 300 atoms at 112^3
-    keep 17.95 candidates per cube (at most 34) and 5.13 per leaf (at
-    most 14): 7.2M atom-voxel values where cubes alone take 25.2M. 3000
-    atoms at 108^3 keep 66.1 per cube and 15.1 per leaf (at most 36):
-    19.8M values instead of 92.8M. Memory is the slab, six arrays of
-    atoms x cubes per axis (no atoms x voxels array), arrays over one
-    layer of cubes' candidate pairs, and four arrays of one leaf layer,
-    none of them the size of the grid. Traced peaks while the slabs are
-    consumed one at a time: 2.5 B/voxel (3.6 MB) for 300 atoms at 112^3,
-    and 7.5 (9.4 MB) for 3000 atoms at 108^3, most of it the candidate
-    pairs of one layer of cubes. rasterize("gaussian", ...), which
-    assembles the field, peaks at 11.1 and 16.0.
+    The cost is the (box, atom) pairs the halving tests plus the
+    candidates times the voxels. On seeded globules (bench seed 0), 300
+    atoms at 112^3 keep 5.13 candidates per leaf (at most 14): 7.2M
+    atom-voxel values where every atom takes 421M. 3000 atoms at 108^3
+    keep 15.1 per leaf (at most 36), 19.0M values, and 20000 atoms in a
+    47 A ball at 270^3 keep 9.85 (at most 36). Memory is the slab, the pair arrays of
+    the pending halves, the bounds of one x half's pairs, and four arrays
+    of one leaf layer, none of them the size of the grid. Traced peaks
+    while the slabs are consumed one at a time: 2.7 B/voxel (3.7 MB) for
+    300 atoms at 112^3, 5.8 (7.3 MB) for 3000 atoms at 108^3 and 2.2 (43
+    MB) for 20000 atoms at 270^3. rasterize("gaussian", ...), which
+    assembles the field, peaks at 10.7, 13.8 and 10.2.
     """
     check_bump_settings(s, r_e)
     return _gaussian_slabs(mol, grid, s, r_e)
@@ -285,71 +289,67 @@ def gaussian_slabs(
 def _gaussian_slabs(mol, grid, s, r_e):
     dims, centers = grid.dims, mol.centers.T
     r2 = mol.radii * mol.radii
-    nb = [-(-n // _BLOCK) for n in dims]
-    per_block = _BLOCK // _LEAF
-    # voxel centres per axis, padded to whole blocks by repeating the last
-    # one (a repeated point moves no min or max), shape (leaf voxel, leaf),
-    # and by block, (leaf voxel, leaf of the block, block): the axis a
-    # bound is taken over comes first, and the axis gathered from last
+    # voxel centres per axis, padded to whole leaves by repeating the last
+    # one (a repeated point moves no min or max), shape (leaf voxel, leaf)
     leaf_pts = [
-        np.ascontiguousarray(
-            np.concatenate([x, np.repeat(x[-1], b * _BLOCK - x.size)]).reshape(-1, _LEAF).T
-        )
-        for x, b in zip(grid.axes(), nb)
+        np.ascontiguousarray(np.concatenate([x, np.repeat(x[-1], -x.size % _LEAF)]).reshape(-1, _LEAF).T)
+        for x in grid.axes()
     ]
-    pts = [np.ascontiguousarray(q.reshape(_LEAF, -1, per_block).transpose(0, 2, 1)) for q in leaf_pts]
-
-    def extremes(offsets):
-        # least and greatest squared offset over the first axis
-        d2 = np.square(offsets, out=offsets)
-        return d2.min(axis=0), d2.max(axis=0)
-
-    # first level: per axis, each atom's least and greatest squared offset
-    # over each block, shape (blocks, atoms), built a block at a time
-    near, far = [], []
-    for p, coord in zip(pts, centers):
-        lo_hi = [extremes(p[..., b].reshape(-1, 1) - coord) for b in range(p.shape[-1])]
-        near.append(np.array([lo for lo, _ in lo_hi]))
-        far.append(np.array([hi for _, hi in lo_hi]))
-
-    def block_pairs(bi):
-        # the (block, atom) pairs of block layer bi that pass lb <= min ub,
-        # grouped by block; the bounds are built a row of blocks at a time
-        blocks, atoms = [], []
-        for bj in range(nb[1]):
-            lb = ((near[0][bi] + near[1][bj]) + near[2]) - r2
-            ub = ((far[0][bi] + far[1][bj]) + far[2]) - r2
-            bk, a = np.nonzero(lb <= ub.min(axis=1)[:, None])
-            blocks.append(bj * nb[2] + bk)
-            atoms.append(a)
-        return np.concatenate(blocks), np.concatenate(atoms)
-
-    n_leaves = (per_block * nb[1], per_block * nb[2])  # per leaf layer, per axis
+    leaves = [q.shape[1] for q in leaf_pts]  # per axis
+    n_leaves = leaves[1:]  # per leaf layer, per axis
     n_layer = n_leaves[0] * n_leaves[1]
 
-    def leaf_pairs(bi):
-        # per leaf layer of block layer bi: the (leaf, atom) pairs that pass
-        # the leaf test, each leaf numbered within the layer
-        blocks, atoms = block_pairs(bi)
-        starts = np.flatnonzero(np.r_[True, blocks[1:] != blocks[:-1]])
-        sizes = np.diff(starts, append=len(blocks))
-        bj, bk = np.divmod(blocks, nb[2])
-        # each pair's bounds over its block's leaves, per axis, (leaf, pair)
-        near0, far0 = extremes(pts[0][..., bi, None] - centers[0][atoms])
-        near1, far1 = extremes(np.take(pts[1], bj, axis=2) - centers[1][atoms])
-        near2, far2 = extremes(np.take(pts[2], bk, axis=2) - centers[2][atoms])
+    def extremes(a, box, m, c):
+        # least and greatest rounded (x - c)^2 over each box of m leaves
+        # along axis a. Over the box the rounded x - c runs from lo = x_lo - c
+        # up to -hi, hi = c - x_hi, and its rounded square is monotone in
+        # |x - c|: the greatest is min(lo, hi)^2, the least max(lo, hi, 0)^2.
+        # A box that starts past the axis gets an infinite least, which
+        # fails every test
+        lo = leaf_pts[a][0].take(box * m, mode="clip") - c
+        hi = c - leaf_pts[a][-1].take(box * m + m - 1, mode="clip")
+        far = np.square(np.minimum(lo, hi))
+        near = np.square(np.maximum(np.maximum(lo, hi), 0.0))
+        near[box * m >= leaves[a]] = np.inf
+        return near, far
+
+    def halve(m, i, box, atoms):
+        # the (yz box, atom) pairs of x box i, m leaves wide: each pair's yz
+        # box of 2m leaves is cut in half along y and z, and a half keeps the
+        # atom when its lb over the half is at most the least ub over the
+        # half among its box's atoms. Boxes are numbered as leaves are, and
+        # a box's pairs are contiguous
+        by, bz = np.divmod(box, n_leaves[1])
+        starts = np.flatnonzero(np.r_[True, box[1:] != box[:-1]])
+        sizes = np.diff(starts, append=len(box))
+        near0, far0 = (q[atoms] for q in extremes(0, i, m, centers[0]))
+        halves = [[0], [1]]  # lower and upper, against the pair axis
+        near1, far1 = extremes(1, 2 * by + halves, m, centers[1][atoms])
+        near2, far2 = extremes(2, 2 * bz + halves, m, centers[2][atoms])
         r2_pair = r2[atoms]
-        layers = []
-        for u in range(per_block):
-            # shape (leaf y, leaf z, pair)
-            ub = ((far0[u] + far1[:, None]) + far2) - r2_pair
-            least = np.repeat(np.minimum.reduceat(ub, starts, axis=2), sizes, axis=2)
-            del ub
-            lb = ((near0[u] + near1[:, None]) + near2) - r2_pair
-            v, w, p = np.nonzero(lb <= least)
-            leaf = (per_block * bj[p] + v) * n_leaves[1] + per_block * bk[p] + w
-            layers.append((leaf, atoms[p]))
-        return layers
+        # shape (y half, z half, pair)
+        ub = ((far0 + far1[:, None]) + far2) - r2_pair
+        least = np.repeat(np.minimum.reduceat(ub, starts, axis=2), sizes, axis=2)
+        del ub
+        lb = ((near0 + near1[:, None]) + near2) - r2_pair
+        v, w, p = np.unravel_index(np.flatnonzero(lb <= least), lb.shape)
+        return (2 * by[p] + v) * n_leaves[1] + 2 * bz[p] + w, atoms[p]
+
+    def leaf_layers():
+        # depth first over x halves, the lower first, from one cube of m
+        # leaves holding the grid and every atom: an entry is an x box
+        # with its parent's pairs, tested when it is taken
+        m = 1 << (max(leaves) - 1).bit_length()
+        stack = [(m, 0, np.zeros(len(r2), dtype=np.intp), np.arange(len(r2)))]
+        while stack:
+            m, i, box, atoms = stack.pop()
+            box, atoms = halve(m, i, box, atoms)
+            if m == 1:
+                yield box, atoms
+                continue
+            for half in (2 * i + 1, 2 * i):
+                if half * (m // 2) < leaves[0]:
+                    stack.append((m // 2, half, box, atoms))
 
     # one leaf layer at a time, in arrays of shape (x, y, z within the
     # leaf, leaf) with the leaf axis innermost: the layer's running min, and
@@ -394,13 +394,12 @@ def _gaussian_slabs(mol, grid, s, r_e):
         # in range by construction; "clip" spares the copy "raise" makes of out
         np.take(acc.reshape(_LEAF, -1)[: len(planes)], where, axis=1, out=planes, mode="clip")
 
-    for bi in range(nb[0]):
-        # the block layer's leaf layers tile the slab: each voxel is set once
-        power = np.empty((min(_BLOCK, dims[0] - bi * _BLOCK),) + dims[1:])
-        for u, (leaf, atoms) in enumerate(leaf_pairs(bi)):
-            lo = u * _LEAF
-            if lo < len(power):
-                fill_layer(power[lo : lo + _LEAF], bi * _BLOCK + lo, leaf, atoms)
+    layers = leaf_layers()
+    for base in range(0, dims[0], SLAB):
+        # the slab's leaf layers arrive in x order: each voxel is set once
+        power = np.empty((min(SLAB, dims[0] - base),) + dims[1:])
+        for lo in range(0, len(power), _LEAF):
+            fill_layer(power[lo : lo + _LEAF], base + lo, *next(layers))
         # s * exp(-power / r_e^2), operation for operation, in place
         np.negative(power, out=power)
         power /= r_e * r_e

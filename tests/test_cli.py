@@ -223,6 +223,26 @@ def test_tiny_memory_cap_exits_4(three_atom_file, capsys):
     assert "memory cap" in err
 
 
+@pytest.mark.parametrize("cap", ["0.04", "0.001"])
+def test_memory_cap_refusal_reads_the_cap_and_the_need(cap, capsys):
+    # both sizes used to print with one decimal, so each read 0.0 GiB here
+    code, _, err = run_cli(
+        ["--input", str(GOLDEN / "fixture.xyzr"), "--spacing", "0.1", "--mem-cap", cap], capsys
+    )
+    assert code == EXIT_COMPUTE
+    assert err == (
+        f"error[stage=grid]: grid (140, 175, 175) needs about 0.29 GiB, "
+        f"over the {cap} GiB memory cap\n"
+    )
+
+
+def test_memory_cap_past_the_largest_byte_count_refuses_nothing(three_atom_file, capsys):
+    # 1e308 GiB overflows to an infinite byte count, which used to fail as
+    # "cannot convert float infinity to integer"
+    code, _, err = run_cli(["--input", three_atom_file, "--mem-cap", "1e308"], capsys)
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("spacing", ["1e-300", "1e-310"])
 def test_absurd_spacing_fails_fast_at_grid(three_atom_file, spacing):
     # about 1e301 samples per axis: the cap refuses them before they are

@@ -249,11 +249,15 @@ def test_gaussian_matches_all_atom_oracle_mixed_radii(seed):
 
 
 @pytest.mark.parametrize(
-    "dims", [(2, 7, 17), (17, 17, 17), (7, 2, 9), (17, 9, 2), (8, 16, 24), (25, 3, 11)]
+    "dims",
+    [(2, 7, 17), (17, 17, 17), (7, 2, 9), (17, 9, 2), (8, 16, 24), (25, 3, 11),
+     (2, 2, 130), (130, 2, 3), (3, 70, 2)],
 )
 def test_gaussian_matches_all_atom_oracle_on_odd_dims(dims):
-    # dims off the block edge leave partial blocks (17 leaves a block one
-    # voxel wide); some atoms lie outside the grid, some far from it
+    # dims off the leaf edge leave partial leaves (17 leaves a leaf one
+    # voxel wide); on the elongated grids the cube the pruning starts from
+    # lies mostly outside the grid, and its halves past each axis are
+    # dropped; some atoms lie outside the grid, some far from it
     rng = np.random.default_rng(sum(dims))
     grid = GridSpec(origin=(-2.0, -3.0, -1.5), spacing=0.5, dims=dims)
     mol = _mixed_radii(rng, 40, -8.0, 12.0)
