@@ -14,13 +14,16 @@ complex DFT per channel, with i3 in the role of the imaginary unit. The
 forward transform is unnormalized; the 1/N factor lives entirely in the
 inverse, matching the usual FFT library convention.
 
-In the plane, i2 = e12 is not central, and the field splits into the part
-that commutes with i2 (blades 1, e12, packed as c0 = F_1 + i F_e12) and
-the part that anticommutes (blades e1, e2, packed with e1 factored out on
-the left: c1 = F_e1 + i F_e2). The planar forward kernel is oriented as
-exp(+i2 <w, x>); under that orientation the gradient takes the minus-sign
-symbol -i2 w on the anticommuting part and +i2 w on the commuting part,
-and no single-signed symbol reproduces the gradient on mixed fields.
+Both ranks follow one rule (see the ga module): a grade-r blade commutes
+with the pseudoscalar I_k of R_k exactly when (k - 1) * r is even. So i3
+is central, but in the plane i2 = e12 is not, and the field splits into
+the part that commutes with i2 (blades 1, e12, packed as
+c0 = F_1 + i F_e12) and the part that anticommutes (blades e1, e2,
+packed with e1 factored out on the left: c1 = F_e1 + i F_e2). The
+planar forward kernel is oriented as exp(+i2 <w, x>); under that
+orientation the gradient takes the minus-sign symbol -i2 w on the
+anticommuting part and +i2 w on the commuting part, and no
+single-signed symbol reproduces the gradient on mixed fields.
 
 Wavenumbers are angular (rad per length unit), w_i = 2*pi*k_i/(N_i h),
 from grids.w_axes; spectral symbols below are written directly in these
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ga import geometric_product_field
+from .ga import _commutation_split, geometric_product_field
 from .grids import GridSpec, GridSpec2, ScalarField3, read_only, squared_norm, w_axes
 
 _CHANNELS_3 = ((0, 7), (1, 5), (2, 6), (3, 4))  # (real blade, imaginary blade)
@@ -41,29 +44,34 @@ _CHANNELS_2 = ((0, 3), (1, 2))
 
 
 @dataclass(frozen=True, eq=False)
-class MultivectorField3:
-    """Per-voxel Multivector3 coefficients on a GridSpec.
-
-    data has shape grid.dims + (8,), blade order as in the ga module.
-    The same type carries spatial samples and spectra; a spectrum is just
-    the multivector whose channel pairs hold the complex bin values.
+class _MultivectorField:
+    """Per-sample multivector coefficients on a grid of rank k: data shape grid.dims + (2**k,).
 
     data is a read-only view of a float64 input, not a snapshot (other
     dtypes are converted once): writing to the caller's array afterwards
     changes the field.
     """
 
-    grid: GridSpec
+    grid: GridSpec | GridSpec2
     data: np.ndarray
 
     def __post_init__(self):
         d = read_only(self.data)
-        if d.shape != self.grid.dims + (8,):
+        if d.shape != self.grid.dims + (2 ** len(self.grid.dims),):
             raise ValueError(
                 f"dimension mismatch between grid and data: "
                 f"data shape {d.shape}, grid dims {self.grid.dims}"
             )
         object.__setattr__(self, "data", d)
+
+
+class MultivectorField3(_MultivectorField):
+    """Per-voxel Multivector3 coefficients on a GridSpec.
+
+    data has shape grid.dims + (8,), blade order as in the ga module.
+    The same type carries spatial samples and spectra; a spectrum is just
+    the multivector whose channel pairs hold the complex bin values.
+    """
 
     @classmethod
     def from_scalar_field(cls, f: ScalarField3) -> "MultivectorField3":
@@ -75,24 +83,8 @@ class MultivectorField3:
         return ScalarField3(self.grid, self.data[..., 0])
 
 
-@dataclass(frozen=True, eq=False)
-class MultivectorField2:
-    """Per-pixel Multivector2 coefficients, data shape grid.dims + (4,).
-
-    Like MultivectorField3, data is a read-only view of its input.
-    """
-
-    grid: GridSpec2
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = read_only(self.data)
-        if d.shape != self.grid.dims + (4,):
-            raise ValueError(
-                f"dimension mismatch between grid and data: "
-                f"data shape {d.shape}, grid dims {self.grid.dims}"
-            )
-        object.__setattr__(self, "data", d)
+class MultivectorField2(_MultivectorField):
+    """Per-pixel Multivector2 coefficients on a GridSpec2, data shape grid.dims + (4,)."""
 
 
 def pack_channels(data: np.ndarray, dim: int = 3) -> list[np.ndarray]:
@@ -163,22 +155,21 @@ def _odd_w_meshes(grid: GridSpec | GridSpec2) -> list[np.ndarray]:
     return np.meshgrid(*axes, indexing="ij", sparse=True)
 
 
-def _i3_w_symbol(grid: GridSpec) -> np.ndarray:
-    """The multivector symbol i3*w as a (nx, ny, nz, 8) array.
+def _pseudoscalar_w_symbol(grid: GridSpec | GridSpec2) -> np.ndarray:
+    """The multivector symbol I_k*w as a grid.dims + (2**k,) array, k the grid's rank.
 
     Built through the blade product table rather than by hand so the
     channel pairing stays correct by construction. The Nyquist bins are
     zeroed: the symbol is odd in w and an unpaired bin would otherwise
     leak imaginary parts into real fields.
     """
-    wx, wy, wz = _odd_w_meshes(grid)
-    wvec = np.zeros(grid.dims + (8,))
-    wvec[..., 1] = wx
-    wvec[..., 2] = wy
-    wvec[..., 3] = wz
-    i3 = np.zeros(8)
-    i3[7] = 1.0
-    return geometric_product_field(i3, wvec)
+    rank = len(grid.dims)
+    wvec = np.zeros(grid.dims + (2**rank,))
+    for axis, w in enumerate(_odd_w_meshes(grid)):
+        wvec[..., 1 + axis] = w  # slots 1 .. k hold e1 .. ek
+    i_k = np.zeros(2**rank)
+    i_k[-1] = 1.0
+    return geometric_product_field(i_k, wvec, dim=rank)
 
 
 def spectral_gradient3(field: MultivectorField3) -> MultivectorField3:
@@ -189,7 +180,7 @@ def spectral_gradient3(field: MultivectorField3) -> MultivectorField3:
     2*pi lives inside w, so the symbol carries no explicit 2*pi factor.
     """
     spec = cft3_forward(field)
-    ghat = geometric_product_field(_i3_w_symbol(field.grid), spec.data)
+    ghat = geometric_product_field(_pseudoscalar_w_symbol(field.grid), spec.data)
     return cft3_inverse(MultivectorField3(field.grid, ghat))
 
 
@@ -208,32 +199,6 @@ def spectral_laplacian3(field: MultivectorField3, order_j: int = 1) -> Multivect
     return cft3_inverse(MultivectorField3(field.grid, spec.data * mult[..., None]))
 
 
-def _i2_w_symbol(grid: GridSpec2) -> np.ndarray:
-    wx, wy = _odd_w_meshes(grid)
-    wvec = np.zeros(grid.dims + (4,))
-    wvec[..., 1] = wx
-    wvec[..., 2] = wy
-    i2 = np.zeros(4)
-    i2[3] = 1.0
-    return geometric_product_field(i2, wvec, dim=2)
-
-
-def _split_channels(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise commuting/anticommuting split of a planar multivector field.
-
-    Identical to applying the single-element split (see
-    ga.commutes_with_pseudoscalar) at every pixel: the commuting part is
-    the scalar+bivector channel, the anticommuting part the vector channel.
-    """
-    com = np.zeros_like(data)
-    anti = np.zeros_like(data)
-    com[..., 0] = data[..., 0]
-    com[..., 3] = data[..., 3]
-    anti[..., 1] = data[..., 1]
-    anti[..., 2] = data[..., 2]
-    return com, anti
-
-
 def spectral_gradient2_split(field: MultivectorField2) -> MultivectorField2:
     """Planar vector derivative via the two-sided sign rule.
 
@@ -244,9 +209,9 @@ def spectral_gradient2_split(field: MultivectorField2) -> MultivectorField2:
     rules are incompatible), which spectral_gradient2_single_sign lets
     callers demonstrate.
     """
-    symbol = _i2_w_symbol(field.grid)
+    symbol = _pseudoscalar_w_symbol(field.grid)
     spec = cft2_forward(field)
-    com, anti = _split_channels(spec.data)
+    com, anti = _commutation_split(spec.data, 2)
     ghat = geometric_product_field(symbol, com, dim=2) - geometric_product_field(
         symbol, anti, dim=2
     )
@@ -262,7 +227,7 @@ def spectral_gradient2_single_sign(field: MultivectorField2, sign: int) -> Multi
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    symbol = float(sign) * _i2_w_symbol(field.grid)
+    symbol = float(sign) * _pseudoscalar_w_symbol(field.grid)
     spec = cft2_forward(field)
     ghat = geometric_product_field(symbol, spec.data, dim=2)
     return cft2_inverse(MultivectorField2(field.grid, ghat))

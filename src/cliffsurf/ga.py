@@ -5,12 +5,25 @@ Coefficients live in plain float64 arrays over a fixed blade order:
     R_2: (1, e1, e2, e12)
     R_3: (1, e1, e2, e3, e12, e23, e31, e123)
 
-The third bivector slot stores e31, not e13 (e31 = -e13). Products are
-computed on ascending-index blades and re-signed into the canonical slots,
-so that orientation choice is a relabeling applied exactly once, when the
-sign tables below are built. The tables are precomputed at import time
-because the blade-pair product is the hot inner kernel of the spectral
-operators built on top of this module.
+Each algebra is defined once, by the blade its slots hold, as a bitmask
+of basis vectors (bit p - 1 for e_p), and by the orientation of the
+stored blade against the ascending product of those vectors. Only R_3's
+e31 is stored reversed (e31 = -e13). Everything rank-dependent follows
+from the masks, by one rule for both algebras (Dorst, Fontijne & Mann,
+Geometric Algebra for Computer Science, 2007, ch. 19):
+
+* blade a times blade b is the blade a ^ b, with the sign (-1)^swaps
+  times the three stored orientations, swaps being the count of pairs
+  e_p of a, e_q of b with p > q (each is one e_p e_q = -e_q e_p on the
+  way to ascending order; e_p e_p = +1 in the Euclidean signature);
+* the wedge keeps the pairs with a & b == 0;
+* the grade of a blade is the popcount of its mask;
+* a grade-r blade commutes with the pseudoscalar I_k of R_k exactly when
+  (k - 1) * r is even: e123 is central, and e12 anticommutes with vectors.
+
+The product tables are precomputed when the classes are built, because
+the blade-pair product is the hot inner kernel of the spectral operators
+built on top of this module.
 
 All operations are pure functions on immutable values and are safe to call
 concurrently.
@@ -18,90 +31,39 @@ concurrently.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 BLADE_NAMES_2 = ("1", "e1", "e2", "e12")
 BLADE_NAMES_3 = ("1", "e1", "e2", "e3", "e12", "e23", "e31", "e123")
 
-# Each canonical slot is an ascending basis-vector index tuple plus the
-# orientation of the stored blade relative to that ascending product.
-# Only e31 is stored against the ascending orientation.
-_BLADES_2 = ((), (1,), (2,), (1, 2))
-_ORIENT_2 = (1, 1, 1, 1)
-_BLADES_3 = ((), (1,), (2,), (3,), (1, 2), (2, 3), (1, 3), (1, 2, 3))
-_ORIENT_3 = (1, 1, 1, 1, 1, 1, -1, 1)
+
+def _reorder_sign(a: int, b: int) -> int:
+    """(-1)^swaps for blade mask a times blade mask b: swaps counts p in a, q in b, p > q."""
+    swaps = sum(bin(a >> shift & b).count("1") for shift in range(1, a.bit_length()))
+    return -1 if swaps % 2 else 1
 
 
-def _sort_count(seq: Iterable[int]) -> tuple[int, list[int]]:
-    """Bubble-sort basis-vector indices, tracking the permutation sign.
-
-    Each swap of two distinct indices is one application of
-    e_i e_j = -e_j e_i. Equal indices are never swapped, so repeated
-    vectors end up adjacent, ready for contraction.
-    """
-    seq = list(seq)
-    sign = 1
-    swapped = True
-    while swapped:
-        swapped = False
-        for k in range(len(seq) - 1):
-            if seq[k] > seq[k + 1]:
-                seq[k], seq[k + 1] = seq[k + 1], seq[k]
-                sign = -sign
-                swapped = True
-    return sign, seq
-
-
-def _blade_times_blade(t1: tuple, t2: tuple) -> tuple[int, tuple]:
-    """Product of two ascending-index blades: (sign, ascending index tuple)."""
-    sign, seq = _sort_count(t1 + t2)
-    out = []
-    k = 0
-    while k < len(seq):
-        if k + 1 < len(seq) and seq[k] == seq[k + 1]:
-            k += 2  # e_i e_i = +1 in the Euclidean signature
-        else:
-            out.append(seq[k])
-            k += 1
-    return sign, tuple(out)
-
-
-def _build_tables(blades, orient):
-    """Precompute geometric and wedge product tables for one algebra.
+def _tables(masks, orient):
+    """Geometric and wedge product tables of one algebra.
 
     Returns two (I, J, K, S) tuples of flat arrays meaning
     blade[I] * blade[J] = S * blade[K]; the wedge table keeps only the
-    pairs with disjoint index sets (for basis blades the geometric and
-    outer products agree there, and the outer product vanishes otherwise).
+    pairs with disjoint masks (for basis blades the geometric and outer
+    products agree there, and the outer product vanishes otherwise).
     """
-    slot_of = {t: k for k, t in enumerate(blades)}
-    gp_i, gp_j, gp_k, gp_s = [], [], [], []
-    w_i, w_j, w_k, w_s = [], [], [], []
-    for i, ti in enumerate(blades):
-        for j, tj in enumerate(blades):
-            sign, t = _blade_times_blade(ti, tj)
-            k = slot_of[t]
-            s = sign * orient[i] * orient[j] * orient[k]
-            gp_i.append(i)
-            gp_j.append(j)
-            gp_k.append(k)
-            gp_s.append(s)
-            if not set(ti) & set(tj):
-                w_i.append(i)
-                w_j.append(j)
-                w_k.append(k)
-                w_s.append(s)
-    as_arrays = lambda *ls: tuple(np.asarray(l) for l in ls)  # noqa: E731
-    return (
-        as_arrays(gp_i, gp_j, gp_k, np.float64(gp_s)),
-        as_arrays(w_i, w_j, w_k, np.float64(w_s)),
-    )
+    slot = {m: k for k, m in enumerate(masks)}
+    gp = []
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks):
+            k = slot[a ^ b]
+            gp.append((i, j, k, _reorder_sign(a, b) * orient[i] * orient[j] * orient[k]))
+    wedge = [row for row in gp if not masks[row[0]] & masks[row[1]]]
 
+    def arrays(rows):
+        i, j, k, s = (np.array(column) for column in zip(*rows))
+        return i, j, k, s.astype(np.float64)
 
-_GP_2, _WEDGE_2 = _build_tables(_BLADES_2, _ORIENT_2)
-_GP_3, _WEDGE_3 = _build_tables(_BLADES_3, _ORIENT_3)
+    return arrays(gp), arrays(wedge)
 
 
 def _apply_table(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,12 +77,25 @@ def _apply_table(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _Multivector:
-    """Shared machinery; use the Multivector2 / Multivector3 subclasses."""
+    """Shared machinery; use the Multivector2 / Multivector3 subclasses.
+
+    A subclass gives its blade names, masks and stored orientations; the
+    grades, the pseudoscalar commutation and the product tables are
+    derived from them when the subclass is built.
+    """
 
     __slots__ = ("_c",)
     _NAMES: tuple = ()
-    _GP: tuple = ()
-    _WEDGE: tuple = ()
+    _MASKS: tuple = ()
+    _ORIENT: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._GRADES = np.array([bin(m).count("1") for m in cls._MASKS])
+        # a grade-r blade anticommutes with the pseudoscalar, the last slot, of
+        # grade k, when (k - 1) * r is odd
+        cls._ANTI = (cls._GRADES[-1] - 1) * cls._GRADES % 2 == 1
+        cls._GP, cls._WEDGE = _tables(cls._MASKS, cls._ORIENT)
 
     def __init__(self, coeffs):
         c = np.array(coeffs, dtype=np.float64)
@@ -147,11 +122,11 @@ class _Multivector:
     @classmethod
     def from_vector(cls, v):
         v = np.asarray(v, dtype=np.float64)
-        n = 2 if len(cls._NAMES) == 4 else 3
+        n = int(cls._GRADES[-1])  # the pseudoscalar's grade, the dimension
         if v.shape != (n,):
             raise ValueError(f"expected a length-{n} vector, got shape {v.shape}")
         c = np.zeros(len(cls._NAMES))
-        c[1 : 1 + n] = v
+        c[cls._GRADES == 1] = v
         return cls(c)
 
     @classmethod
@@ -182,20 +157,14 @@ class _Multivector:
 
     @property
     def vector(self) -> np.ndarray:
-        n = 2 if len(self._NAMES) == 4 else 3
-        return self._c[1 : 1 + n].copy()
+        return self._c[self._GRADES == 1]
 
     @property
     def bivector(self) -> np.ndarray:
-        if len(self._NAMES) == 4:
-            return self._c[3:4].copy()
-        return self._c[4:7].copy()
+        return self._c[self._GRADES == 2]
 
     def is_vector(self) -> bool:
-        n = 2 if len(self._NAMES) == 4 else 3
-        mask = np.zeros(len(self._NAMES), dtype=bool)
-        mask[1 : 1 + n] = True
-        return bool(np.all(self._c[~mask] == 0.0))
+        return bool(np.all(self._c[self._GRADES != 1] == 0.0))
 
     # arithmetic
 
@@ -260,8 +229,8 @@ class Multivector2(_Multivector):
 
     __slots__ = ()
     _NAMES = BLADE_NAMES_2
-    _GP = _GP_2
-    _WEDGE = _WEDGE_2
+    _MASKS = (0b00, 0b01, 0b10, 0b11)
+    _ORIENT = (1, 1, 1, 1)
 
 
 class Multivector3(_Multivector):
@@ -274,8 +243,26 @@ class Multivector3(_Multivector):
 
     __slots__ = ()
     _NAMES = BLADE_NAMES_3
-    _GP = _GP_3
-    _WEDGE = _WEDGE_3
+    _MASKS = (0b000, 0b001, 0b010, 0b100, 0b011, 0b110, 0b101, 0b111)
+    _ORIENT = (1, 1, 1, 1, 1, 1, -1, 1)
+
+
+def _algebra(dim: int) -> type[_Multivector]:
+    """The multivector class of R^dim."""
+    try:
+        return {2: Multivector2, 3: Multivector3}[dim]
+    except (KeyError, TypeError):
+        raise ValueError(f"dim must be 2 or 3, got {dim}") from None
+
+
+def _commutation_split(c: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(commuting, anticommuting) parts of c, blade coefficients over the trailing axis.
+
+    The parts commute and anticommute with the pseudoscalar of R^dim, and
+    sum back to c.
+    """
+    anti = _algebra(dim)._ANTI
+    return np.where(anti, 0.0, c), np.where(anti, c, 0.0)
 
 
 def geometric_product(a, b):
@@ -305,12 +292,8 @@ def vector_dot(a, b) -> float:
 
 def pseudoscalar_square(dim: int) -> float:
     """Square of the unit pseudoscalar (e12 or e123), recomputed via the product table."""
-    if dim == 2:
-        i_n = Multivector2.basis("e12")
-    elif dim == 3:
-        i_n = Multivector3.basis("e123")
-    else:
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    cls = _algebra(dim)
+    i_n = cls.basis(cls._NAMES[-1])
     return (i_n * i_n).scalar
 
 
@@ -323,12 +306,7 @@ def exp_pseudoscalar(gamma: float, dim: int):
     gamma = float(gamma)
     if not np.isfinite(gamma):
         raise ValueError("gamma must be finite")
-    if dim == 2:
-        cls = Multivector2
-    elif dim == 3:
-        cls = Multivector3
-    else:
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    cls = _algebra(dim)
     c = np.zeros(len(cls._NAMES))
     c[0] = np.cos(gamma)
     c[-1] = np.sin(gamma)
@@ -345,9 +323,7 @@ def commutes_with_pseudoscalar(m: Multivector2) -> tuple[Multivector2, Multivect
     """
     if type(m) is not Multivector2:
         raise TypeError(f"expected Multivector2, got {type(m).__name__}")
-    c = np.array(m.coeffs)
-    com = np.array([c[0], 0.0, 0.0, c[3]])
-    anti = np.array([0.0, c[1], c[2], 0.0])
+    com, anti = _commutation_split(m.coeffs, 2)
     return Multivector2(com), Multivector2(anti)
 
 
@@ -359,9 +335,8 @@ def geometric_product_field(a: np.ndarray, b: np.ndarray, dim: int = 3) -> np.nd
     the spectral operators use to left-multiply whole spectra by multivector
     symbols without a Python-level loop over grid bins.
     """
-    n = 4 if dim == 2 else 8
-    if dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    cls = _algebra(dim)
+    n = len(cls._NAMES)
     if a.shape[-1] != n or b.shape[-1] != n:
         raise ValueError(f"trailing axis must have length {n} for dim={dim}")
-    return _apply_table(_GP_2 if dim == 2 else _GP_3, a, b)
+    return _apply_table(cls._GP, a, b)

@@ -41,6 +41,18 @@ from typing import BinaryIO
 import numpy as np
 
 
+def check_spacing(spacing) -> None:
+    """Raise ValueError unless spacing is positive and finite; the one text of that refusal."""
+    if not 0 < spacing < np.inf:
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+
+
+def check_dims(dims: tuple, rank: int) -> None:
+    """Raise ValueError unless dims holds rank integers >= 2; the one text of that refusal."""
+    if len(dims) != rank or any(n < 2 for n in dims):
+        raise ValueError(f"dims must be {rank} integers >= 2, got {dims}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Axis-aligned uniform 3D grid: origin, one spacing for all axes, dims."""
@@ -55,10 +67,8 @@ class GridSpec:
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
         if len(self.origin) != 3 or not all(np.isfinite(self.origin)):
             raise ValueError(f"origin must be 3 finite floats, got {self.origin}")
-        if not (self.spacing > 0 and np.isfinite(self.spacing)):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
-        if len(self.dims) != 3 or any(n < 2 for n in self.dims):
-            raise ValueError(f"dims must be 3 integers >= 2, got {self.dims}")
+        check_spacing(self.spacing)
+        check_dims(self.dims, 3)
 
     @property
     def n_voxels(self) -> int:
@@ -87,10 +97,8 @@ class GridSpec2:
         object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
         object.__setattr__(self, "spacing", float(self.spacing))
         object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        if len(self.dims) != 2 or any(n < 2 for n in self.dims):
-            raise ValueError(f"dims must be 2 integers >= 2, got {self.dims}")
-        if not (self.spacing > 0 and np.isfinite(self.spacing)):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        check_dims(self.dims, 2)
+        check_spacing(self.spacing)
 
 
 def read_only(values, dtype=np.float64) -> np.ndarray:

@@ -157,7 +157,13 @@ def parse_pqr(text: str, path: str | None = None) -> Molecule:
 
 
 def serialize_pqr(mol: Molecule) -> str:
-    """Canonical whitespace-delimited PQR text; parse(serialize(m)) == m."""
+    """Whitespace-delimited PQR text, each float written with repr.
+
+    parse_pqr of the text gives back the centers, radii and charges bit
+    for bit, and the labels (a molecule without charges or labels is
+    written with charge 0.0 and labels (i, X, UNK) for atom i). The
+    Molecule itself is a new object: molecules compare by identity.
+    """
     n = len(mol)
     charges = mol.charges.tolist() if mol.charges is not None else [0.0] * n
     labels = mol.labels or [(None, None, None)] * n
@@ -166,7 +172,7 @@ def serialize_pqr(mol: Molecule) -> str:
     for i, ((x, y, z), radius, charge, (serial, name, residue)) in enumerate(rows, start=1):
         lines.append(
             f"ATOM {serial if serial is not None else i} {name or 'X'} {residue or 'UNK'} {i} "
-            f"{x:.6f} {y:.6f} {z:.6f} {charge:.6f} {radius:.6f}"
+            f"{x!r} {y!r} {z!r} {charge!r} {radius!r}"
         )
     return "\n".join(lines) + "\n"
 

@@ -47,6 +47,7 @@ from .grids import (
     PlaneFeed,
     ScalarField3,
     check_finite,
+    check_spacing,
     new_file,
     next_smooth,
     slabs,
@@ -85,8 +86,7 @@ _LEAF = 4
 
 def check_grid_settings(spacing: float, padding: float) -> None:
     """Raise ValueError unless spacing is positive and padding nonnegative, both finite."""
-    if not 0 < spacing < np.inf:
-        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    check_spacing(spacing)
     if not 0 <= padding < np.inf:
         raise ValueError(f"padding must be nonnegative and finite, got {padding}")
 
@@ -180,12 +180,22 @@ def piecewise_slabs(mol: Molecule, grid: GridSpec) -> Iterator[np.ndarray]:
     """
     h, dims = grid.spacing, grid.dims
     centers, radii = mol.centers, mol.radii
-    # each atom's window per axis, [lo, hi), clipped to the grid
+    # each atom's window per axis, [lo, hi), clipped to the grid: the run of
+    # voxels whose offset on that axis alone passes the d2 <= r*r test below
+    # (d2 is a rounded sum of such squares, so the run holds every voxel the
+    # test accepts). Each end lies within one voxel of the rounded index of
+    # c -+ r, which far from the origin rounds by more than any fixed slack,
+    # so two steps inward from one voxel beyond it find the end
     lo = np.empty((len(radii), 3), dtype=np.int64)
     hi = np.empty_like(lo)
+    r2 = radii * radii
     for a in range(3):
-        first = np.ceil((centers[:, a] - radii - grid.origin[a]) / h - 1e-12)
-        last = np.floor((centers[:, a] + radii - grid.origin[a]) / h + 1e-12)
+        c, o = centers[:, a], grid.origin[a]  # grid.axes() puts voxel i at o + h * i
+        first = np.ceil((c - radii - o) / h) - 1
+        last = np.floor((c + radii - o) / h) + 1
+        for _ in range(2):
+            first += (o + h * first - c) ** 2 > r2
+            last -= (o + h * last - c) ** 2 > r2
         lo[:, a] = np.clip(first, 0, dims[a])
         hi[:, a] = np.clip(last, -1, dims[a] - 1) + 1
     drawn = np.flatnonzero(np.all(lo < hi, axis=1))

@@ -95,6 +95,22 @@ def test_pqr_serialize_parse_round_trip():
     assert again.labels == mol.labels
 
 
+def test_pqr_round_trip_is_exact():
+    # a radius that %.6f writes as 0.000000, and coordinates that need 17 digits
+    mol = Molecule(
+        [(0.1 + 0.2, 1 / 3, -2 / 3), (9999.123456789012, -1e-300, 5e-324)],
+        [1e-7, 1.7000000000000002],
+        charges=[-0.1 + 0.7, 1e-17],
+        labels=[("1", "N", "ALA"), ("2", "CA", "GLY")],
+    )
+    again = parse_pqr(serialize_pqr(mol))
+    assert not again.source.warnings
+    assert np.array_equal(again.centers, mol.centers)
+    assert np.array_equal(again.radii, mol.radii)
+    assert np.array_equal(again.charges, mol.charges)
+    assert again.labels == mol.labels
+
+
 coord = st.floats(min_value=-999.0, max_value=999.0, allow_nan=False)
 radius = st.floats(min_value=0.1, max_value=9.0, allow_nan=False)
 

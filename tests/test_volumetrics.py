@@ -162,6 +162,29 @@ def test_piecewise_atom_outside_grid_is_clipped():
     assert field.min == 0.0 and field.max == 1.0
 
 
+@pytest.mark.parametrize("spacing", [0.3, 0.35])
+def test_piecewise_boundary_voxel_at_pdb_range_coordinates(spacing):
+    # 6-atom molecules 9,999 A from the origin, one sphere boundary on a voxel
+    # centre: the field is the d2 <= r*r test at every voxel of the grid
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-3.0, 3.0, (6, 3)) + 9999.0
+        radii = rng.uniform(1.2, 2.0, 6)
+        grid = make_grid(Molecule(centers, radii), spacing=spacing, padding=1.0)
+        x, y, z = grid.axes()
+        i, j, k = (int(np.searchsorted(axis, c)) for axis, c in zip((x, y, z), centers[0]))
+        centers[0, 1:] = y[j], z[k]
+        radii[0] = abs(x[i + (5 if seed % 2 else -5)] - centers[0, 0])
+        mol = Molecule(centers, radii)
+        inside = np.zeros(grid.dims, dtype=bool)
+        for c, r in zip(centers.tolist(), radii.tolist()):
+            dx, dy, dz = x - c[0], y - c[1], z - c[2]
+            d2 = dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
+            inside |= d2 <= r * r
+        field = rasterize("piecewise", mol, grid).values
+        assert np.array_equal(field == 0.0, inside), seed
+
+
 def test_piecewise_swapped_is_complement(three_atoms):
     grid = make_grid(three_atoms, spacing=0.5, padding=2.0)
     a = rasterize("piecewise", three_atoms, grid).values
