@@ -36,11 +36,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ga import _commutation_split, geometric_product_field
+from .ga import _algebra, _commutation_split, geometric_product_field
 from .grids import GridSpec, GridSpec2, ScalarField3, read_only, squared_norm, w_axes
 
-_CHANNELS_3 = ((0, 7), (1, 5), (2, 6), (3, 4))  # (real blade, imaginary blade)
-_CHANNELS_2 = ((0, 3), (1, 2))
+# (real blade, imaginary blade) per channel, by the algebra's blade count
+_CHANNELS = {8: ((0, 7), (1, 5), (2, 6), (3, 4)), 4: ((0, 3), (1, 2))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,15 +87,23 @@ class MultivectorField2(_MultivectorField):
     """Per-pixel Multivector2 coefficients on a GridSpec2, data shape grid.dims + (4,)."""
 
 
+def _channel_pairs(dim: int, blades: int) -> tuple:
+    """The channel pairs of R^dim, for data of its 2**dim blades; refuses other counts."""
+    n = len(_algebra(dim)._NAMES)
+    if blades != n:
+        raise ValueError(f"R^{dim} has {n} blades, got {blades}")
+    return _CHANNELS[n]
+
+
 def pack_channels(data: np.ndarray, dim: int = 3) -> list[np.ndarray]:
     """Blade coefficients -> complex channel arrays. Exact bijection with unpack."""
-    pairs = _CHANNELS_3 if dim == 3 else _CHANNELS_2
+    pairs = _channel_pairs(dim, data.shape[-1])
     return [data[..., re] + 1j * data[..., im] for re, im in pairs]
 
 
 def unpack_channels(channels, dim: int = 3) -> np.ndarray:
     """Complex channel arrays -> blade coefficients."""
-    pairs = _CHANNELS_3 if dim == 3 else _CHANNELS_2
+    pairs = _channel_pairs(dim, 2 * len(channels))
     out = np.empty(channels[0].shape + (2 * len(pairs),))
     for (re, im), c in zip(pairs, channels):
         out[..., re] = c.real

@@ -14,11 +14,11 @@ cell. Vertex ids count the edges in order of first occurrence there,
 which is owner order: each cell numbers the crossed edges it owns, in the
 order its table row first meets them, after those of the cells before
 it. So no sort is needed to number them, and every other corner reads
-its id from the edge's owner. Each vertex is interpolated along its
-owner's edge. The field is taken a slab of axis-0 planes at a time
-(SlabMarcher), and a slab's cells are processed at once as arrays. The
-output is identical from run to run and does not depend on where the
-slabs end.
+its id from the grid edge, keyed by its axis and its lower grid point.
+Each vertex is interpolated along its owner's edge. The field is taken
+a slab of axis-0 planes at a time (SlabMarcher), and a slab's cells are
+processed at once as arrays. The output is identical from run to run
+and does not depend on where the slabs end.
 
 Every active cell is meshed with its own TRI_TABLE row, and that makes
 the mesh closed, for any finite field, whenever the box-face samples
@@ -64,30 +64,22 @@ from .grids import (
 )
 from .mc_tables import CORNER_OFFSETS, EDGE_CORNERS, TRI_TABLE
 
-# each cell edge's two corners, its first corner, and its step from the
-# first to the second
+# each cell edge's two corners, its first corner, its step from the first
+# to the second, its lower corner and its axis
 _ends = CORNER_OFFSETS[EDGE_CORNERS]
 _EDGE_START = _ends[:, 0]
 _EDGE_STEP = _ends[:, 1] - _ends[:, 0]
+_EDGE_LOW = _ends.min(axis=1)
+_EDGE_AXIS = abs(_EDGE_STEP).argmax(axis=1)
 
 # A grid edge's owner is the first cell in row-major order that holds it:
-# one cell back along each other axis where the edge lies on the cell's
-# lower face, unless the cell is at 0 on that axis. A cell of box-boundary
-# class c is at 0 on axis b when bit b of c is set. _SHIFT[c * 12 + e] is
-# the step from a class-c cell back to the owner of its edge e, and
-# _OWNER_EDGE[c * 12 + e] that edge's number in the owner.
-_SHIFT = ((_ends[:, 0] | _ends[:, 1]) == 0) & (
-    ((np.arange(8)[:, None, None] >> np.arange(3)) & 1) == 0
-)
-_OWNS = ~_SHIFT.any(axis=2)
-# an edge's key, 8 * its lower corner's code + its upper one's (the code of
-# offset (dx, dy, dz) is 4 dx + 2 dy + dz): a step by code d adds 9 d
-_codes = _ends @ [4, 2, 1]
-_key = (_codes[:, 0] & _codes[:, 1]) * 8 + (_codes[:, 0] | _codes[:, 1])
-_edge_at = np.zeros(64, dtype=np.int64)
-_edge_at[_key] = np.arange(12)
-_OWNER_EDGE = _edge_at[_key + 9 * (_SHIFT @ [4, 2, 1])].ravel()
-_SHIFT = _SHIFT.reshape(-1, 3).astype(np.int64)
+# a cell leaves an edge on its lower face along an axis to the cell one
+# back along that axis, unless it is at 0 there. A cell of box-boundary
+# class c is at 0 on axis b when bit b of c is set; _OWNS[c, e] says
+# whether it owns its edge e.
+_OWNS = ~(
+    (_ends.max(axis=1) == 0) & (((np.arange(8)[:, None, None] >> np.arange(3)) & 1) == 0)
+).any(axis=2)
 
 # A cell's pair code has bit 4 dx + 2 dy + dz set when its corner at
 # offset (dx, dy, dz) is below the isovalue, where its case has bit i set
@@ -106,21 +98,18 @@ _first[1:] &= (_bit[1:] & np.bitwise_or.accumulate(_bit, axis=0)[:-1]) == 0
 _owned = _first & _OWNS.take(_edges, axis=1)
 
 # Rows indexed by class * 256 + code: the edges a cell owns, at the slots
-# where they first appear and 255 elsewhere, and its triangle corners as
-# class * 12 + edge, 255 padded. Each triangle is listed reversed: the
-# case tables wind triangles clockwise when seen from the higher-value
-# side, and reversed their normals point toward increasing field values,
-# the orientation contract of this module (verified by the sphere
-# orientation test: distance fields get positive enclosed volume).
+# where they first appear and 255 elsewhere. Rows indexed by code: the
+# edges of its triangle corners, 255 padded. Each triangle is listed
+# reversed: the case tables wind triangles clockwise when seen from the
+# higher-value side, and reversed their normals point toward increasing
+# field values, the orientation contract of this module (verified by the
+# sphere orientation test: distance fields get positive enclosed volume).
 _edges = _edges.astype(np.uint8)  # -1 wraps to 255
 _NEW_EDGES = (_owned * (_edges + 1) - 1).transpose(0, 2, 1).reshape(-1, 15)
 _N_NEW = _owned.sum(axis=1).ravel()
-_TRI_SLOTS = _used * np.arange(0, 96, 12, dtype=np.uint8)[:, None, None]
-_TRI_SLOTS += _edges[[0, 2, 1, 3, 5, 4, 6, 8, 7, 9, 11, 10, 12, 14, 13]]
-_TRI_SLOTS = _TRI_SLOTS.transpose(0, 2, 1).reshape(-1, 15)
-_N_SLOTS = np.tile(_used.sum(axis=0), 8)
-del _ends, _codes, _key, _edge_at, _case_of_code, _edges, _used, _bit, _first, _owned
-_NO_CARRY = (np.empty(0, dtype=np.int64), np.empty((0, 12), dtype=np.int64))
+_TRI_EDGES = np.ascontiguousarray(_edges[[0, 2, 1, 3, 5, 4, 6, 8, 7, 9, 11, 10, 12, 14, 13]].T)
+_N_SLOTS = _used.sum(axis=0)
+del _ends, _case_of_code, _edges, _used, _bit, _first, _owned
 
 # 2-face edges per slice of mesh_metrics' dihedral scan: 0.4 MB of gathered
 # normals, about 1 MB of arrays in all
@@ -176,17 +165,20 @@ class SlabMarcher:
     first slab, those between the last plane of the slab before and its
     first. Those cells are classified at once: a case code from three
     pair passes over the flat points, the table rows of the active
-    cells, the ids of the edges each owns, and one id per triangle
-    corner, read from the owner of its edge. A y or z edge on the slab's
-    first plane is owned by a cell of the slab before; the ids of that
-    slab's last layer of active cells carry over for it. So the mesh is
-    the one the whole field gives, bit for bit.
+    cells, the ids of the edges each owns, written to a grid of ids with
+    a slot per grid edge, and one id per triangle corner, read at its
+    edge's slot. A y or z edge on the slab's first plane is owned by a
+    cell of the slab before; the ids of that slab's last plane's y and z
+    edges carry over for it. So the mesh is the one the whole field
+    gives, bit for bit.
 
-    Besides the growing mesh, the marcher holds the last plane fed and
-    the carried ids, about 100 B per active cell of one layer. While a
-    slab is marched, about 4 B per point index the owners, and the other
-    arrays scale with the slab's points or its active cells; none is as
-    large as the grid.
+    Besides the growing mesh, the marcher holds the last plane fed, the
+    two carried ids per point of it and each point's table row offset,
+    24 B per point of one plane while the ids are int32. While a slab is
+    marched, its grid of ids takes 12 B per point, and the other arrays
+    scale with the slab's points or its active cells; none is as large
+    as the grid. The traced peak of a march is 17-23 B per voxel of the
+    slab fed on a sphere and on seeded globules of 300 to 20,000 atoms.
 
     The marcher scans no slab for its range: finish(field) reads the
     caller's range of the same slabs, a grids.SlabRange or the field.
@@ -199,9 +191,15 @@ class SlabMarcher:
         self.grid, self.iso = grid, iso
         self._feed = PlaneFeed(grid.dims)
         self._last = None  # the last plane fed
-        # the last layer of cells marched: each active cell's place in the
-        # layer and its row of 12 edge ids, read where it owns the edge
-        self._carry = _NO_CARRY
+        # the ids of the y and z edges of the last plane marched, (2, plane),
+        # or None where the slab before has no active cell
+        self._carry = None
+        # each point's table row offset within a plane, 256 * the
+        # box-boundary class of the cell whose corner 0 it is
+        edge_class = np.zeros(grid.dims[1:], dtype=np.intp)
+        edge_class[0] += 2 * 256
+        edge_class[:, 0] += 4 * 256
+        self._edge_class = edge_class.ravel()
         self._vertices: list[np.ndarray] = []
         self._triangles: list[np.ndarray] = []
         self._n_vertices = 0
@@ -246,41 +244,43 @@ class SlabMarcher:
         # active cells in row-major order, each as the flat index of its
         # corner 0 in the points
         cells = np.flatnonzero((code != 0) & (code != 255))
-        pos, carried = self._carry
-        self._carry = _NO_CARRY
+        carry, self._carry = self._carry, None
         if not cells.size:
             return
-        # each cell's table row, 256 * its box-boundary class + its code
-        edge_class = np.zeros((ny, nz), dtype=np.intp)
-        edge_class[0] += 2 * 256
-        edge_class[:, 0] += 4 * 256
-        row = edge_class.ravel().take(cells % plane)
-        row += code.take(cells)
-        del code
+        # each cell's code, and its table row, 256 * its box-boundary class
+        # + its code
+        code = code.take(cells)
+        row = self._edge_class.take(cells % plane)
+        row += code
         if first == 0:
             row[: np.searchsorted(cells, plane)] += 256
+
+        # one id per grid edge, axis-major: the edge along axis a from point
+        # p is at slot a * points + p, and a cell's edge e at the cell's
+        # point + slot[e]. Only crossed edges' slots are written and read;
+        # those on the first plane along y and z were numbered by the slab
+        # before, and carry over
+        points = nx * plane
+        eid = np.empty((3, points), dtype=_index_dtype(self._n_vertices + 3 * points))
+        if carry is not None:
+            eid[1:, :plane] = carry
+        del carry
+        slot = _EDGE_LOW @ (plane, nz, 1) + _EDGE_AXIS * points
 
         # the cells' owned edges are new vertices, numbered in cell order and
         # within a cell in the order its table row first meets them
         new = _NEW_EDGES.take(row, axis=0)
         e = new[new != 255].astype(np.intp)
         del new
-        owned = _N_NEW.take(row)
-        m = len(pos)
-        ids = np.empty((m + len(cells), 12), dtype=np.int64)
-        ids[:m] = carried
-        at = np.repeat(np.arange(12 * m, 12 * len(ids), 12), owned)
-        at += e
-        ids.ravel()[at] = np.arange(self._n_vertices, self._n_vertices + len(e))
+        pa = np.repeat(cells, _N_NEW.take(row))
+        del row
+        eid.ravel()[pa + slot.take(e)] = np.arange(self._n_vertices, self._n_vertices + len(e))
         self._n_vertices += len(e)
-        del at
 
         # each vertex is interpolated along its owner's edge, from that
         # edge's first corner: edge 2 runs from corner 2 to 3, toward -x,
         # and interpolating it from its lower corner instead would change
         # the last bits of the position
-        pa = np.repeat(cells, owned)
-        del owned
         pa += (_EDGE_START @ (plane, nz, 1)).take(e)
         # a sample equal to the isovalue is nudged up a few ulp: it already
         # counts as above, and no vertex lands on a grid point
@@ -300,31 +300,19 @@ class SlabMarcher:
         self._vertices.append(origin + self.grid.spacing * (ijk + t[:, None] * step))
         del t, step, ijk
 
-        # every triangle corner reads its id from the owner of its edge: a
-        # cell of this slab, or of the last layer of the slab before, which
-        # sits one plane before this slab's first in the index of owners
-        index = np.int32 if 12 * nx * plane < 2**31 else np.int64
-        at = np.empty(nx * plane, dtype=index)  # 12 * the owner's row of ids
-        at[pos] = np.arange(0, 12 * m, 12)
-        cells += plane
-        at[cells] = np.arange(12 * m, 12 * len(ids), 12)
-        slots = _TRI_SLOTS.take(row, axis=0)
-        j = slots[slots != 255].astype(np.intp)
-        del slots
-        owner = np.repeat(cells, _N_SLOTS.take(row))
-        del row
-        owner -= (_SHIFT @ (plane, nz, 1)).take(j)
-        corner = at.take(owner)
-        del at, owner
-        corner += _OWNER_EDGE.take(j)
+        # every triangle corner reads its id at its edge's slot
+        j = _TRI_EDGES.take(code, axis=0)
+        j = j[j != 255].astype(np.intp)
+        corner = np.repeat(cells, _N_SLOTS.take(code))
+        del cells, code
+        corner += slot.take(j)
         del j
-        self._triangles.append(ids.ravel().take(corner).reshape(-1, 3))
+        ids = eid.ravel().take(corner)
         del corner
+        self._triangles.append(ids.astype(np.int64, copy=False).reshape(-1, 3))
 
-        # the cells of the last layer own the y and z edges of the last
-        # plane: their ids go to the next slab
-        last = np.searchsorted(cells, (nx - 1) * plane)
-        self._carry = (cells[last:] - (nx - 1) * plane, ids[m + last :].copy())
+        # the y and z edges of the last plane: their ids go to the next slab
+        self._carry = eid[1:, points - plane :].copy()
 
     def finish(self, field) -> TriangleMesh:
         """The mesh of the slabs fed, given their range; raises as marching_cubes does."""
@@ -391,6 +379,11 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cp
 
 
+def _index_dtype(n: int) -> type:
+    """The dtype of indices below n: int32 where they fit, else int64."""
+    return np.int32 if n < 2**31 else np.int64
+
+
 def _edge_runs(triangles: np.ndarray, n_vertices: int):
     """The 3F triangle sides grouped by undirected edge, with one sort.
 
@@ -413,7 +406,7 @@ def _edge_runs(triangles: np.ndarray, n_vertices: int):
     codes = codes.ravel()  # a view
     order = np.argsort(codes)
     codes = codes.take(order)
-    index = np.int32 if codes.size < 2**31 else np.int64
+    index = _index_dtype(codes.size)
     order = order.astype(index)
     new = np.empty(codes.size, dtype=bool)
     new[0] = True
@@ -451,7 +444,7 @@ def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:
     # that still joins two trees onto the smaller one, then jump pointers
     # until each vertex points at its root. In each round every tree with
     # a smaller-rooted neighbour hooks, so the rounds are few.
-    index = np.int32 if V < 2**31 else np.int64
+    index = _index_dtype(V)
     label = np.arange(V, dtype=index)
     a, b = (ends.astype(index) for ends in np.divmod(codes, V))
     del codes

@@ -38,6 +38,25 @@ def test_pack_unpack_bijection(rng):
     assert np.array_equal(unpack_channels(pack_channels(d2, dim=2), dim=2), d2)
 
 
+@pytest.mark.parametrize("dim", [1, 4, "3", None])
+def test_pack_unpack_refuse_an_unknown_dim(dim):
+    # only R^2 and R^3 have channel pairs, in ga's words; "3" is not 3
+    with pytest.raises(ValueError, match=f"^dim must be 2 or 3, got {dim}$"):
+        pack_channels(np.zeros((3, 8)), dim=dim)
+    with pytest.raises(ValueError, match=f"^dim must be 2 or 3, got {dim}$"):
+        unpack_channels([np.zeros(3, dtype=complex)] * 4, dim=dim)
+
+
+@pytest.mark.parametrize(("dim", "blades"), [(3, 4), (3, 6), (2, 8), (2, 2)])
+def test_pack_unpack_refuse_another_blade_count(dim, blades):
+    # data of R^dim holds 2**dim blades, in 2**(dim - 1) channels
+    with pytest.raises(ValueError, match=f"^R\\^{dim} has {2**dim} blades, got {blades}$"):
+        pack_channels(np.zeros((3, blades)), dim=dim)
+    channels = [np.zeros(3, dtype=complex)] * (blades // 2)
+    with pytest.raises(ValueError, match=f"^R\\^{dim} has {2**dim} blades, got {blades}$"):
+        unpack_channels(channels, dim=dim)
+
+
 def test_naive_oracle_agrees_with_literal_triple_loop(rng):
     c = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
     assert np.allclose(naive_dft3(c), loop_dft3(c), atol=1e-12)

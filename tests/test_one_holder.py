@@ -22,7 +22,10 @@ molecule.parsers is the one table from input format to parser, and
 grids.read_only the one maker of a read-only view (ga snapshots its
 coefficients with a copy). The gaussian rasterizer prunes atoms by one
 halving rule at every box size, so its former cube level (_BLOCK,
-block_pairs) and leaf level (leaf_pairs) have no holder.
+block_pairs) and leaf level (leaf_pairs) have no holder. The marcher keeps
+one vertex id per grid edge, at its axis and lower point, so no cell steps
+back to an edge's owner (_SHIFT, _OWNER_EDGE, _TRI_SLOTS) and no owner
+rows carry over between slabs (_NO_CARRY).
 
 Each rule is a regular expression searched line by line, as grep does.
 The one rule that searches tests/ leaves out this module, whose message
@@ -170,6 +173,12 @@ RULES = [
         "a second pruning level is back in the gaussian rasterizer; "
         "it halves one box at every size",
         id="one-pruning-rule",
+    ),
+    pytest.param(
+        lambda: grep(r"\b(_SHIFT|_OWNER_EDGE|_TRI_SLOTS|_NO_CARRY)\b", "src"),
+        "the marcher looks up an edge's owner again; "
+        "every corner reads its id at its grid edge's slot",
+        id="one-edge-id-grid",
     ),
 ]
 

@@ -91,6 +91,25 @@ def test_slab_marching_carries_vertices_across_every_boundary():
         assert mesh_metrics(got).boundary_edge_count == 0
 
 
+@pytest.mark.parametrize("rows", [1, 3, SLAB])
+def test_slab_marching_numbers_ids_past_int32(rows):
+    # a marcher whose vertex count so far is just below 2**31 holds its ids
+    # as int64: its triangles are a plain run's plus that count, int64 like
+    # the plain run's. They are read before finish, whose TriangleMesh
+    # would refuse ids past its vertices
+    field = sphere_distance_field(1.8, 0.25)
+    plain, big = SlabMarcher(field.grid, 1.8), SlabMarcher(field.grid, 1.8)
+    offset = 2**31 - 10
+    big._n_vertices = offset
+    for slab in slabs(field.values, rows):
+        plain.add(slab)
+        big.add(slab)
+    assert all(t.dtype == np.int64 for t in plain._triangles + big._triangles)
+    got, want = np.concatenate(big._triangles), np.concatenate(plain._triangles)
+    assert want.max() > 10
+    assert np.array_equal(got, want + offset)
+
+
 def test_slab_marcher_peak_per_slab_voxel():
     # beside the growing mesh, marching a slab holds arrays of its points
     # and of its active cells, none of the grid's size: at most 33 B per

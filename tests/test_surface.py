@@ -127,7 +127,7 @@ def test_every_grid_edge_has_one_owner_the_first_cell_that_holds_it(dims):
     # axes and several on others, so every box-boundary class occurs: the
     # marcher's tables give each grid edge exactly one owner, the first
     # cell in row-major order that holds it, and every cell that holds
-    # the edge steps back to that owner and names the same edge there
+    # the edge keys it by the same axis and lower grid point
     holders = defaultdict(list)
     for cell in np.ndindex(*(n - 1 for n in dims)):  # row-major order
         for e in range(12):
@@ -139,10 +139,8 @@ def test_every_grid_edge_has_one_owner_the_first_cell_that_holds_it(dims):
         first = held[0][0]
         assert [cell for cell, e in held if surface._OWNS[_box_class(cell), e]] == [first]
         for cell, e in held:
-            j = 12 * _box_class(cell) + e
-            owner = tuple(int(c) for c in np.subtract(cell, surface._SHIFT[j]))
-            assert owner == first
-            assert _grid_edge(owner, surface._OWNER_EDGE[j]) == edge
+            low = tuple(int(c) for c in np.add(cell, surface._EDGE_LOW[e]))
+            assert (int(surface._EDGE_AXIS[e]), low) == edge
             classes.add(_box_class(cell))
     # every class a grid of these dims has: an axis one cell across is always at 0
     assert classes == {c for c in range(8) if all(c >> b & 1 for b in range(3) if dims[b] == 2)}
@@ -150,23 +148,21 @@ def test_every_grid_edge_has_one_owner_the_first_cell_that_holds_it(dims):
 
 def test_marcher_rows_list_owned_edges_in_first_appearance_order():
     # row 256 * class + code: the edges a cell of that class owns, in the
-    # order its case's TRI_TABLE row first meets them, and the row's
-    # corners as 12 * class + edge, each triangle reversed; the code has
-    # bit 4 dx + 2 dy + dz set for a below corner at offset (dx, dy, dz)
+    # order its case's TRI_TABLE row first meets them; row code: the row's
+    # corners' edges, each triangle reversed. The code has bit
+    # 4 dx + 2 dy + dz set for a below corner at offset (dx, dy, dz)
     for code in range(256):
         below = [code >> (4 * x + 2 * y + z) & 1 for x, y, z in _CORNERS]
         case = sum(bit << i for i, bit in enumerate(below))
         edges = [int(v) for v in TRI_TABLE[case] if v >= 0]
         corners = [v for a, b, c in zip(*[iter(edges)] * 3) for v in (a, c, b)]
+        assert [int(v) for v in surface._TRI_EDGES[code] if v != 255] == corners
+        assert surface._N_SLOTS[code] == len(corners)
         for cls in range(8):
             row = 256 * cls + code
             owned = [e for e in dict.fromkeys(edges) if surface._OWNS[cls, e]]
             assert [int(v) for v in surface._NEW_EDGES[row] if v != 255] == owned
             assert surface._N_NEW[row] == len(owned)
-            assert [int(v) for v in surface._TRI_SLOTS[row] if v != 255] == [
-                12 * cls + e for e in corners
-            ]
-            assert surface._N_SLOTS[row] == len(corners)
 
 
 def test_case_table_is_face_consistent():
