@@ -11,7 +11,8 @@ file or through the API gets the one text of the object that holds it.
 Each output's extension picks its format, read by the writer itself:
 surface.write_mesh for a mesh and volumetrics.VolumeWriter for a volume.
 A run that fails leaves no output file: each writer removes the file it
-was writing, and the run removes the files it had finished. Only a
+was writing, and the run removes the files it had finished, both through
+grids.remove_output, which leaves a device or a named pipe alone. Only a
 manifest that cannot be written, after every file is whole, leaves them.
 
 The run manifest (stdout) records every effective parameter, grid shape,
@@ -63,7 +64,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import molecule, volumetrics
-from .grids import SlabRange, check_finite, new_file
+from .grids import SlabRange, check_finite, new_file, read_text, remove_output
 from .pdefilter import (
     DEFAULT_HALF_ORDER,
     BandForward,
@@ -296,8 +297,7 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
             del part
 
     with stage("input", cfg.input_path):
-        with open(cfg.input_path, "r") as fh:
-            text = fh.read()
+        text = read_text(cfg.input_path)
         mol = molecule.parsers()[cfg.input_format](text, cfg.input_path)
 
     with stage("grid"):
@@ -456,8 +456,7 @@ def _surfaces(cfg: RunConfig, manifest: list[str]) -> Iterator[dict]:
         if writer is not None:  # its mesh file may still be finishing
             writer.join()
         for path in written:
-            with contextlib.suppress(OSError):
-                os.remove(path)
+            remove_output(path)
         raise
 
     # in pipeline order; the mesh writes, which overlap the extract stage,
@@ -597,8 +596,7 @@ def _config_file_values(path: str) -> dict[str, object]:
     file gives, keyed like the parser's namespace.
     """
     try:
-        with open(path, "r") as fh:
-            lines = fh.readlines()
+        lines = read_text(path).split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise StageError("config", f"cannot read {path}: {exc}") from exc
     raw: dict[str, str] = {}

@@ -3,10 +3,12 @@
 These types are shared between the volume-construction layer and the
 spectral operators, so they live in one dependency-free module; so do
 new_file and write_rows, the file opener and text-row formatter of the
-volume, mesh and report writers, and the slab conventions of the
-streamed pipeline: the CLI rasterizes, transforms, writes and extracts a
-grid SLAB planes of axis 0 at a time, and no stage of a run holds an
-array the size of the grid.
+volume, mesh and report writers; remove_output, the one rule for which
+outputs a failed run removes; read_text, the one reader of input and
+config files; and the slab conventions of the streamed pipeline: the
+CLI rasterizes, transforms, writes and extracts a grid SLAB planes of
+axis 0 at a time, and no stage of a run holds an array the size of the
+grid.
 
 write_rows formats numbers as arrays, not one Python float at a time:
 integer arithmetic picks each value's 4-byte texts from digit tables,
@@ -273,20 +275,40 @@ def squared_norm(axes) -> np.ndarray:
     return reduce(np.add, (m * m for m in meshes))
 
 
+def read_text(path) -> str:
+    """The text of an input or config file, read as UTF-8 with or without a BOM, in any locale.
+
+    Bytes that are not UTF-8 raise UnicodeDecodeError.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
+def remove_output(path) -> None:
+    """Remove the output at path only if it is a regular file, ignoring an OSError.
+
+    A failed run removes what it wrote, but no output it did not create: a
+    device such as /dev/null or a named pipe given as an output stays.
+    """
+    with contextlib.suppress(OSError):
+        if os.path.isfile(path):
+            os.remove(path)
+
+
 @contextlib.contextmanager
 def new_file(path) -> Iterator[BinaryIO]:
     """A binary handle on path, created or truncated, as a context manager.
 
     The file is closed at the end of the block; when the block or the
-    close fails, it is removed.
+    close fails, it is removed if it is a regular file (remove_output), so
+    a failed write leaves a device or a named pipe alone.
     """
     fh = open(path, "wb")
     try:
         with fh:  # closing flushes, and can fail too
             yield fh
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(path)
+        remove_output(path)
         raise
 
 

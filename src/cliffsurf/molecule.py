@@ -1,10 +1,12 @@
 """Molecular structure ingestion: atom centers and radii from PQR, XYZR, PDB.
 
 Parsing is deterministic and locale-independent (decimal points only, no
-thousands separators). Radii come from the file when the format carries
-them (PQR, XYZR); bare PDB input falls back to an embedded per-element
-van der Waals table. No hydrogens are added and no charges are assigned;
-protonation and charge assignment stay upstream.
+thousands separators). The parsers take text, and the CLI reads a
+structure file as UTF-8, with or without a byte-order mark, in any
+locale (grids.read_text). Radii come from the file when the format
+carries them (PQR, XYZR); bare PDB input falls back to an embedded
+per-element van der Waals table. No hydrogens are added and no charges
+are assigned; protonation and charge assignment stay upstream.
 
 A Molecule is its arrays: centers (n, 3) and radii (n,), plus the
 per-atom columns a format carries (PQR charges; serial, name and residue
@@ -251,13 +253,19 @@ def parse_pdb(
 def parse_auto(text: str, path: str | None = None) -> Molecule:
     """Detect the format from the file extension, else by trying parsers.
 
-    Extension wins when recognized. Otherwise XYZR is tried first (its
-    all-numeric lines cannot be valid PQR/PDB), then PQR, then PDB.
+    Extension wins when recognized: a format's name, in any case, or .ent,
+    the wwPDB's own extension for PDB files (pdb1abc.ent). Otherwise XYZR
+    is tried first (its all-numeric lines cannot be valid PQR/PDB), then
+    PQR, then PDB. PQR takes the last five fields of an ATOM record, so a
+    PDB file under another extension whose element columns are blank can
+    be detected as PQR, with the occupancy read as the charge and the
+    B-factor as the radius: pass --format pdb (parse_pdb) for such a file.
     """
     table = parsers()
     del table["auto"]  # this detector: a *.auto file is detected by content
     if path:
         ext = path.rsplit(".", 1)[-1].lower() if "." in path else ""
+        ext = "pdb" if ext == "ent" else ext
         if ext in table:
             return table[ext](text, path)
     last_error: Exception | None = None

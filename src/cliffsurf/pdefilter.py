@@ -309,15 +309,13 @@ def zero_gain_frac(gain: np.ndarray, band: SpectralBand) -> float:
 def field_slabs(spectrum: np.ndarray, band: SpectralBand) -> Iterator[np.ndarray]:
     """field_from_spectrum's values as consecutive slabs of SLAB axis-0 planes.
 
-    The axis-0 ifft of the band runs once, at the first slab; each slab
-    then takes the axis-1 ifft of its zero-filled band lines and the
-    last-axis irfft. Besides the band, one slab's lines are alive.
+    A generator: the spectrum's shape is checked against the band, and
+    the axis-0 ifft of the band runs once, when the first slab is asked
+    for; each slab then takes the axis-1 ifft of its zero-filled band
+    lines and the last-axis irfft. Besides the band, one slab's lines are
+    alive.
     """
     _check_spectrum(spectrum, band)
-    return _field_slabs(spectrum, band)
-
-
-def _field_slabs(spectrum, band):
     ix, iy, _ = band.index
     n0, n1, nz = band.grid.dims
     lines = np.fft.ifft(_pad(spectrum, ix, n0, 0), axis=0)

@@ -9,12 +9,15 @@ Two initial fields drive the smoothing pipeline:
   isolated sphere surface and decaying with distance beyond it.
 
 Both rasterizers produce the field as consecutive slabs of SLAB axis-0
-planes (piecewise_slabs, gaussian_slabs). initial_slabs gives the slabs
-of each of INIT_KINDS, the swapped kind being 1 minus the piecewise
-field, and the CLI streams them into the filter; rasterize(kind)
-assembles them into a whole field. A volume file is written slab by
-slab too (VolumeWriter), in the format its path's extension names:
-raw for .raw, in any case, and else OpenDX.
+planes (piecewise_slabs, gaussian_slabs). Each is a generator, so its
+checks and setup run when its first slab is asked for, inside the stage
+that consumes it: the CLI times them, and tags their errors, in its
+rasterize stage. initial_slabs gives the slabs of each of INIT_KINDS,
+the swapped kind being 1 minus the piecewise field, and refuses an
+unknown kind at the call; the CLI streams them into the filter, and
+rasterize(kind) assembles them into a whole field. A volume file is
+written slab by slab too (VolumeWriter), in the format its path's
+extension names: raw for .raw, in any case, and else OpenDX.
 
 The piecewise rasterizer touches each atom's bounding window only. The
 bumps reach every voxel, so the gaussian rasterizer prunes atoms by one
@@ -204,11 +207,9 @@ def piecewise_slabs(mol: Molecule, grid: GridSpec) -> Iterator[np.ndarray]:
     # per drawn atom, in drawing order, as Python numbers for the loop
     atoms = list(zip(lo[drawn].tolist(), hi[drawn].tolist(), centers[drawn].tolist(),
                      radii[drawn].tolist()))
-    return _piecewise_slabs(grid.axes(), atoms, depth)
-
-
-def _piecewise_slabs(axes, atoms, depth):
-    n0, n1, n2 = (len(x) for x in axes)
+    del lo, hi, r2, drawn, first, last  # not kept alive while the slabs are drawn
+    axes = grid.axes()
+    n0, n1, n2 = dims
     outside = np.ones((depth, n1, n2), dtype=bool)
     k = 0
     for base in range(0, n0, SLAB):
@@ -293,10 +294,6 @@ def gaussian_slabs(
     assembles the field, peaks at 10.7, 13.8 and 10.2.
     """
     check_bump_settings(s, r_e)
-    return _gaussian_slabs(mol, grid, s, r_e)
-
-
-def _gaussian_slabs(mol, grid, s, r_e):
     dims, centers = grid.dims, mol.centers.T
     r2 = mol.radii * mol.radii
     # voxel centres per axis, padded to whole leaves by repeating the last

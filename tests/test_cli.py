@@ -1716,3 +1716,105 @@ def test_streamed_gaussian_run_holds_no_grid_array(three_atom_file, tmp_path, ca
     triangles = int(m["run[t=100,iso=0.8].mesh.triangles"])
     assert m["run[t=100,iso=0.8].mesh.boundary_edge_count"] == "0"
     assert peak <= 6 * n_voxels + 200 * triangles
+
+
+# ---------------------------------------------------------------------------
+# a producer's setup runs in the stage that consumes it; a failed run removes
+# only regular files; input and config files are UTF-8, with or without a BOM
+
+
+def test_an_error_in_the_piecewise_setup_fails_at_rasterize(
+    three_atom_file, monkeypatch, capsys
+):
+    # the rasterizer's setup runs at its first slab, inside the rasterize
+    # stage, so its failure is one tagged line with the compute exit code
+    def broken(self):
+        raise MemoryError("no room for the voxel axes")
+
+    monkeypatch.setattr(GridSpec, "axes", broken)
+    code, out, err = run_cli(["--input", three_atom_file, "--spacing", "0.5"], capsys)
+    assert code == EXIT_COMPUTE and out == ""
+    assert err == "error[stage=rasterize]: no room for the voxel axes\n"
+
+
+def test_a_failed_run_leaves_an_output_pipe_in_place(three_atom_file, tmp_path, capsys):
+    # the mesh goes into a named pipe, then the report's directory is missing:
+    # the run exits 5 and removes no output it did not create
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            while fh.read(1 << 16):
+                pass
+
+    reader = threading.Thread(target=drain, daemon=True)
+    reader.start()
+    code, out, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5", "--mesh-out", str(fifo),
+         "--metrics-out", str(tmp_path / "nodir" / "r.txt")],
+        capsys,
+    )
+    reader.join(timeout=30)
+    assert code == EXIT_OUTPUT and out == ""
+    assert err.startswith("error[stage=output]: cannot write ")
+    assert not reader.is_alive() and fifo.is_fifo()
+
+
+def _untimed_run(directory, name, data, argv, monkeypatch, capsys):
+    # the manifest of a run on data saved as name in directory, from there,
+    # without its timing lines
+    directory.mkdir()
+    (directory / name).write_bytes(data)
+    monkeypatch.chdir(directory)
+    code, out, err = run_cli(argv, capsys)
+    assert code == EXIT_OK, err
+    return [line for line in out.splitlines() if not line.startswith("timing.")]
+
+
+BOM = b"\xef\xbb\xbf"  # UTF-8 byte-order mark
+
+
+@pytest.mark.parametrize("name", ["fixture.xyzr", "fixture.pqr"])
+def test_an_input_file_with_a_byte_order_mark_runs_as_its_twin(
+    tmp_path, monkeypatch, capsys, name
+):
+    # the mark comes right before the first atom record: without its
+    # REMARK line, the PQR fixture starts with one too
+    lines = (GOLDEN / name).read_bytes().splitlines(keepends=True)
+    data = b"".join(line for line in lines if not line.startswith(b"REMARK"))
+    argv = ["--input", name, "--spacing", "0.5"]
+    runs = [
+        _untimed_run(tmp_path / where, name, mark + data, argv, monkeypatch, capsys)
+        for where, mark in (("plain", b""), ("marked", BOM))
+    ]
+    assert runs[0] == runs[1]
+
+
+def test_a_config_file_with_a_byte_order_mark_runs_as_its_twin(
+    three_atom_file, tmp_path, monkeypatch, capsys
+):
+    text = b"spacing = 0.5\ntime = 50, 100\n"
+    argv = ["--input", three_atom_file, "--config", "run.cfg"]
+    runs = [
+        _untimed_run(tmp_path / where, "run.cfg", mark + text, argv, monkeypatch, capsys)
+        for where, mark in (("plain", b""), ("marked", BOM))
+    ]
+    assert runs[0] == runs[1]
+    assert "grid.spacing: 0.5" in runs[1]
+
+
+@pytest.mark.parametrize(
+    ("stage", "exit_code"), [("input", EXIT_INPUT), ("config", EXIT_CONFIG)]
+)
+def test_a_file_that_is_not_utf8_keeps_its_stage(
+    three_atom_file, tmp_path, capsys, stage, exit_code
+):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("spacing = 0.5 Å\n".encode("latin-1"))
+    argv = ["--input", str(path)]
+    if stage == "config":
+        argv = ["--input", three_atom_file, "--config", str(path)]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (exit_code, "")
+    assert err.startswith(f"error[stage={stage}]: ") and "can't decode" in err

@@ -2,6 +2,7 @@
 grids.next_smooth against counting up, and GridSpec's voxel count."""
 
 import io
+import os
 from unittest import mock
 
 import numpy as np
@@ -263,3 +264,21 @@ def test_read_only_is_a_view_and_the_callers_array_stays_writeable():
     assert grids.read_only(np.arange(3)).dtype == np.float64
     ints = grids.read_only([[0, 1, 2]], np.int64)
     assert ints.dtype == np.int64 and not ints.flags.writeable
+
+
+def test_new_file_leaves_a_pipe_it_fails_to_write(tmp_path):
+    # a failed write removes the file it made, but not a named pipe (or a
+    # device) that was there before; a reader opened without blocking lets
+    # the pipe be opened for writing
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(RuntimeError, match="half written"):
+            with grids.new_file(fifo) as fh:
+                fh.write(b"part of a file\n")
+                raise RuntimeError("half written")
+        assert os.read(reader, 64) == b"part of a file\n"
+    finally:
+        os.close(reader)
+    assert fifo.is_fifo()

@@ -300,3 +300,19 @@ def test_bounding_box_uses_per_atom_radii():
     lo, hi = mol.bounding_box()
     assert np.allclose(lo, [-1.0, -1.0, -1.0])
     assert np.allclose(hi, [4.25, 1.0, 1.0])
+
+
+def test_an_ent_file_is_read_as_pdb():
+    # .ent is the wwPDB's extension for PDB files. Read by content, these CA
+    # records with blank element columns pass as PQR, which would take the
+    # occupancy 1.00 as the charge and the B-factor 25.00 as the radius
+    text = "".join(
+        f"ATOM  {i + 1:5d}  CA  ALA A{i + 1:4d}    {3.8 * i:8.3f}{0.0:8.3f}{0.0:8.3f}"
+        "  1.00 25.00\n"
+        for i in range(16)
+    )
+    assert parse_auto(text).source.format == "pqr"
+    for name in ("pdb1abc.ent", "PDB1ABC.ENT"):
+        mol = parse_auto(text, name)
+        assert mol.source.format == "pdb" and len(mol) == 16
+        assert np.array_equal(mol.radii, np.full(16, VDW_RADII["C"]))

@@ -25,7 +25,14 @@ halving rule at every box size, so its former cube level (_BLOCK,
 block_pairs) and leaf level (leaf_pairs) have no holder. The marcher keeps
 one vertex id per grid edge, at its axis and lower point, so no cell steps
 back to an edge's owner (_SHIFT, _OWNER_EDGE, _TRI_SLOTS) and no owner
-rows carry over between slabs (_NO_CARRY).
+rows carry over between slabs (_NO_CARRY). Each slab producer is one
+generator, whose setup runs at its first slab, so no private twin
+(_piecewise_slabs, _gaussian_slabs, _field_slabs) does the slab work
+after a call-time setup. A failed run removes an output only through
+grids.remove_output, which leaves anything but a regular file alone, and
+every file is opened in grids.py: for writing by new_file, for reading by
+read_text, the one reader of input and config files, as UTF-8 with or
+without a BOM.
 
 Each rule is a regular expression searched line by line, as grep does.
 The one rule that searches tests/ leaves out this module, whose message
@@ -179,6 +186,23 @@ RULES = [
         "the marcher looks up an edge's owner again; "
         "every corner reads its id at its grid edge's slot",
         id="one-edge-id-grid",
+    ),
+    pytest.param(
+        lambda: grep(r"def _(piecewise|gaussian|field)_slabs\b", "src"),
+        "a slab producer is split again into a call-time setup and a private generator",
+        id="one-generator-per-producer",
+    ),
+    pytest.param(
+        lambda: outside(grep(r"\bos\.(remove|unlink)\(|\.unlink\(", PACKAGE), GRIDS)
+        + once(r"\bos\.remove\(", GRIDS),
+        "an output is removed outside grids.remove_output, which removes only regular files",
+        id="output-removal",
+    ),
+    pytest.param(
+        lambda: outside(grep(r"\bopen\(", PACKAGE), GRIDS)
+        + once(r'open\(path, encoding="utf-8-sig"\)', GRIDS),
+        "a file is opened outside grids.py: input and config files are read by grids.read_text",
+        id="one-reader",
     ),
 ]
 

@@ -17,7 +17,8 @@ from cliffsurf import grids
 from cliffsurf.grids import SLAB, GridSpec, ScalarField3, SlabRange
 from cliffsurf.pdefilter import BandForward, FilterParams, SpectralBand, field_slabs
 from cliffsurf.surface import SlabMarcher, TriangleMesh, marching_cubes, mesh_metrics
-from cliffsurf.volumetrics import VolumeWriter
+from cliffsurf.molecule import Molecule
+from cliffsurf.volumetrics import VolumeWriter, gaussian_slabs, piecewise_slabs
 from conftest import FullDisk, marching_cubes_loop, sphere_distance_field, write_rows_percent
 
 # planes along axis 0 that a multiple of SLAB would not exercise
@@ -484,3 +485,31 @@ def test_streamed_dx_of_a_mixed_sign_field_matches_percent(tmp_path, monkeypatch
             writer.write(slab)
     assert values.size % 3 and (values < 0).mean() > 0.05
     assert (tmp_path / "v.dx").read_bytes() == _dx_oracle(values, grid)
+
+
+def test_each_producer_does_no_work_before_its_first_slab(monkeypatch):
+    # a producer is a generator: its checks and setup run at its first
+    # slab, in the stage that consumes it, and nothing runs at the call
+    axes_calls = []
+    real_axes = GridSpec.axes
+
+    def counted_axes(self):
+        axes_calls.append(self)
+        return real_axes(self)
+
+    monkeypatch.setattr(GridSpec, "axes", counted_axes)
+    mol = Molecule([(0.0, 0.0, 0.0)], [1.5])
+    grid = GridSpec(origin=(-2.0, -2.0, -2.0), spacing=0.5, dims=(9, 9, 9))
+    parts = piecewise_slabs(mol, grid)
+    assert axes_calls == []
+    next(parts)
+    assert axes_calls == [grid]
+
+    parts = gaussian_slabs(mol, grid, s=0.0)
+    with pytest.raises(ValueError, match="s must be positive and finite, got 0.0"):
+        next(parts)
+
+    band = SpectralBand.full(grid)
+    parts = field_slabs(np.zeros((2, 2, 2), dtype=complex), band)
+    with pytest.raises(ValueError, match=r"spectrum shape \(2, 2, 2\) does not match"):
+        next(parts)
