@@ -64,7 +64,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import molecule, volumetrics
-from .grids import SlabRange, check_finite, new_file, read_text, remove_output
+from .grids import SlabRange, check_finite, check_positive, new_file, read_text, remove_output
 from .pdefilter import (
     DEFAULT_HALF_ORDER,
     BandForward,
@@ -118,7 +118,9 @@ class RunConfig:
     Building one fills in the init kind's default isovalue, makes d, times
     and isovalues tuples of Python floats and the other float settings
     Python floats, as FilterParams and GridSpec do, and raises ValueError
-    for any setting a run refuses.
+    for any setting a run refuses. Each per-kind rule is volumetrics':
+    the default isovalue from DEFAULT_ISOVALUES and the isovalue range
+    from check_isovalue, so no kind is named here.
     """
 
     input_path: str
@@ -140,12 +142,8 @@ class RunConfig:
 
     def __post_init__(self):
         isovalues = self.isovalues
-        if isovalues is None:
-            # the swapped binary field is the complement of the piecewise
-            # one, so its natural default is the mirrored level 1 - 0.9
-            isovalues = {"gaussian": (0.8,), "piecewise-swapped": (0.1,)}.get(
-                self.init_kind, (0.9,)
-            )
+        if isovalues is None:  # an unknown kind gets NaN, and is refused below
+            isovalues = (volumetrics.DEFAULT_ISOVALUES.get(self.init_kind, np.nan),)
         for name in ("spacing", "padding", "s", "r_e", "epsilon", "mem_cap_gib"):
             object.__setattr__(self, name, float(getattr(self, name)))
         for name, values in (("d", self.d), ("times", self.times), ("isovalues", isovalues)):
@@ -164,12 +162,7 @@ class RunConfig:
         if not self.isovalues:
             raise ValueError("need at least one isovalue")
         for iso in self.isovalues:
-            if self.init_kind != "gaussian" and not 0.0 < iso <= 1.0:
-                raise ValueError(
-                    f"isovalue must lie in (0, 1] for binary initial data, got {iso}"
-                )
-            if self.init_kind == "gaussian" and not 0 < iso < np.inf:
-                raise ValueError(f"isovalue must be positive and finite, got {iso}")
+            volumetrics.check_isovalue(self.init_kind, iso)
         # output names and manifest keys print values with %g
         for name, values in (("time", self.times), ("isovalue", self.isovalues)):
             if len({f"{v:g}" for v in values}) < len(values):
@@ -185,8 +178,7 @@ class RunConfig:
             if real in seen:
                 raise ValueError(f"output {path} would overwrite the input or another output")
             seen.add(real)
-        if not 0 < self.mem_cap_gib < np.inf:
-            raise ValueError(f"mem-cap must be positive and finite, got {self.mem_cap_gib}")
+        check_positive("mem-cap", self.mem_cap_gib)
 
     @property
     def filter_params(self) -> tuple[FilterParams, ...]:

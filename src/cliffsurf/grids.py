@@ -2,13 +2,15 @@
 
 These types are shared between the volume-construction layer and the
 spectral operators, so they live in one dependency-free module; so do
-new_file and write_rows, the file opener and text-row formatter of the
-volume, mesh and report writers; remove_output, the one rule for which
-outputs a failed run removes; read_text, the one reader of input and
-config files; and the slab conventions of the streamed pipeline: the
-CLI rasterizes, transforms, writes and extracts a grid SLAB planes of
-axis 0 at a time, and no stage of a run holds an array the size of the
-grid.
+check_positive, the one rule and text for every setting that must be
+positive and finite, and _check_grid, the one field check of both grid
+ranks; new_file and write_rows, the file opener and text-row formatter
+of the volume, mesh and report writers; remove_output, the one rule for
+which outputs a failed run removes; read_text, the one reader of input
+and config files; and the slab conventions of the streamed pipeline:
+the CLI rasterizes, transforms, writes and extracts a grid SLAB planes
+of axis 0 at a time, and no stage of a run holds an array the size of
+the grid.
 
 write_rows formats numbers as arrays, not one Python float at a time:
 integer arithmetic picks each value's 4-byte texts from digit tables,
@@ -35,6 +37,7 @@ import contextlib
 import math
 import os
 import re
+import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import reduce
@@ -43,16 +46,22 @@ from typing import BinaryIO
 import numpy as np
 
 
-def check_spacing(spacing) -> None:
-    """Raise ValueError unless spacing is positive and finite; the one text of that refusal."""
-    if not 0 < spacing < np.inf:
-        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+def check_positive(name: str, value) -> None:
+    """Raise ValueError unless value is positive and finite; the one text of that refusal."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def check_dims(dims: tuple, rank: int) -> None:
-    """Raise ValueError unless dims holds rank integers >= 2; the one text of that refusal."""
-    if len(dims) != rank or any(n < 2 for n in dims):
-        raise ValueError(f"dims must be {rank} integers >= 2, got {dims}")
+def _check_grid(grid, rank: int) -> None:
+    """Convert a rank-D grid's fields to floats and ints; refuse a bad origin, spacing or dims."""
+    object.__setattr__(grid, "origin", tuple(float(v) for v in grid.origin))
+    object.__setattr__(grid, "spacing", float(grid.spacing))
+    object.__setattr__(grid, "dims", tuple(int(n) for n in grid.dims))
+    if len(grid.origin) != rank or not all(np.isfinite(grid.origin)):
+        raise ValueError(f"origin must be {rank} finite floats, got {grid.origin}")
+    check_positive("spacing", grid.spacing)
+    if len(grid.dims) != rank or any(n < 2 for n in grid.dims):
+        raise ValueError(f"dims must be {rank} integers >= 2, got {grid.dims}")
 
 
 @dataclass(frozen=True)
@@ -64,13 +73,7 @@ class GridSpec:
     dims: tuple[int, int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        object.__setattr__(self, "spacing", float(self.spacing))
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        if len(self.origin) != 3 or not all(np.isfinite(self.origin)):
-            raise ValueError(f"origin must be 3 finite floats, got {self.origin}")
-        check_spacing(self.spacing)
-        check_dims(self.dims, 3)
+        _check_grid(self, 3)
 
     @property
     def n_voxels(self) -> int:
@@ -96,11 +99,7 @@ class GridSpec2:
     origin: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(n) for n in self.dims))
-        object.__setattr__(self, "spacing", float(self.spacing))
-        object.__setattr__(self, "origin", tuple(float(v) for v in self.origin))
-        check_dims(self.dims, 2)
-        check_spacing(self.spacing)
+        _check_grid(self, 2)
 
 
 def read_only(values, dtype=np.float64) -> np.ndarray:
@@ -288,10 +287,12 @@ def remove_output(path) -> None:
     """Remove the output at path only if it is a regular file, ignoring an OSError.
 
     A failed run removes what it wrote, but no output it did not create: a
-    device such as /dev/null or a named pipe given as an output stays.
+    device such as /dev/null, a named pipe or a symbolic link given as an
+    output stays. The path is tested with lstat, so a link is not
+    followed: the link stays, and its target keeps what the run wrote.
     """
     with contextlib.suppress(OSError):
-        if os.path.isfile(path):
+        if stat.S_ISREG(os.lstat(path).st_mode):
             os.remove(path)
 
 
@@ -301,7 +302,7 @@ def new_file(path) -> Iterator[BinaryIO]:
 
     The file is closed at the end of the block; when the block or the
     close fails, it is removed if it is a regular file (remove_output), so
-    a failed write leaves a device or a named pipe alone.
+    a failed write leaves a device, a named pipe or a symbolic link alone.
     """
     fh = open(path, "wb")
     try:

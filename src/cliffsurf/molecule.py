@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grids import read_only
+from .grids import check_positive, read_only
 
 # Bondi-style van der Waals radii (Angstrom) for bare PDB input.
 # PQR radii always win when present. Swappable via parse_pdb(radii=...).
@@ -98,7 +98,7 @@ class Molecule:
             raise ValueError(f"center must be 3 finite coordinates, got {bad}")
         good = (radii > 0) & (radii < np.inf)  # a NaN fails both
         if not good.all():
-            raise ValueError(f"radius must be positive and finite, got {radii[~good][0]}")
+            check_positive("radius", radii[~good][0])
         columns = {"centers": centers, "radii": radii}
         for name, convert in (("charges", read_only), ("labels", tuple), ("elements", tuple)):
             if getattr(self, name) is not None:

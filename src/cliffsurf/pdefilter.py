@@ -53,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridSpec, PlaneFeed, ScalarField3, check_finite, slabs, squared_norm, w_axes
+from .grids import GridSpec, PlaneFeed, ScalarField3, check_finite, check_positive
+from .grids import slabs, squared_norm, w_axes
 
 # exp(-x) stays a normal double up to x ~ 708.4; past that the gain is
 # indistinguishable from zero, so clamp there and avoid underflow flags
@@ -87,8 +88,7 @@ class FilterParams:
             raise ValueError("at least one diffusion coefficient must be positive")
         if self.epsilon < 0 or not np.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
-        if not (self.t > 0 and np.isfinite(self.t)):
-            raise ValueError(f"propagation time t must be positive and finite, got {self.t}")
+        check_positive("propagation time t", self.t)
 
     @classmethod
     def single_term(

@@ -15,9 +15,11 @@ that consumes it: the CLI times them, and tags their errors, in its
 rasterize stage. initial_slabs gives the slabs of each of INIT_KINDS,
 the swapped kind being 1 minus the piecewise field, and refuses an
 unknown kind at the call; the CLI streams them into the filter, and
-rasterize(kind) assembles them into a whole field. A volume file is
-written slab by slab too (VolumeWriter), in the format its path's
-extension names: raw for .raw, in any case, and else OpenDX.
+rasterize(kind) assembles them into a whole field. Each kind's default
+isovalue (DEFAULT_ISOVALUES, whose keys are INIT_KINDS) and isovalue
+rule (check_isovalue) are kept here too, so RunConfig names no kind. A
+volume file is written slab by slab too (VolumeWriter), in the format
+its path's extension names: raw for .raw, in any case, and else OpenDX.
 
 The piecewise rasterizer touches each atom's bounding window only. The
 bumps reach every voxel, so the gaussian rasterizer prunes atoms by one
@@ -50,7 +52,7 @@ from .grids import (
     PlaneFeed,
     ScalarField3,
     check_finite,
-    check_spacing,
+    check_positive,
     new_file,
     next_smooth,
     slabs,
@@ -64,8 +66,12 @@ DEFAULT_BUMP_HEIGHT = 1.0
 DEFAULT_BUMP_DECAY = 3.0
 DEFAULT_MEM_CAP = 4 * 1024**3
 
-# the initial fields a run can start from, as initial_slabs names them
-INIT_KINDS = ("piecewise", "gaussian", "piecewise-swapped")
+# the initial fields a run can start from, as initial_slabs names them, and
+# the isovalue a run of each meshes by default; the swapped binary field is
+# the complement of the piecewise one, so its default is the mirrored level
+# 1 - 0.9
+DEFAULT_ISOVALUES = {"piecewise": 0.9, "gaussian": 0.8, "piecewise-swapped": 0.1}
+INIT_KINDS = tuple(DEFAULT_ISOVALUES)
 
 # Estimated peak of a whole CLI run per grid voxel, used only to refuse
 # grids before allocating. A run streams the grid in slabs of SLAB axis-0
@@ -89,17 +95,15 @@ _LEAF = 4
 
 def check_grid_settings(spacing: float, padding: float) -> None:
     """Raise ValueError unless spacing is positive and padding nonnegative, both finite."""
-    check_spacing(spacing)
+    check_positive("spacing", spacing)
     if not 0 <= padding < np.inf:
         raise ValueError(f"padding must be nonnegative and finite, got {padding}")
 
 
 def check_bump_settings(s: float, r_e: float) -> None:
     """Raise ValueError unless the bump height s and decay r_e are positive and finite."""
-    if not 0 < s < np.inf:
-        raise ValueError(f"s must be positive and finite, got {s}")
-    if not 0 < r_e < np.inf:
-        raise ValueError(f"r_e must be positive and finite, got {r_e}")
+    check_positive("s", s)
+    check_positive("r_e", r_e)
 
 
 def check_init_kind(kind: str) -> None:
@@ -108,13 +112,26 @@ def check_init_kind(kind: str) -> None:
         raise ValueError(f"init must be one of {INIT_KINDS}, got {kind!r}")
 
 
+def check_isovalue(kind: str, iso: float) -> None:
+    """Raise ValueError unless iso can mesh the initial field of kind, one of INIT_KINDS.
+
+    A binary field (piecewise, piecewise-swapped) lies in [0, 1], so its
+    isovalue must lie in (0, 1]; the bumps take any positive and finite one.
+    """
+    if kind == "gaussian":
+        check_positive("isovalue", iso)
+    elif not 0.0 < iso <= 1.0:
+        raise ValueError(f"isovalue must lie in (0, 1] for binary initial data, got {iso}")
+
+
 def _check_grid_size(dims, mem_cap_bytes: float | None) -> None:
     # the tests compare Python ints, and a float cap, exactly at any size;
     # the messages' floats may read inf. The need reads two significant
-    # digits and the cap as given
+    # digits and the cap as given. The test is "not need <= cap", so a NaN
+    # cap is refused
     voxels = math.prod(dims)
     shape = ", ".join(f"{float(n):.7g}" for n in dims)
-    if mem_cap_bytes is not None and voxels * _BYTES_PER_VOXEL > mem_cap_bytes:
+    if mem_cap_bytes is not None and not voxels * _BYTES_PER_VOXEL <= mem_cap_bytes:
         gib = float(f"{math.prod(map(float, dims)) * _BYTES_PER_VOXEL / 1024**3:.2g}")
         raise ValueError(
             f"grid ({shape}) needs about {gib:g} GiB, "
@@ -137,9 +154,10 @@ def make_grid(
     recentered, never clipped). The padding holds off periodic wraparound,
     but not far at 5 Angstrom: tests/golden/fixture.xyzr at the defaults
     meshes to area 264.14 and volume 397.47, 3.3% and 3.6% over 255.81
-    and 383.66 at 40 Angstrom (ROADMAP item 1). The memory cap is
-    checked against the estimated peak of a whole run, _BYTES_PER_VOXEL
-    per voxel, on the rounded dims, which the refusal names. With or
+    and 383.66 at 40 Angstrom (ROADMAP item 1). The memory cap (None or
+    inf for none) is checked against the estimated peak of a whole run,
+    _BYTES_PER_VOXEL per voxel, on the rounded dims, which the refusal
+    names; a NaN cap refuses every grid. With or
     without a cap, more voxels than a float64 array can hold are refused,
     on the sample counts before rounding and on the rounded dims. A span
     whose sample count is not finite raises ValueError.

@@ -926,6 +926,14 @@ def test_run_config_validation_direct():
     RunConfig("x", init_kind="gaussian", isovalues=(1.3,))
 
 
+def test_run_config_takes_each_kinds_default_isovalue_from_volumetrics():
+    for kind, iso in volumetrics.DEFAULT_ISOVALUES.items():
+        assert RunConfig("x", init_kind=kind).isovalues == (iso,)
+    # an unknown kind is refused as such, whatever its default would be
+    with pytest.raises(ValueError, match=r"^init must be one of "):
+        RunConfig("x", init_kind="smooth")
+
+
 # each rule a RunConfig checks when it is built: its fields, the same
 # settings as config-file lines, and the refusal the CLI prints at exit 3
 _REFUSALS = [
@@ -1759,6 +1767,22 @@ def test_a_failed_run_leaves_an_output_pipe_in_place(three_atom_file, tmp_path, 
     assert code == EXIT_OUTPUT and out == ""
     assert err.startswith("error[stage=output]: cannot write ")
     assert not reader.is_alive() and fifo.is_fifo()
+
+
+def test_a_failed_run_leaves_an_output_link_in_place(three_atom_file, tmp_path, capsys):
+    # the mesh goes through a symbolic link, then the report's directory is
+    # missing: the run exits 5, the link stays and its target holds the mesh
+    target, link = tmp_path / "target.obj", tmp_path / "link.obj"
+    target.write_text("keep me\n")
+    link.symlink_to("target.obj")
+    code, out, err = run_cli(
+        ["--input", three_atom_file, "--spacing", "0.5", "--mesh-out", str(link),
+         "--metrics-out", str(tmp_path / "nodir" / "r.txt")],
+        capsys,
+    )
+    assert code == EXIT_OUTPUT and out == ""
+    assert err.startswith("error[stage=output]: cannot write ")
+    assert link.is_symlink() and target.read_text().startswith("v ")
 
 
 def _untimed_run(directory, name, data, argv, monkeypatch, capsys):

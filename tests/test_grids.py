@@ -1,5 +1,6 @@
 """The array text formatter (grids.write_rows) against Python's `%`,
-grids.next_smooth against counting up, and GridSpec's voxel count."""
+grids.next_smooth against counting up, GridSpec's voxel count, the field
+checks both grid ranks share, and which outputs a failed write removes."""
 
 import io
 import os
@@ -264,6 +265,65 @@ def test_read_only_is_a_view_and_the_callers_array_stays_writeable():
     assert grids.read_only(np.arange(3)).dtype == np.float64
     ints = grids.read_only([[0, 1, 2]], np.int64)
     assert ints.dtype == np.int64 and not ints.flags.writeable
+
+
+@pytest.mark.parametrize("value", [0, -1.0, np.nan, np.inf, -np.inf])
+def test_check_positive_refuses_in_one_text(value):
+    with pytest.raises(ValueError, match=rf"^spacing must be positive and finite, got {value}$"):
+        grids.check_positive("spacing", value)
+
+
+def test_check_positive_passes_positive_finite_values():
+    for value in (5e-324, 1, 1e308, np.float64(0.5)):
+        grids.check_positive("r_e", value)
+
+
+@pytest.mark.parametrize(
+    "origin2, origin3", [((np.nan, 0.0), (np.nan, 0.0, 0.0)), ((1.0, 2.0, 3.0), (1.0, 2.0))]
+)
+def test_grid2_refuses_a_bad_origin(origin2, origin3):
+    # one field check for both ranks: a 2D grid's origin is 2 finite floats,
+    # as a 3D grid's is 3
+    with pytest.raises(ValueError, match=r"^origin must be 2 finite floats, got "):
+        grids.GridSpec2(dims=(4, 4), origin=origin2)
+    with pytest.raises(ValueError, match=r"^origin must be 3 finite floats, got "):
+        grids.GridSpec(origin=origin3, spacing=1.0, dims=(4, 4, 4))
+
+
+def test_both_grid_ranks_convert_and_refuse_alike():
+    g2 = grids.GridSpec2(dims=(np.int64(4), 5.0), spacing=2, origin=[0, np.float32(1.5)])
+    assert g2 == grids.GridSpec2(dims=(4, 5), spacing=2.0, origin=(0.0, 1.5))
+    assert type(g2.spacing) is float and all(type(n) is int for n in g2.dims)
+    for rank, make in ((2, grids.GridSpec2), (3, grids.GridSpec)):
+        origin = (0.0,) * rank
+        with pytest.raises(ValueError, match=r"^spacing must be positive and finite, got 0.0$"):
+            make(origin=origin, spacing=0.0, dims=(4,) * rank)
+        for dims in ((4,) * (rank + 1), (1,) * rank):
+            with pytest.raises(ValueError, match=rf"^dims must be {rank} integers >= 2, got "):
+                make(origin=origin, spacing=1.0, dims=dims)
+
+
+def test_remove_output_leaves_a_link_and_its_target(tmp_path):
+    # the path is tested without following the link: a link is no regular
+    # file, so it stays, and so does the file it points at
+    target, link = tmp_path / "target.obj", tmp_path / "link.obj"
+    target.write_text("keep me\n")
+    link.symlink_to("target.obj")
+    grids.remove_output(link)
+    assert link.is_symlink() and target.read_text() == "keep me\n"
+    grids.remove_output(target)
+    assert not target.exists() and link.is_symlink()
+
+
+def test_new_file_leaves_a_link_it_fails_to_write_through(tmp_path):
+    target, link = tmp_path / "target.obj", tmp_path / "link.obj"
+    target.write_text("keep me\n")
+    link.symlink_to(target)
+    with pytest.raises(RuntimeError, match="half written"):
+        with grids.new_file(link) as fh:
+            fh.write(b"part of a file\n")
+            raise RuntimeError("half written")
+    assert link.is_symlink() and target.read_bytes() == b"part of a file\n"
 
 
 def test_new_file_leaves_a_pipe_it_fails_to_write(tmp_path):

@@ -6,11 +6,15 @@ refusal texts are formatted there once; every spectral symbol takes its
 wavenumbers from grids.w_axes, the one caller of the FFT frequency
 layout. Each run input is refused by its one owner: an atom-less input by
 Molecule, a mesh with no triangles by TriangleMesh, a bad bump height s or
-decay r_e by volumetrics.check_bump_settings, and a bad grid spacing or
-dims by grids.check_spacing and grids.check_dims. A field with a NaN or an
-infinity is refused in one text, by grids.check_finite; a pass count that
-is not an integer >= 1 by pdefilter.check_passes, and an unknown init kind
-by volumetrics.check_init_kind. A RunConfig is checked when it is built,
+decay r_e by volumetrics.check_bump_settings, and a bad grid origin,
+spacing or dims by the one field check that GridSpec and GridSpec2 share,
+so check_spacing and check_dims have no holder. Every setting that must
+be positive and finite is refused in one text, by grids.check_positive,
+and a field with a NaN or an infinity in one text, by grids.check_finite;
+a pass count that is not an integer >= 1 by pdefilter.check_passes, and
+an unknown init kind by volumetrics.check_init_kind. Each init kind's
+default isovalue and isovalue rule are volumetrics', so the CLI compares
+no kind name. A RunConfig is checked when it is built,
 so no resolve step exists, and argparse checks no choice of its own. Each
 writer reads its format from its path, so no setting or parameter names
 one: the .raw test is volumetrics.VolumeWriter's, the .off test
@@ -89,7 +93,7 @@ FORMATTED_ONCE = (
     "field contains NaN or Inf",
     "passes must be >= 1",
     "init must be one of",
-    "spacing must be positive and finite",
+    "must be positive and finite, got",
     "dims must be",
 )
 
@@ -118,6 +122,17 @@ RULES = [
         lambda: outside(grep(r"\bs must be|\br_?e must be", PACKAGE), f"{PACKAGE}/volumetrics.py"),
         "an s or r_e refusal is formatted outside volumetrics.py",
         id="bump-settings",
+    ),
+    pytest.param(
+        lambda: grep(r"def check_(spacing|dims)\b", "src"),
+        "a grid check is written beside the one field check of both ranks "
+        "and grids.check_positive",
+        id="one-grid-check",
+    ),
+    pytest.param(
+        lambda: grep(r'init_kind [!=]= "', f"{PACKAGE}/cli.py"),
+        "the CLI names an init kind; its default isovalue and isovalue rule are volumetrics'",
+        id="no-kind-names-in-cli",
     ),
     pytest.param(
         lambda: outside(grep(r"resolved\(", "src", "tests"), THIS),

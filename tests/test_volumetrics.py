@@ -16,7 +16,9 @@ from cliffsurf.pdefilter import FilterParams, mode_decompose
 from cliffsurf.surface import marching_cubes
 from cliffsurf.volumetrics import (
     _BYTES_PER_VOXEL,
+    DEFAULT_ISOVALUES,
     INIT_KINDS,
+    check_isovalue,
     initial_slabs,
     make_grid,
     piecewise_slabs,
@@ -76,6 +78,16 @@ def test_make_grid_memory_cap(three_atoms):
         make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=10 * 1024**2)
     grid = make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=None)
     assert grid.dims == (56, 70, 70)
+
+
+def test_make_grid_refuses_a_nan_memory_cap(three_atoms):
+    # "need > nan" is False for every need, so the cap is "not need <= cap"
+    with pytest.raises(ValueError, match=r"\(56, 70, 70\) needs about .* over the nan GiB memory cap"):
+        make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=float("nan"))
+    # None and inf are no cap
+    for cap in (None, np.inf):
+        grid = make_grid(three_atoms, spacing=0.25, padding=5.0, mem_cap_bytes=cap)
+        assert grid.dims == (56, 70, 70)
 
 
 def test_memory_cap_refusal_names_the_rounded_dims():
@@ -534,3 +546,22 @@ def test_initial_slabs_give_each_init_kind():
     for make in (initial_slabs, rasterize):
         with pytest.raises(ValueError, match=r"^init must be one of \(.*\), got 'smooth'$"):
             make("smooth", mol, grid)
+
+
+def test_each_init_kind_has_its_isovalue_rule():
+    # a binary field lies in [0, 1]; the bumps reach s, so any positive level
+    assert DEFAULT_ISOVALUES == {"piecewise": 0.9, "gaussian": 0.8, "piecewise-swapped": 0.1}
+    assert INIT_KINDS == tuple(DEFAULT_ISOVALUES)
+    for kind, iso in DEFAULT_ISOVALUES.items():
+        check_isovalue(kind, iso)
+    check_isovalue("gaussian", 1.3)
+    for kind in ("piecewise", "piecewise-swapped"):
+        check_isovalue(kind, 1.0)
+        for iso in (0.0, 1.3, np.nan):
+            with pytest.raises(
+                ValueError, match=rf"^isovalue must lie in \(0, 1\] for binary initial data, got {iso}$"
+            ):
+                check_isovalue(kind, iso)
+    for iso in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=rf"^isovalue must be positive and finite, got {iso}$"):
+            check_isovalue("gaussian", iso)
