@@ -141,9 +141,11 @@ class RunConfig:
     mem_cap_gib: float = volumetrics.DEFAULT_MEM_CAP / 1024**3
 
     def __post_init__(self):
+        # the kind first: an unknown or unhashable one cannot key the defaults
+        volumetrics.check_init_kind(self.init_kind)
         isovalues = self.isovalues
-        if isovalues is None:  # an unknown kind gets NaN, and is refused below
-            isovalues = (volumetrics.DEFAULT_ISOVALUES.get(self.init_kind, np.nan),)
+        if isovalues is None:
+            isovalues = (volumetrics.DEFAULT_ISOVALUES[self.init_kind],)
         for name in ("spacing", "padding", "s", "r_e", "epsilon", "mem_cap_gib"):
             object.__setattr__(self, name, float(getattr(self, name)))
         for name, values in (("d", self.d), ("times", self.times), ("isovalues", isovalues)):
@@ -152,7 +154,6 @@ class RunConfig:
             raise ValueError(
                 f"format must be one of {molecule.FORMATS}, got {self.input_format!r}"
             )
-        volumetrics.check_init_kind(self.init_kind)
         volumetrics.check_grid_settings(self.spacing, self.padding)
         volumetrics.check_bump_settings(self.s, self.r_e)
         check_passes(self.passes)

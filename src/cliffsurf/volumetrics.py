@@ -21,13 +21,14 @@ rule (check_isovalue) are kept here too, so RunConfig names no kind. A
 volume file is written slab by slab too (VolumeWriter), in the format
 its path's extension names: raw for .raw, in any case, and else OpenDX.
 
-The piecewise rasterizer touches each atom's bounding window only. The
-bumps reach every voxel, so the gaussian rasterizer prunes atoms by one
-rule at every box size: from one cube over the grid that holds every
-atom, it cuts each box in half along every axis, and each half keeps
-only those of its box's atoms that can win somewhere in it, down to
-leaves of 4^3 voxels, whose survivors it evaluates a whole layer of
-leaves per array operation. Rounded lower and upper bounds of each
+The piecewise rasterizer touches each atom's bounding window only, and
+tests a slab's atoms in array batches of windows padded to a common
+shape. The bumps reach every voxel, so the gaussian rasterizer prunes
+atoms by one rule at every box size: from one cube over the grid that
+holds every atom, it cuts each box in half along every axis, and each
+half keeps only those of its box's atoms that can win somewhere in it,
+down to leaves of 4^3 voxels, whose survivors it evaluates a whole layer
+of leaves per array operation. Rounded lower and upper bounds of each
 atom's power distance over a half discard the rest. The bounds are sums
 of the same rounded terms as the per-voxel values, so the pruned field
 is bit-identical to taking every atom over every voxel.
@@ -87,6 +88,10 @@ INIT_KINDS = tuple(DEFAULT_ISOVALUES)
 # with that filter, two times and every writer. 72 stays a flat estimate; a
 # model of slabs, band and meshes is an open item.
 _BYTES_PER_VOXEL = 72
+
+# the most padded window voxels piecewise_slabs tests in one array batch,
+# at about 12 B each while the batch is drawn
+_BATCH_VOXELS = 1 << 16
 
 # edge, in voxels, of the smallest boxes gaussian_slabs prunes atoms over,
 # whose candidates it evaluates a layer at a time
@@ -186,18 +191,42 @@ def make_grid(
 def piecewise_slabs(mol: Molecule, grid: GridSpec) -> Iterator[np.ndarray]:
     """The binary field, 0 within any atom sphere and 1 elsewhere, as SLAB-plane slabs.
 
-    A voxel center exactly on a sphere boundary counts as inside. Each
-    atom only touches the voxels in its bounding window, so cost is
-    O(atoms * window), not O(atoms * grid). The slabs are consecutive
-    along axis 0.
+    A voxel is inside an atom when (dx^2 + dy^2) + dz^2 <= r*r, with its
+    grid.axes() coordinates' offsets from the center, so a voxel center
+    exactly on a sphere boundary counts as inside. The slabs are
+    consecutive along axis 0.
 
-    The atoms are drawn in order of their window's first plane into a
-    rolling boolean buffer of planes that starts at the current slab and
-    reaches as far as the deepest window; the slab is complete, and
-    leaves the buffer as a fresh float64 array, once every atom whose
-    window starts in it is drawn. So each atom is drawn once and whole,
-    and the buffer holds SLAB plus one window depth of planes at 1 B per
-    voxel.
+    Each atom is tested over its bounding window only: per axis, the run
+    of voxels whose offset on that axis alone passes the test. The atoms
+    are drawn in order of their window's first plane into a rolling
+    boolean buffer of planes that starts at the current slab and reaches
+    as far as the deepest window; the slab is complete, and leaves the
+    buffer as a fresh float64 array, once every atom whose window starts
+    in it is drawn. So each atom is drawn once and whole.
+
+    A slab's atoms are drawn in array batches. They are ordered by window
+    size and cut into runs whose windows, each padded to the run's largest
+    extent per axis, hold at most _BATCH_VOXELS voxels together; an atom
+    whose window alone is larger is a batch of its own, so an outsized
+    atom pads no other. A batch is one test of shape (atom, z, x * y),
+    and it writes only False into the buffer, so overlapping windows and
+    the drawing order change nothing. Padding adds no voxel either. A
+    padded index past the grid is clipped to its last voxel, a real voxel
+    tested as itself. A padded voxel inside the grid lies off the atom's
+    window on some axis, where its squared offset alone exceeds r*r, and
+    a rounded sum of non-negative terms never falls below one of them. So
+    the field is bit-identical to testing each atom's window on its own.
+
+    The cost is about 8 ns per padded window voxel plus a few dozen array
+    calls per batch, where drawing atom by atom cost about 10 us of calls
+    per atom. On seeded globules (bench seed 0) padding adds 9-17% to the
+    windows' voxels, and the pass took 7-9 ms instead of 30-36 ms for 3000
+    atoms at 108^3 (16 batches), and 0.12-0.15 s instead of 0.27-0.30 s
+    for 20000 atoms in a 47 A ball at 270^3 (237 batches). Memory is the
+    buffer, SLAB plus one window depth of planes at 1 B per voxel, the
+    yielded slab at 8 B per voxel, and one batch at about 12 B per padded
+    voxel: under 1 MB at the cap, or more for an atom whose window alone
+    is larger.
     """
     h, dims = grid.spacing, grid.dims
     centers, radii = mol.centers, mol.radii
@@ -221,30 +250,40 @@ def piecewise_slabs(mol: Molecule, grid: GridSpec) -> Iterator[np.ndarray]:
         hi[:, a] = np.clip(last, -1, dims[a] - 1) + 1
     drawn = np.flatnonzero(np.all(lo < hi, axis=1))
     drawn = drawn[np.argsort(lo[drawn, 0], kind="stable")]
-    depth = SLAB + int((hi[drawn, 0] - lo[drawn, 0]).max(initial=0))
-    # per drawn atom, in drawing order, as Python numbers for the loop
-    atoms = list(zip(lo[drawn].tolist(), hi[drawn].tolist(), centers[drawn].tolist(),
-                     radii[drawn].tolist()))
-    del lo, hi, r2, drawn, first, last  # not kept alive while the slabs are drawn
+    lo, centers, r2 = lo[drawn], centers[drawn], r2[drawn]
+    size = hi[drawn] - lo
+    del hi, drawn, first, last  # not kept alive while the slabs are drawn
     axes = grid.axes()
     n0, n1, n2 = dims
-    outside = np.ones((depth, n1, n2), dtype=bool)
+    outside = np.ones((SLAB + int(size[:, 0].max(initial=0)), n1, n2), dtype=bool)
+    flat = outside.reshape(-1)  # a view
     k = 0
     for base in range(0, n0, SLAB):
-        while k < len(atoms) and atoms[k][0][0] < base + SLAB:
-            (x0, y0, z0), (x1, y1, z1), c, r = atoms[k]
-            k += 1
-            dx = axes[0][x0:x1] - c[0]
-            dy = axes[1][y0:y1] - c[1]
-            dz = axes[2][z0:z1] - c[2]
-            d2 = (
-                dx[:, None, None] ** 2
-                + dy[None, :, None] ** 2
-                + dz[None, None, :] ** 2
-            )
-            inside = d2 <= r * r
-            block = outside[x0 - base : x1 - base, y0:y1, z0:z1]  # a view
-            block[inside] = False
+        # the atoms whose window starts in this slab, smallest window first
+        end = int(np.searchsorted(lo[:, 0], base + SLAB))
+        todo = k + np.argsort(np.prod(size[k:end], axis=1), kind="stable")
+        k = end
+        while todo.size:
+            # the longest run whose padded windows fit the cap, or one atom
+            pad = np.maximum.accumulate(size[todo], axis=0)
+            fill = np.arange(1, len(todo) + 1) * np.prod(pad, axis=1)
+            n = max(1, int(np.searchsorted(fill, _BATCH_VOXELS, side="right")))
+            batch, todo = todo[:n], todo[n:]
+            # per axis, each atom's padded window indices clipped to the grid,
+            # and their offsets from its center
+            at = [
+                np.minimum(lo[batch, a, None] + np.arange(pad[n - 1, a]), dims[a] - 1)
+                for a in range(3)
+            ]
+            dx, dy, dz = (axes[a][at[a]] - centers[batch, a, None] for a in range(3))
+            # each padded voxel's test and its index in the buffer, of shape
+            # (atom, z, x * y): the long axis innermost
+            xy = (dx[:, :, None] ** 2 + dy[:, None, :] ** 2).reshape(n, 1, -1)
+            inside = xy + (dz**2)[:, :, None] <= r2[batch, None, None]
+            row = (at[0] - base)[:, :, None] * (n1 * n2) + (at[1] * n2)[:, None, :]
+            voxel = row.reshape(n, 1, -1) + at[2][:, :, None]
+            # compress (nonzero, then take) is faster here than a boolean index
+            flat[np.compress(inside.ravel(), voxel)] = False
         yield outside[: min(SLAB, n0 - base)].astype(np.float64)  # 1.0 and 0.0
         outside[:-SLAB] = outside[SLAB:]
         outside[-SLAB:] = True

@@ -934,6 +934,13 @@ def test_run_config_takes_each_kinds_default_isovalue_from_volumetrics():
         RunConfig("x", init_kind="smooth")
 
 
+@pytest.mark.parametrize("isovalues", [None, (0.5,)])
+def test_run_config_refuses_an_unhashable_kind(isovalues):
+    # the kind is checked before it keys the default isovalues
+    with pytest.raises(ValueError, match=r"^init must be one of .*, got \['gaussian'\]$"):
+        RunConfig("x", init_kind=["gaussian"], isovalues=isovalues)
+
+
 # each rule a RunConfig checks when it is built: its fields, the same
 # settings as config-file lines, and the refusal the CLI prints at exit 3
 _REFUSALS = [

@@ -119,8 +119,8 @@ RULES = [
         for text in FORMATTED_ONCE
     ),
     pytest.param(
-        lambda: outside(grep(r"\bs must be|\br_?e must be", PACKAGE), f"{PACKAGE}/volumetrics.py"),
-        "an s or r_e refusal is formatted outside volumetrics.py",
+        lambda: outside(grep(r'check_positive\("(s|r_e)"', PACKAGE), f"{PACKAGE}/volumetrics.py"),
+        "an s or r_e check is written outside volumetrics.check_bump_settings",
         id="bump-settings",
     ),
     pytest.param(

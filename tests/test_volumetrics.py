@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cliffsurf import grids
+from cliffsurf import grids, volumetrics
 from cliffsurf.grids import GridSpec, ScalarField3
 from cliffsurf.molecule import Molecule, parse_xyzr
 from cliffsurf.pdefilter import FilterParams, mode_decompose
@@ -25,7 +25,13 @@ from cliffsurf.volumetrics import (
     rasterize,
     write_volume,
 )
-from conftest import THREE_ATOM_XYZR, rasterize_gaussian_all_atoms, read_dx, read_raw
+from conftest import (
+    THREE_ATOM_XYZR,
+    piecewise_slabs_per_atom,
+    rasterize_gaussian_all_atoms,
+    read_dx,
+    read_raw,
+)
 
 GOLDEN = __file__.rsplit("/", 1)[0] + "/golden"
 
@@ -202,6 +208,96 @@ def test_piecewise_swapped_is_complement(three_atoms):
     a = rasterize("piecewise", three_atoms, grid).values
     b = rasterize("piecewise-swapped", three_atoms, grid).values
     assert np.array_equal(a + b, np.ones(grid.dims))
+
+
+# the cap under which the lattice cluster of _piecewise_case fills at least
+# three batches: its largest window, (2 * 4 + 1)^3 voxels
+_CLUSTER_CAP = 9**3
+
+
+def _piecewise_case(seed, dims):
+    """Atoms of 0.8-2.2 A and one of 8 A over a grid of dims at h = 0.5, and one boundary voxel.
+
+    The origin is a multiple of 0.5, so every voxel coordinate is exact.
+    Random atoms spread 2 A past every face, and one sits on each face;
+    one atom lies wholly outside the grid; one sphere passes exactly
+    through a voxel center, which is returned. A cluster of atoms centred
+    on voxel centers of plane 12, of radii (k + 1/2) h for k in 1..4,
+    has windows of exactly (2k + 1)^3 voxels, all starting in the second
+    slab.
+    """
+    rng = np.random.default_rng(seed)
+    grid = GridSpec(origin=(-3.0, -2.5, -4.0), spacing=0.5, dims=dims)
+    axes = grid.axes()
+    lo, hi = np.array([x[0] for x in axes]), np.array([x[-1] for x in axes])
+    centers = [rng.uniform(lo - 2.0, hi + 2.0, (40, 3))]
+    radii = [rng.uniform(0.8, 2.2, 40)]
+    for a in range(3):
+        for end in (lo, hi):
+            c = rng.uniform(lo, hi)
+            c[a] = end[a] + rng.uniform(-0.3, 0.3)
+            centers.append(c[None])
+            radii.append(rng.uniform(1.5, 2.2, 1))
+    # the 8 A atom reaches into the first planes and past four faces
+    centers.append(np.array([(lo[0] - 5.5, 0.0, 0.0), hi + 20.0]))
+    radii.append(np.array([8.0, 2.0]))
+    # the boundary sphere: centred on voxel (i, j, k) but for a random x, its
+    # radius the rounded x offset of voxel i, so that voxel's d2 is r*r
+    i, j, k = (int(rng.integers(2, n - 2)) for n in dims)
+    x = rng.uniform(axes[0][i] - 2.0, axes[0][i] - 1.0)
+    centers.append(np.array([[x, axes[1][j], axes[2][k]]]))
+    radii.append(np.array([axes[0][i] - x]))
+    ks = rng.integers(1, 5, 24)
+    y, z = (rng.integers(ks, n - ks) for n in dims[1:])  # windows inside the grid
+    centers.append(np.stack([np.full(24, axes[0][12]), axes[1][y], axes[2][z]], axis=1))
+    radii.append((ks + 0.5) * grid.spacing)
+    assert np.sum((2 * ks + 1) ** 3) > 2 * _CLUSTER_CAP  # so three batches at the least
+    return Molecule(np.concatenate(centers), np.concatenate(radii)), grid, (i, j, k)
+
+
+@pytest.mark.parametrize("cap", [None, 1, _CLUSTER_CAP])
+@pytest.mark.parametrize("dims", [(21, 13, 19), (27, 18, 11), (19, 23, 30)])
+def test_piecewise_matches_per_atom_oracle(monkeypatch, dims, cap):
+    # at the default cap, at one atom per batch, and at a cap that cuts the
+    # cluster's slab into three batches or more
+    if cap is not None:
+        monkeypatch.setattr(volumetrics, "_BATCH_VOXELS", cap)
+    mol, grid, boundary = _piecewise_case(sum(dims), dims)
+    got = list(piecewise_slabs(mol, grid))
+    want = list(piecewise_slabs_per_atom(mol, grid))
+    assert len(got) == len(want) == -(-dims[0] // grids.SLAB)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    field = np.concatenate(got)
+    assert field[boundary] == 0.0
+    assert 0.2 < field.mean() < 0.8
+
+
+def test_piecewise_peak_memory_with_an_outsized_atom():
+    # one whole pass over 3000 atoms of 0.8-2.2 A in a 24 A cube at h = 0.25
+    # (160^3) with one 8 A atom, whose window alone is 65^3 voxels. Drawn one
+    # atom at a time the traced peak read 5.50 MB; the bound is that plus
+    # 2 MB, and the batches read 6.72 MB
+    rng = np.random.default_rng(36)
+    centers = rng.uniform(-12.0, 12.0, (3000, 3))
+    radii = rng.uniform(0.8, 2.2, 3000)
+    centers[0], radii[0] = (0.3, -0.2, 0.1), 8.0
+    mol = Molecule(centers, radii)
+    grid = make_grid(mol, spacing=0.25)
+    peaks = []
+    for atoms in (mol, Molecule(centers[:1], radii[:1])):
+        tracemalloc.start()
+        try:
+            for slab in piecewise_slabs(atoms, grid):
+                del slab
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 7.5e6
+    # the outsized atom is a batch of its own, and costs what it costs alone
+    # (6.44 MB): a neighbour padded to its window would add 9 B per voxel of
+    # it, 2.5 MB, for the offsets' squares and the test's result alone
+    assert peaks[0] < peaks[1] + 1e6
 
 
 def test_gaussian_matches_analytic_maximum(three_atoms, rng):
